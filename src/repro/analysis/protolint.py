@@ -1546,15 +1546,7 @@ def run_protolint(
         paths = []
         for pattern in DEFAULT_ENGINE_GLOBS:
             paths.extend(sorted(_glob.glob(os.path.join(root, pattern))))
-        # legacy.py is the frozen pre-refactor parity reference, not a
-        # shipped engine: analyzing it would let its verbatim copies of
-        # crash points / guard blocks mask mutations seeded into the
-        # live engine files (PROTO004's cross-file name check).
-        paths = [
-            p
-            for p in paths
-            if not p.endswith("__init__.py") and not p.endswith("legacy.py")
-        ]
+        paths = [p for p in paths if not p.endswith("__init__.py")]
 
     analyses: List[ModuleAnalysis] = []
     findings: List[Finding] = []

@@ -93,8 +93,6 @@ class ChaosRunner:
         schedule: Schedule,
         sanitize: bool = False,
         fd_redetect_interval: float = DEFAULT_FD_REDETECT_INTERVAL,
-        legacy_kernel: bool = False,
-        legacy_engine: bool = False,
     ) -> None:
         self.schedule = schedule
         if fd_redetect_interval <= 0:
@@ -118,8 +116,6 @@ class ChaosRunner:
                 fd_redetect_interval if schedule.fd_redetect else None
             ),
             sanitize=sanitize,
-            legacy_kernel=legacy_kernel,
-            legacy_engine=legacy_engine,
         )
         self.cluster = Cluster(config, _FuzzWorkload(schedule.keys))
         self.history: List = []

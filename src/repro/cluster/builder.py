@@ -21,7 +21,6 @@ from repro.memory.node import MemoryNode
 from repro.obs import NOOP_OBS
 from repro.protocol.coordinator import Coordinator, CoordinatorConfig, CoordinatorStats
 from repro.protocol.ford import ford_factory
-from repro.protocol.legacy import legacy_factory
 from repro.protocol.lotus import lotus_factory
 from repro.protocol.pandora import pandora_factory
 from repro.protocol.tradlog import tradlog_factory
@@ -56,7 +55,7 @@ class Cluster:
         # Observability facade shared by every layer; the no-op default
         # keeps all instrumented hot paths at a single empty call.
         self.obs = obs if obs is not None else NOOP_OBS
-        self.sim = Simulator(profiler=profiler, legacy=config.legacy_kernel)
+        self.sim = Simulator(profiler=profiler)
         self.rng = random.Random(config.seed)
         self.network = Network(config.network, random.Random(config.seed + 1))
         # Wall-clock profiler propagation: the network and (enabled)
@@ -206,9 +205,6 @@ class Cluster:
 
     def _engine_factory(self):
         config = self.config
-        if config.legacy_engine:
-            # Frozen pre-refactor engine; parity-suite diff build only.
-            return legacy_factory(config.protocol, config.bugs)
         if config.protocol == "pandora":
             return pandora_factory(config.bugs)
         if config.protocol == "tradlog":

@@ -36,12 +36,6 @@ class ClusterConfig:
     protocol: str = "pandora"
     bugs: Optional[BugFlags] = None
 
-    # Run the frozen pre-refactor engine (repro.protocol.legacy)
-    # instead of the strategy-composed one. Exists only so the parity
-    # suite (tests/integration/test_strategy_parity.py) can diff the
-    # two builds bit-identically; pandora/ford/tradlog only.
-    legacy_engine: bool = False
-
     # Persistence (§7): 'dram' assumes battery-backed DRAM (no flush on
     # the critical path); 'nvm-flush' models FORD's selective one-sided
     # flush — a small read chasing the commit writes on each touched
@@ -62,13 +56,6 @@ class ClusterConfig:
     # after this much post-declaration silence (None = declare once,
     # the historical behaviour). See FailureDetector._redetect_pass.
     fd_redetect_interval: Optional[float] = None
-
-    # Kernel scheduler build: False = now-ring + timer-heap fast path,
-    # True = the pre-ring single-heap scheduler. Both produce
-    # bit-identical virtual-time behaviour (asserted by the parity
-    # suite, tests/integration/test_scheduler_parity.py); legacy exists
-    # only so that suite can diff the two builds.
-    legacy_kernel: bool = False
 
     # RC log recovery: post the f+1 region reads for all dead
     # coordinators in one burst (paper §4, Table 2) instead of one
@@ -144,8 +131,18 @@ class ClusterConfig:
                 f"replication degree {self.replication_degree} must be in "
                 f"[1, {self.memory_nodes}]"
             )
-        if self.fd_timeout <= 0:
-            raise ValueError("fd_timeout must be positive")
+        for name in (
+            "fd_timeout",
+            "fd_heartbeat_interval",
+            "fd_check_interval",
+            "fd_redetect_interval",
+            "throughput_window",
+        ):
+            # A zero period respawns its timer at the same virtual
+            # instant forever: the run never advances past it.
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if self.persistence not in ("dram", "nvm-flush"):
             raise ValueError(
                 f"unknown persistence mode {self.persistence!r}; "

@@ -135,8 +135,6 @@ class LitmusRunner:
         crash_points: Optional[List[str]] = None,
         retry_writers: bool = True,
         sanitize: bool = False,
-        legacy_kernel: bool = False,
-        legacy_engine: bool = False,
         first_coord_id: int = 0,
     ) -> None:
         self.spec = spec
@@ -166,8 +164,6 @@ class LitmusRunner:
             drain_delay=0.2e-3,
             abandon_on_conflict=not retry_writers,
             sanitize=sanitize,
-            legacy_kernel=legacy_kernel,
-            legacy_engine=legacy_engine,
             first_coord_id=first_coord_id,
         )
         config.network.jitter = jitter

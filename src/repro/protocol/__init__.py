@@ -3,7 +3,6 @@
 from repro.protocol.base import ProtocolEngine, Txn
 from repro.protocol.coordinator import Coordinator, CoordinatorConfig, CoordinatorStats
 from repro.protocol.ford import FordProtocol, ford_factory
-from repro.protocol.legacy import LegacyProtocolEngine, legacy_factory
 from repro.protocol.locks import (
     encode_anonymous_lock,
     encode_lock,
@@ -38,7 +37,6 @@ __all__ = [
     "CoordinatorConfig",
     "CoordinatorStats",
     "FordProtocol",
-    "LegacyProtocolEngine",
     "LockStrategy",
     "LogStrategy",
     "LotusProtocol",
@@ -56,7 +54,6 @@ __all__ = [
     "ford_factory",
     "is_locked",
     "is_ticket_word",
-    "legacy_factory",
     "lotus_factory",
     "owner_of",
     "pandora_factory",

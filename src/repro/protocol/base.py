@@ -20,9 +20,8 @@ three pluggable axes (see :mod:`repro.protocol.strategies`):
 plus the six **bug flags** of Table 1, which reproduce the published
 FORD behaviour for the litmus framework and stay on the engine.
 
-The frozen pre-refactor engine lives in :mod:`repro.protocol.legacy`;
-``tests/integration/test_strategy_parity.py`` pins the strategy
-recomposition to it bit-identically.
+``tests/integration/test_golden_outcomes.py`` pins every protocol's
+seeded litmus and chaos outcomes against recorded golden values.
 
 Application logic is a generator function ``logic(tx)`` that drives a
 :class:`Txn` handle (`yield from tx.read(...)`, ``tx.write(...)``); the
@@ -54,7 +53,7 @@ from repro.protocol.types import (
     WriteIntent,
 )
 from repro.rdma.errors import LinkRevokedError, RdmaError
-from repro.sim import Event
+from repro.sim import Event, Interrupt
 
 __all__ = ["Txn", "ProtocolEngine"]
 
@@ -450,6 +449,18 @@ class ProtocolEngine:
             outcome = yield from self.recover_interrupted(tx)
             trace.end("interrupted", self.sim.now, writes=len(tx.write_set))
             return outcome
+        except Interrupt:
+            # A memory reconfiguration interrupted the attempt (§3.2.5):
+            # no transaction body raised, so keep it out of APP_ERROR.
+            # Same lock-releasing abort as the arm below; the
+            # coordinator's Interrupt handler then resolves the attempt.
+            yield from self._abort(tx, AbortReason.INTERRUPTED)
+            trace.end(
+                f"abort:{AbortReason.INTERRUPTED}",
+                self.sim.now,
+                writes=len(tx.write_set),
+            )
+            raise
         except Exception:
             # Application logic raised something the protocol does not
             # model (a bug in the transaction body). The write-set may

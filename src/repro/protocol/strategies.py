@@ -1,12 +1,8 @@
 """Pluggable lock / log / commit strategies — the protocol-zoo axes.
 
-The shared OCC engine (:mod:`repro.protocol.base`) used to select its
-variant behaviour through five boolean class flags
-(``pill_enabled`` / ``coalesced_logging`` / ``per_object_logging`` /
-``pre_lock_logging`` / ``late_upgrade_check``) branched throughout the
-hot path. Every protocol is really a point in a three-axis design
-space, so the flags are now three strategy objects plugged into the
-engine:
+Every protocol run by the shared OCC engine
+(:mod:`repro.protocol.base`) is a point in a three-axis design space,
+expressed as three strategy objects plugged into the engine:
 
 * :class:`LockStrategy` — the lock-word format and the write-lock
   acquisition flow (CAS-word anonymous / CAS-word PILL / LOTUS ticket
@@ -17,10 +13,8 @@ engine:
   upgrade re-check runs (logged commit / late-upgrade logged commit /
   logless vote write).
 
-The original three protocols are re-expressed as triples with
-bit-identical behaviour (pinned by
-``tests/integration/test_strategy_parity.py`` against the frozen
-:mod:`repro.protocol.legacy` engine):
+The five protocols as triples (their seeded outcomes are pinned by
+``tests/integration/test_golden_outcomes.py``):
 
 =========  ======================  ====================  ==========================
 protocol   lock                    log                   commit

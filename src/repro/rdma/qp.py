@@ -15,10 +15,10 @@ Hot-path structure (see docs/KERNEL.md): each QP direction owns an
 :class:`_ArrivalBatch` that coalesces back-to-back deliveries due at
 the same arrival timestamp into **one** kernel entry instead of N heap
 pushes. Batching is purely a scheduling-cost optimisation — the items
-still execute in exactly the order the single-heap kernel would have
-produced (a batch only absorbs an item while no other kernel entry
+still execute in exactly the order one kernel entry per delivery would
+have produced (a batch only absorbs an item while no other kernel entry
 could sort between them), and ``processed_events`` is compensated so
-the count matches the unbatched build bit-for-bit.
+the count stays one per delivery.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class _ArrivalBatch:
 
     A QP direction posts work due at computed arrival times that are
     monotone (FIFO). Pipelined verbs frequently share one arrival
-    instant (the ``max(last, ...)`` serialisation), and the single-heap
-    kernel paid one push/pop per delivery. Here the first delivery at a
+    instant (the ``max(last, ...)`` serialisation), which would cost
+    one heap push/pop per delivery. Instead the first delivery at a
     given instant schedules one kernel entry holding a list; subsequent
     same-instant deliveries append to the list as long as **no other
     heap push happened in between** (``sim._seq`` unchanged) — any
@@ -52,8 +52,8 @@ class _ArrivalBatch:
     Ring appends cannot land at a future timestamp and need no guard.
 
     The fired batch bumps ``sim._processed_events`` (and an enabled
-    profiler's step counter) by ``len - 1`` so delivery counts stay
-    bit-identical to the one-entry-per-delivery build.
+    profiler's step counter) by ``len - 1`` so every delivery still
+    counts as one processed event.
     """
 
     __slots__ = ("sim", "items", "when", "seq")

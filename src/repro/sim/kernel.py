@@ -24,13 +24,12 @@ Scheduling is split across two queues (see docs/KERNEL.md):
   due at that same instant into the ring* so same-timestamp work
   dispatches FIFO without further heap traffic.
 
-The split preserves the exact global ``(when, seq)`` dispatch order of
-the single-heap kernel: at the moment the clock advances to ``t`` the
+The split preserves the exact global ``(when, seq)`` dispatch order a
+single heap would give: at the moment the clock advances to ``t`` the
 ring is empty and the heap yields the ``t``-entries in seq order; any
 entry scheduled *at* ``t`` afterwards appends behind them, which is
-where its (larger) seq would have sorted it anyway. ``legacy=True``
-reinstates the single-heap scheduler so parity tests can diff the two
-builds event-for-event.
+where its (larger) seq would have sorted it anyway. The recorded golden
+outcomes (``tests/integration/golden``) pin that order end to end.
 """
 
 from __future__ import annotations
@@ -427,43 +426,27 @@ class Simulator:
     :meth:`Event.__call__`), so they cannot drift behaviourally; the
     profiler only reads the wall clock and virtual-time behaviour is
     bit-identical either way.
-
-    *legacy* reinstates the pre-ring single-heap scheduler (every entry
-    pays a heap push/pop, callables and events alike). It exists purely
-    so the parity suite can run old-vs-new builds in one process and
-    assert identical event orders, fingerprints, and
-    ``processed_events``.
     """
 
-    def __init__(self, profiler: Optional[Any] = None, legacy: bool = False) -> None:
+    def __init__(self, profiler: Optional[Any] = None) -> None:
         self.now: float = 0.0
         self._ring: deque = deque()
         self._timers: List[tuple] = []
         self._seq = 0
         self._processed_events = 0
-        self.legacy = legacy
         if profiler is None:
             from repro.obs.profile import NULL_PROFILER
 
             profiler = NULL_PROFILER
         self.profiler = profiler
-        if legacy:
+        if profiler.enabled:
             # Instance-attribute shadowing: these bindings win over the
             # class methods for this instance only.
-            self._post = self._legacy_post
-            self.call_soon = self._legacy_call_soon
-            self.call_at = self._legacy_call_at
-            self._schedule_at = self._legacy_schedule_at
-            self.step = self._legacy_step
-        if profiler.enabled:
             self.step = self._profiled_step
-            if legacy:
-                self._schedule_at = self._profiled_legacy_schedule_at
-            else:
-                self._post = self._profiled_post
-                self.call_soon = self._profiled_call_soon
-                self.call_at = self._profiled_call_at
-                self._schedule_at = self._profiled_schedule_at
+            self._post = self._profiled_post
+            self.call_soon = self._profiled_call_soon
+            self.call_at = self._profiled_call_at
+            self._schedule_at = self._profiled_schedule_at
 
     # -- scheduling --------------------------------------------------------
 
@@ -492,31 +475,6 @@ class Simulator:
             return
         self._seq += 1
         heapq.heappush(self._timers, (when, self._seq, event))
-
-    # -- legacy (single-heap) scheduling for parity testing ----------------
-
-    def _legacy_schedule_at(self, when: float, event: Event) -> None:
-        self._seq += 1
-        heapq.heappush(self._timers, (when, self._seq, event))
-
-    def _legacy_post(self, event: Event) -> None:
-        self._schedule_at(self.now, event)
-
-    def _legacy_call_soon(self, func: Callable[[], None]) -> None:
-        self._schedule_at(self.now, func)
-
-    def _legacy_call_at(self, when: float, func: Callable[[], None]) -> None:
-        if when < self.now:
-            raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
-        self._schedule_at(when, func)
-
-    def _legacy_step(self) -> None:
-        when, _seq, entry = heapq.heappop(self._timers)
-        if when < self.now:
-            raise AssertionError("time went backwards")
-        self.now = when
-        entry()
-        self._processed_events += 1
 
     # -- primitives --------------------------------------------------------
 
@@ -596,10 +554,6 @@ class Simulator:
     def _profiled_schedule_at(self, when: float, event: Event) -> None:
         self.profiler.on_schedule(event)
         Simulator._schedule_at(self, when, event)
-
-    def _profiled_legacy_schedule_at(self, when: float, event: Event) -> None:
-        self.profiler.on_schedule(event)
-        Simulator._legacy_schedule_at(self, when, event)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queues drain or virtual time reaches *until*.

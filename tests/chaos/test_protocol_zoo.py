@@ -1,8 +1,8 @@
 """Chaos coverage for the two zoo newcomers (lotus, vote1pc).
 
-Neither has a frozen legacy twin to diff against, so their safety case
-is the consistency oracle itself: every fault family must run to
-quiescence with zero violations, sanitized or not. Two regressions are
+Their safety case is the consistency oracle itself: every fault family
+must run to quiescence with zero violations, sanitized or not (the
+golden outcomes pin *determinism*, not safety). Two regressions are
 pinned here on the seeds that caught them:
 
 * lotus: a memory restore used to leave the node's *volatile* ticket

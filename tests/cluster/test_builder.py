@@ -33,6 +33,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             Config(compute_nodes=0).validate()
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "fd_heartbeat_interval",
+            "fd_check_interval",
+            "fd_redetect_interval",
+            "throughput_window",
+        ],
+    )
+    @pytest.mark.parametrize("value", [0, -1e-3])
+    def test_non_positive_period_rejected_by_name(self, name, value):
+        # A zero heartbeat period used to pass validate() and then spin
+        # the cluster forever at one virtual instant.
+        with pytest.raises(ValueError, match=name):
+            Config(**{name: value}).validate()
+
 
 class TestWiring:
     def test_coordinator_ids_unique_across_nodes(self):

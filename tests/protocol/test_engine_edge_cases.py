@@ -92,6 +92,11 @@ class TestInterruptHandling:
         assert outcome.reason == AbortReason.MEMORY_RECONFIG
         assert rig.value_at(3) == 0  # write never applied
         assert rig.slot_state(3).lock == 0  # lock released
+        # Regression: the interrupt used to be booked as an application
+        # error although no transaction body raised.
+        reasons = coordinator.stats.abort_reasons
+        assert reasons[AbortReason.INTERRUPTED] == 1
+        assert AbortReason.APP_ERROR not in reasons
 
     def test_interrupt_after_apply_commits(self, rig_factory):
         rig = rig_factory(protocol="pandora")

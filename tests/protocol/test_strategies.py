@@ -3,10 +3,7 @@
 The steal-retry tests drive the acquisition generator directly with
 scripted CAS responses — a deterministic re-enactment of the
 two-stealers-one-dead-owner race that a cluster-level test could only
-hit probabilistically. Both the strategy-layer flow and the frozen
-legacy engine's inline flow are driven through the same script: the
-stray-to-stray retry is a bugfix that ships in both, so they must agree
-step for step.
+hit probabilistically.
 """
 
 import pytest
@@ -140,13 +137,6 @@ class _StubEngine:
             post_speculative=lambda tx, intent: False,
             post_locked=lambda tx, intent, speculative: None,
         )
-        # Legacy-engine flow flags (ignored by the strategy flow).
-        self.pre_lock_logging = False
-        self.per_object_logging = False
-        self.late_upgrade_check = False
-        self.bugs = SimpleNamespace(
-            log_without_lock=False, missing_insert_log=False
-        )
 
     def _resolve_address(self, table_id, slot, node):
         return iter(())
@@ -180,14 +170,10 @@ def _drive(flow, responses):
     assert not responses, f"{len(responses)} scripted response(s) unconsumed"
 
 
-def _make_flow(variant, engine, tx, intent):
-    if variant == "strategy":
-        from repro.protocol.strategies import PillCasLockStrategy
+def _make_flow(engine, tx, intent):
+    from repro.protocol.strategies import PillCasLockStrategy
 
-        return PillCasLockStrategy(engine)._acquire_flow(tx, intent)
-    from repro.protocol.legacy import LegacyProtocolEngine
-
-    return LegacyProtocolEngine._acquire_inner(engine, tx, intent)
+    return PillCasLockStrategy(engine)._acquire_flow(tx, intent)
 
 
 def _intent():
@@ -202,9 +188,8 @@ STRAY_B = encode_lock(DEAD_B, tag=2)
 LIVE_WORD = encode_lock(LIVE_STEALER, tag=3)
 
 
-@pytest.mark.parametrize("variant", ["strategy", "legacy"])
 class TestStealRetry:
-    def test_stray_to_stray_race_retries_and_wins(self, variant):
+    def test_stray_to_stray_race_retries_and_wins(self):
         """Two stealers, one dead owner: the loser's second CAS observes
         *another* dead coordinator's word (mass failover) and must retry
         against it instead of aborting — aborting would strand the lock
@@ -212,7 +197,7 @@ class TestStealRetry:
         engine = _StubEngine(failed_ids={DEAD_A, DEAD_B})
         tx, intent = _StubTx(), _intent()
         _drive(
-            _make_flow(variant, engine, tx, intent),
+            _make_flow(engine, tx, intent),
             [
                 ("cas_lock", STRAY_A),           # acquire CAS loses to stray A
                 ("read_object", (STRAY_A, 1, True, 10)),
@@ -227,13 +212,13 @@ class TestStealRetry:
         assert engine.coordinator.stats.locks_stolen == 1
         assert tx.trace.lock_events == ["steal", "steal_retry", "acquired"]
 
-    def test_losing_to_a_live_stealer_aborts_without_retry(self, variant):
+    def test_losing_to_a_live_stealer_aborts_without_retry(self):
         """The other stealer won and is alive: its word is not stray, so
         retrying would spin on a healthy lock — convert to a conflict."""
         engine = _StubEngine(failed_ids={DEAD_A})
         tx, intent = _StubTx(), _intent()
         _drive(
-            _make_flow(variant, engine, tx, intent),
+            _make_flow(engine, tx, intent),
             [
                 ("cas_lock", STRAY_A),
                 ("read_object", (STRAY_A, 1, True, 10)),
@@ -246,7 +231,7 @@ class TestStealRetry:
         assert engine.coordinator.stats.locks_stolen == 0
         assert tx.trace.lock_events == ["steal", "steal_lost"]
 
-    def test_retry_budget_is_bounded(self, variant):
+    def test_retry_budget_is_bounded(self):
         """A pathological stray-churn sequence must stop at the limit."""
         from repro.protocol.strategies import STEAL_RETRY_LIMIT
 
@@ -261,7 +246,7 @@ class TestStealRetry:
         # Steal CAS + every bounded retry each lose to the next stray.
         for word in words[1 : STEAL_RETRY_LIMIT + 2]:
             script.append(("cas_lock", word))
-        _drive(_make_flow(variant, engine, tx, intent), script)
+        _drive(_make_flow(engine, tx, intent), script)
         assert intent.lock_result == (False, AbortReason.LOCK_CONFLICT)
         assert engine.coordinator.stats.steal_retries == STEAL_RETRY_LIMIT
         assert engine.coordinator.stats.locks_stolen == 0

@@ -530,18 +530,22 @@ class TestNowRingScheduler:
         sim.run()
         assert order == ["a", "other", "b"]
 
-    def test_legacy_mode_matches_ring_mode(self):
-        def drive(sim):
-            trace = []
+    def test_four_worker_drive_matches_recorded_trace(self):
+        sim = Simulator()
+        trace = []
 
-            def worker(tag, delay):
-                for _ in range(4):
-                    yield sim.timeout(delay)
-                    trace.append((sim.now, tag))
+        def worker(tag, delay):
+            for _ in range(4):
+                yield sim.timeout(delay)
+                trace.append((sim.now, tag))
 
-            for tag in range(4):
-                sim.process(worker(tag, 0.5 + tag * 0.25))
-            sim.run()
-            return trace, sim.processed_events
-
-        assert drive(Simulator()) == drive(Simulator(legacy=True))
+        for tag in range(4):
+            sim.process(worker(tag, 0.5 + tag * 0.25))
+        sim.run()
+        # Same-instant resumptions dispatch in scheduling (seq) order.
+        assert trace == [
+            (0.5, 0), (0.75, 1), (1.0, 2), (1.0, 0), (1.25, 3), (1.5, 1),
+            (1.5, 0), (2.0, 2), (2.0, 0), (2.25, 1), (2.5, 3), (3.0, 2),
+            (3.0, 1), (3.75, 3), (4.0, 2), (5.0, 3),
+        ]
+        assert sim.processed_events == 24
