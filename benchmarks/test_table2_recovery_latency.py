@@ -80,69 +80,3 @@ def test_table2_recovery_latency(benchmark):
         # (b) grows with coordinator count.
         assert high > low, f"{workload_name}: {low} !< {high}"
 
-
-# -- sequential vs parallel RC log recovery (PR 9) -------------------------
-
-# The paper's RC fetches all f+1 log regions "with large parallel
-# reads" (§4); RecoveryManager.parallel_log_recovery reproduces that by
-# posting every dead coordinator's region reads in one burst. The delta
-# is what Table 2's growth curve is made of: with one crashed node
-# hosting N coordinators, sequential recovery pays ~N round trips of
-# region reads while parallel recovery pipelines them on the QPs.
-PARALLELISM_SWEEP = [64, 256]
-
-
-def _recovery_mode_sweep():
-    rows = []
-    measured = {}
-    factory = WORKLOAD_FACTORIES["microbench"]
-    for coordinators in PARALLELISM_SWEEP:
-        for parallel in (False, True):
-            result = run_recovery_latency(
-                factory,
-                coordinators_per_node=coordinators,
-                protocol="pandora",
-                crash_at=6e-3,
-                parallel_log_recovery=parallel,
-            )
-            measured[(coordinators, parallel)] = result.latency
-        sequential = measured[(coordinators, False)]
-        parallel_lat = measured[(coordinators, True)]
-        rows.append(
-            (
-                coordinators,
-                f"{sequential * 1e6:9.1f}",
-                f"{parallel_lat * 1e6:9.1f}",
-                f"{sequential / parallel_lat:6.2f}x",
-            )
-        )
-    return rows, measured
-
-
-@pytest.mark.benchmark(group="table2")
-def test_table2_parallel_log_recovery_delta(benchmark):
-    rows, measured = benchmark.pedantic(_recovery_mode_sweep, rounds=1, iterations=1)
-    text = format_table(
-        "Table 2 addendum: sequential vs parallel RC log recovery (microbench)",
-        ["coordinators/node", "sequential (us)", "parallel (us)", "speedup"],
-        rows,
-        note=(
-            "Parallel = all dead coordinators' f+1 region reads posted "
-            "in one burst (paper §4); sequential = one coordinator per "
-            "round trip (pre-PR 9 behaviour)."
-        ),
-    )
-    write_report("table2_parallel_recovery", text)
-
-    for coordinators in PARALLELISM_SWEEP:
-        sequential = measured[(coordinators, False)]
-        parallel_lat = measured[(coordinators, True)]
-        # Parallel recovery must not be slower, and at fleet scale the
-        # pipelining win should be clearly visible.
-        assert parallel_lat <= sequential, (
-            f"{coordinators} coords: parallel {parallel_lat} > "
-            f"sequential {sequential}"
-        )
-    assert measured[(256, False)] / measured[(256, True)] > 1.5, (
-        "expected a clear pipelining win at 256 coordinators/node"
-    )

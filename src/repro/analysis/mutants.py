@@ -47,10 +47,12 @@ from repro.cluster.node import ComputeNode
 from repro.kvs.catalog import Catalog, TableSpec
 from repro.kvs.placement import Placement
 from repro.memory.node import LogRecord, MemoryNode
+from repro.protocol.base import ProtocolEngine
 from repro.protocol.coordinator import Coordinator, CoordinatorConfig
 from repro.protocol.locks import is_locked
-from repro.protocol.pandora import PandoraProtocol, pandora_factory
+from repro.protocol.strategies import UndoEntry
 from repro.protocol.types import BugFlags
+from repro.protocol.zoo import ZOO
 from repro.obs import Obs
 from repro.rdma.network import Network, NetworkConfig
 from repro.rdma.verbs import Verbs
@@ -162,21 +164,20 @@ class MutantRig:
 # -- the mutants ---------------------------------------------------------------
 
 
-class StealAnyLockEngine(PandoraProtocol):
+PANDORA = ZOO["pandora"]
+
+
+class StealAnyLockEngine(ProtocolEngine):
     """MUTANT: treats *every* held lock as stray (skips the failed-ids
     check), so the second CAS steals locks from live coordinators."""
-
-    name = "mutant-steal-any"
 
     def _is_stray(self, word: int) -> bool:
         return is_locked(word)
 
 
-class WriteWithoutLockEngine(PandoraProtocol):
+class WriteWithoutLockEngine(ProtocolEngine):
     """MUTANT: the acquire path only *reads* the object and pretends
     the lock was taken — commits then update replicas lock-free."""
-
-    name = "mutant-no-lock"
 
     def _acquire_inner(self, tx, intent):
         table_id, slot = intent.table_id, intent.slot
@@ -192,12 +193,10 @@ class WriteWithoutLockEngine(PandoraProtocol):
         intent.lock_result = (True, "")
 
 
-class EagerLogEngine(PandoraProtocol):
+class EagerLogEngine(ProtocolEngine):
     """MUTANT: posts the coalesced undo record *before* the lock
     barrier (log-before-lock/validate), covering intents whose CAS has
     not succeeded — or never will."""
-
-    name = "mutant-eager-log"
 
     def _lock_barrier(self, tx):
         self._post_eager_log(tx)
@@ -208,7 +207,7 @@ class EagerLogEngine(PandoraProtocol):
         # guard is needed (Txn is slotted — no ad-hoc attributes).
         if not tx.write_set:
             return
-        entries = tuple(intent.log_entry() for intent in tx.write_set.values())
+        entries = tuple(UndoEntry.of(intent) for intent in tx.write_set.values())
         value_sizes = {
             spec.table_id: spec.value_size for spec in self.catalog.tables.values()
         }
@@ -222,13 +221,6 @@ class EagerLogEngine(PandoraProtocol):
 
     def _post_coalesced_log(self, tx) -> None:
         return  # superseded by the eager post
-
-
-def _factory_for(engine_class: type) -> Callable:
-    def factory(coordinator):
-        return engine_class(coordinator, bugs=BugFlags.fixed())
-
-    return factory
 
 
 # -- scenarios -----------------------------------------------------------------
@@ -320,7 +312,7 @@ class MutantSpec:
     expected_code: str
     # Bug-flag mutants reuse the stock engine, so their control factory
     # is the same engine with the flag off.
-    control_factory: Callable = field(default_factory=lambda: pandora_factory(None))
+    control_factory: Callable = field(default_factory=PANDORA.engine_factory)
     # When set, the lockset detector must also find this race code in
     # the mutant run's flight records (and none in the control's) —
     # the dynamic cross-check of the same discipline.
@@ -331,7 +323,7 @@ MUTANTS: List[MutantSpec] = [
     MutantSpec(
         name="steal-without-failed-check",
         description="second CAS steals a live coordinator's lock",
-        engine_factory=_factory_for(StealAnyLockEngine),
+        engine_factory=PANDORA.engine_factory(engine_class=StealAnyLockEngine),
         scenario=_scenario_contended_write,
         expected_code=STEAL_LIVE_OWNER,
         expected_race="RACE-DOUBLE-GRANT",
@@ -339,7 +331,7 @@ MUTANTS: List[MutantSpec] = [
     MutantSpec(
         name="write-without-lock",
         description="commit writes replicas without ever locking",
-        engine_factory=_factory_for(WriteWithoutLockEngine),
+        engine_factory=PANDORA.engine_factory(engine_class=WriteWithoutLockEngine),
         scenario=_scenario_single_write,
         expected_code=WRITE_WITHOUT_LOCK,
         expected_race="RACE-UNLOCKED-WRITE",
@@ -347,21 +339,21 @@ MUTANTS: List[MutantSpec] = [
     MutantSpec(
         name="log-before-lock",
         description="coalesced undo record posted before the lock barrier",
-        engine_factory=_factory_for(EagerLogEngine),
+        engine_factory=PANDORA.engine_factory(engine_class=EagerLogEngine),
         scenario=_scenario_contended_write,
         expected_code=LOG_WITHOUT_LOCK,
     ),
     MutantSpec(
         name="lost-abort-decision",
         description="abort unlocks without truncating its undo records",
-        engine_factory=pandora_factory(BugFlags(lost_decision=True)),
+        engine_factory=PANDORA.engine_factory(BugFlags(lost_decision=True)),
         scenario=_scenario_validation_abort,
         expected_code=UNLOCK_BEFORE_TRUNCATE,
     ),
     MutantSpec(
         name="complicit-abort",
         description="abort releases write-set locks it never acquired",
-        engine_factory=pandora_factory(BugFlags(complicit_abort=True)),
+        engine_factory=PANDORA.engine_factory(BugFlags(complicit_abort=True)),
         scenario=_scenario_conflict_abort,
         expected_code=UNLOCK_BY_NON_OWNER,
     ),

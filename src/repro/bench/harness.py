@@ -224,7 +224,7 @@ def run_recovery_latency(
     cluster.start()
     cluster.crash_compute(0, at=crash_at)
     # Give detection + recovery ample time; scan recovery needs more.
-    horizon = crash_at + (0.4 if protocol in ("baseline", "ford") else 30e-3)
+    horizon = crash_at + (0.4 if cluster.protocol.needs_quiesce_scan else 30e-3)
     cluster.run(until=horizon)
     if obs is not None:
         obs.sample_kernel(cluster.sim)

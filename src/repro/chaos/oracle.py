@@ -86,7 +86,7 @@ def check_cluster(cluster, history: Optional[list] = None) -> List[OracleViolati
     violations: List[OracleViolation] = []
     # Owner-attributable lock words (PILL proper, and vote1pc's PILL
     # words): a dead owner's lock is a stealable stray, not a leak.
-    pill = cluster.config.recovery_mode in ("pill", "vote")
+    pill = cluster.protocol.lock.pill
     failed = cluster.id_allocator.failed
     recycled = set(cluster.id_allocator.recycled_ids)
 

@@ -31,11 +31,12 @@ from repro.bench.harness import (
     run_steady_state,
 )
 from repro.bench.report import format_series, format_table
+from repro.protocol.zoo import ZOO
 from repro.workloads import MicroBenchmark, SmallBank, Tatp, TpcC
 
 __all__ = ["main", "build_parser"]
 
-PROTOCOLS = ("pandora", "baseline", "ford", "tradlog", "lotus", "vote1pc")
+PROTOCOLS = tuple(ZOO)
 
 
 def _add_sanitize_flag(parser) -> None:

@@ -20,12 +20,7 @@ from repro.kvs.placement import Placement
 from repro.memory.node import MemoryNode
 from repro.obs import NOOP_OBS
 from repro.protocol.coordinator import Coordinator, CoordinatorConfig, CoordinatorStats
-from repro.protocol.ford import ford_factory
-from repro.protocol.lotus import lotus_factory
-from repro.protocol.pandora import pandora_factory
-from repro.protocol.tradlog import tradlog_factory
-from repro.protocol.types import BugFlags
-from repro.protocol.vote1pc import vote1pc_factory
+from repro.protocol.zoo import ZOO
 from repro.rdma.network import Network
 from repro.rdma.verbs import Verbs
 from repro.recovery.distributed_fd import DistributedFailureDetector
@@ -51,6 +46,9 @@ class Cluster:
     ) -> None:
         config.validate()
         self.config = config
+        # The protocol's declaration: engines and recovery both build
+        # from it.
+        self.protocol = ZOO[config.protocol]
         self.workload = workload
         # Observability facade shared by every layer; the no-op default
         # keeps all instrumented hot paths at a single empty call.
@@ -146,14 +144,13 @@ class Cluster:
             compute_nodes={},  # filled below
             memory_nodes=self.memory_nodes,
             id_allocator=self.id_allocator,
-            mode=config.recovery_mode,
+            protocol=self.protocol,
             drain_delay=config.drain_delay,
             reconfig_delay=config.reconfig_delay,
             scan_chunk_slots=config.scan_chunk_slots,
             restart_hook=self.restart_compute,
             restart_after=config.restart_failed_after,
             obs=self.obs,
-            parallel_log_recovery=config.parallel_log_recovery,
         )
         self.fd.recovery_manager = self.recovery
         self.recycler = IdRecycler(
@@ -203,24 +200,6 @@ class Cluster:
 
     # -- construction helpers ---------------------------------------------------
 
-    def _engine_factory(self):
-        config = self.config
-        if config.protocol == "pandora":
-            return pandora_factory(config.bugs)
-        if config.protocol == "tradlog":
-            return tradlog_factory(config.bugs)
-        if config.protocol == "lotus":
-            return lotus_factory(config.bugs)
-        if config.protocol == "vote1pc":
-            return vote1pc_factory(config.bugs)
-        if config.protocol == "ford":
-            bugs = config.bugs if config.bugs is not None else BugFlags.published()
-            return ford_factory(bugs)
-        # 'baseline': FORD online component with the bugs fixed, scan
-        # recovery — the comparison system of §4.1.
-        bugs = config.bugs if config.bugs is not None else BugFlags.fixed()
-        return ford_factory(bugs)
-
     def _coordinator_config(self) -> CoordinatorConfig:
         config = self.config
         return CoordinatorConfig(
@@ -233,7 +212,7 @@ class Cluster:
         )
 
     def _spawn_coordinators(self, node: ComputeNode) -> None:
-        factory = self._engine_factory()
+        factory = self.protocol.engine_factory(self.config.bugs)
         for _ in range(self.config.coordinators_per_node):
             coord_id = self.fd.allocate_coordinator_id()
             coordinator = Coordinator(

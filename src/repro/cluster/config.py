@@ -7,12 +7,10 @@ from typing import Optional
 
 from repro.protocol.locks import MAX_COORD_ID
 from repro.protocol.types import BugFlags
+from repro.protocol.zoo import ZOO
 from repro.rdma.network import NetworkConfig
 
 __all__ = ["ClusterConfig"]
-
-_PROTOCOLS = ("pandora", "ford", "baseline", "tradlog", "lotus", "vote1pc")
-
 
 @dataclass
 class ClusterConfig:
@@ -30,9 +28,8 @@ class ClusterConfig:
     replication_degree: int = 2
     partitions: int = 64
 
-    # Protocol: 'pandora', 'ford' (published bugs), 'baseline'
-    # (FORD online component, bugs fixed, scan recovery), 'tradlog',
-    # 'lotus' (FAA ticket-queue locks), 'vote1pc' (logless 1PC).
+    # Protocol: a row of repro.protocol.zoo.ZOO; None for `bugs` means
+    # that row's own default flags.
     protocol: str = "pandora"
     bugs: Optional[BugFlags] = None
 
@@ -56,11 +53,6 @@ class ClusterConfig:
     # after this much post-declaration silence (None = declare once,
     # the historical behaviour). See FailureDetector._redetect_pass.
     fd_redetect_interval: Optional[float] = None
-
-    # RC log recovery: post the f+1 region reads for all dead
-    # coordinators in one burst (paper §4, Table 2) instead of one
-    # coordinator per round trip. See RecoveryManager._log_recovery.
-    parallel_log_recovery: bool = True
 
     # Recovery.
     drain_delay: float = 0.5e-3
@@ -100,9 +92,9 @@ class ClusterConfig:
     throughput_window: float = 1e-3
 
     def validate(self) -> None:
-        if self.protocol not in _PROTOCOLS:
+        if self.protocol not in ZOO:
             raise ValueError(
-                f"unknown protocol {self.protocol!r}; expected one of {_PROTOCOLS}"
+                f"unknown protocol {self.protocol!r}; expected one of {tuple(ZOO)}"
             )
         if self.memory_nodes < 1:
             raise ValueError("need at least one memory node")
@@ -148,16 +140,3 @@ class ClusterConfig:
                 f"unknown persistence mode {self.persistence!r}; "
                 "expected 'dram' or 'nvm-flush'"
             )
-
-    @property
-    def recovery_mode(self) -> str:
-        if self.protocol in ("pandora", "lotus"):
-            # Lotus ticket words carry PILL owner attribution, and the
-            # conditional CAS-to-0 release doubles as a queue advance,
-            # so PILL log recovery covers it unchanged.
-            return "pill"
-        if self.protocol == "tradlog":
-            return "locklog"
-        if self.protocol == "vote1pc":
-            return "vote"
-        return "scan"

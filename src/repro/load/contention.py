@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.load.engine import LoadResult
 from repro.load.sweep import LoadCurve, format_curves, run_load_point
+from repro.protocol.zoo import TRIPLES
 from repro.workloads import MicroBenchmark
 
 __all__ = [
@@ -48,7 +49,7 @@ CONTENTION_SCHEMA = "contention/1"
 CONTENTION_TOLERANCE = 0.25
 
 #: The full zoo: every strategy triple the engine can run.
-CONTENTION_PROTOCOLS = ("pandora", "ford", "tradlog", "lotus", "vote1pc")
+CONTENTION_PROTOCOLS = TRIPLES
 
 #: Zipf skews over the hot keyspace: YCSB-standard 0.99, then two
 #: progressively hotter tails where a handful of keys absorb most of

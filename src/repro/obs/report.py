@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.flight import FlightAttempt
 from repro.obs.metrics import render_rows
+from repro.protocol.zoo import ZOO
 from repro.rdma.verbs import VERB_CATEGORIES
 from repro.util.stats import percentile_of_sorted
 
@@ -70,15 +71,6 @@ ABORT_CATEGORIES = {
     "user_abort": "application",
     "memory_reconfiguration": "fault",
     "link_revoked": "fault",
-}
-
-# Expected committed-transaction log-write cost per protocol (§4).
-# f+1 == the number of fixed log servers; R == replication degree.
-CLAIM_FORMULAS = {
-    "pandora": "f+1 per txn (0 when read-only)",
-    "tradlog": "(f+1) x (writes+1)",
-    "ford": "R x writes",
-    "baseline": "R x writes",
 }
 
 
@@ -240,25 +232,12 @@ def verb_accounting_rows(run: RunData) -> List[Tuple[Any, ...]]:
     return rows
 
 
-def _expected_log_writes(protocol: str, writes: int, log_servers: int, replication: int) -> int:
-    if writes == 0:
-        # Read-only transactions log nothing under every scheme.
-        return 0
-    if protocol == "pandora":
-        return log_servers
-    if protocol == "tradlog":
-        # One lock-intent record per written object plus the coalesced
-        # undo record, each to the f+1 log servers.
-        return log_servers * (writes + 1)
-    # ford / baseline: one undo record per object to each of its replicas.
-    return replication * writes
-
-
 def check_log_write_claim(run: RunData) -> List[Dict[str, Any]]:
     """Machine-check the §4 logging claim per protocol in *run*.
 
     For every committed attempt, compares the recorded ``write_log``
-    posts against the protocol's expected cost. Returns one result dict
+    posts against the expected cost its log strategy declares (engines
+    the zoo does not know are skipped). Returns one result dict
     per protocol: ``{"protocol", "formula", "checked", "violations",
     "ok", "mean_log_writes", "mean_writes", "detail"}``.
     """
@@ -267,8 +246,9 @@ def check_log_write_claim(run: RunData) -> List[Dict[str, Any]]:
     results = []
     for protocol in run.protocols():
         committed = _committed(run, protocol)
-        if not committed:
+        if not committed or protocol not in ZOO:
             continue
+        log_axis = ZOO[protocol].log
         violations = []
         total_log = 0
         total_writes = 0
@@ -276,8 +256,8 @@ def check_log_write_claim(run: RunData) -> List[Dict[str, Any]]:
             observed = record.log_writes()
             total_log += observed
             total_writes += record.writes
-            expected = _expected_log_writes(
-                protocol, record.writes, log_servers, replication
+            expected = log_axis.expected_log_writes(
+                record.writes, log_servers, replication
             )
             if observed != expected:
                 violations.append(
@@ -294,7 +274,7 @@ def check_log_write_claim(run: RunData) -> List[Dict[str, Any]]:
         results.append(
             {
                 "protocol": protocol,
-                "formula": CLAIM_FORMULAS.get(protocol, "R x writes"),
+                "formula": log_axis.formula,
                 "checked": len(committed),
                 "violations": len(violations),
                 "ok": not violations,

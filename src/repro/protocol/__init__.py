@@ -2,7 +2,6 @@
 
 from repro.protocol.base import ProtocolEngine, Txn
 from repro.protocol.coordinator import Coordinator, CoordinatorConfig, CoordinatorStats
-from repro.protocol.ford import FordProtocol, ford_factory
 from repro.protocol.locks import (
     encode_anonymous_lock,
     encode_lock,
@@ -12,14 +11,11 @@ from repro.protocol.locks import (
     owner_of,
     tag_of,
 )
-from repro.protocol.lotus import LotusProtocol, lotus_factory
-from repro.protocol.pandora import PandoraProtocol, pandora_factory
 from repro.protocol.strategies import (
     CommitStrategy,
     LockStrategy,
     LogStrategy,
 )
-from repro.protocol.tradlog import TradLogProtocol, tradlog_factory
 from repro.protocol.types import (
     AbortReason,
     BugFlags,
@@ -27,7 +23,7 @@ from repro.protocol.types import (
     TxnOutcome,
     WriteIntent,
 )
-from repro.protocol.vote1pc import Vote1PCProtocol, vote1pc_factory
+from repro.protocol.zoo import ZOO, Protocol
 
 __all__ = [
     "AbortReason",
@@ -36,28 +32,20 @@ __all__ = [
     "Coordinator",
     "CoordinatorConfig",
     "CoordinatorStats",
-    "FordProtocol",
     "LockStrategy",
     "LogStrategy",
-    "LotusProtocol",
-    "PandoraProtocol",
+    "Protocol",
     "ProtocolEngine",
-    "TradLogProtocol",
     "Txn",
     "TxnAbort",
     "TxnOutcome",
-    "Vote1PCProtocol",
     "WriteIntent",
+    "ZOO",
     "encode_anonymous_lock",
     "encode_lock",
     "encode_ticket_word",
-    "ford_factory",
     "is_locked",
     "is_ticket_word",
-    "lotus_factory",
     "owner_of",
-    "pandora_factory",
     "tag_of",
-    "tradlog_factory",
-    "vote1pc_factory",
 ]

@@ -33,14 +33,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Hashable, List, Optional, Tuple
 
-from repro.memory.node import LogRecord
 from repro.obs import NULL_TXN_TRACE
 from repro.protocol.locks import is_locked
-from repro.protocol.strategies import (
-    AnonymousCasLockStrategy,
-    LoggedCommitStrategy,
-    NoLogStrategy,
-)
 from repro.protocol.types import (
     OP_DELETE,
     OP_INSERT,
@@ -275,28 +269,22 @@ class Txn:
 
 
 class ProtocolEngine:
-    """Shared OCC engine; variants plug in the strategy triple below."""
+    """Shared OCC engine; *protocol* (a :class:`repro.protocol.zoo.Protocol`
+    declaration) supplies the lock x log x commit strategy triple."""
 
-    name = "base"
-    # The strategy triple: lock acquisition x undo logging x commit.
-    # Defaults are the all-features-off point (anonymous CAS words, no
-    # logging, plain logged commit with the early upgrade check).
-    lock_strategy = AnonymousCasLockStrategy
-    log_strategy = NoLogStrategy
-    commit_strategy = LoggedCommitStrategy
-
-    def __init__(self, coordinator, bugs: Optional[BugFlags] = None) -> None:
+    def __init__(self, coordinator, protocol, bugs: BugFlags) -> None:
         self.coordinator = coordinator
+        self.name = protocol.name
         self.sim = coordinator.sim
         self.verbs = coordinator.verbs
         self.catalog = coordinator.catalog
         self.placement = coordinator.catalog.placement
         self.coord_id = coordinator.coord_id
         self.obs = coordinator.obs
-        self.bugs = bugs if bugs is not None else BugFlags.fixed()
-        self.lock = self.lock_strategy(self)
-        self.log = self.log_strategy(self)
-        self.commit = self.commit_strategy(self)
+        self.bugs = bugs
+        self.lock = protocol.lock(self)
+        self.log = protocol.log(self)
+        self.commit = protocol.commit(self)
         self._lock_tag = 0
         # The attempt currently in flight (used by interrupt recovery).
         self.current_tx: Optional[Txn] = None
@@ -310,28 +298,6 @@ class ProtocolEngine:
         self._address_cache: set = set()
 
     # -- variant hooks (delegating to the strategy triple) -------------------
-
-    # Back-compat boolean views of the strategy triple; external code
-    # (tests, analysis overlays) reads these like the old class flags.
-    @property
-    def pill_enabled(self) -> bool:
-        return self.lock.pill
-
-    @property
-    def coalesced_logging(self) -> bool:
-        return self.log.coalesced
-
-    @property
-    def per_object_logging(self) -> bool:
-        return self.log.per_object
-
-    @property
-    def pre_lock_logging(self) -> bool:
-        return self.log.pre_lock_intent
-
-    @property
-    def late_upgrade_check(self) -> bool:
-        return self.commit.late_upgrade
 
     def _lock_word(self) -> int:
         self._lock_tag = (self._lock_tag + 1) & 0xFFFFFFFF
@@ -399,7 +365,7 @@ class ProtocolEngine:
                 yield checkpoint
 
             yield from self._check_validation(tx, validation_groups)
-            if self.late_upgrade_check:
+            if self.commit.late_upgrade:
                 self._check_upgrades(tx)
             trace.phase("validate", self.sim.now)
 
@@ -583,38 +549,6 @@ class ProtocolEngine:
     def _log_value_size(self, table_id: int) -> int:
         return self.catalog.tables[table_id].value_size
 
-    def _post_object_log(
-        self, tx: Txn, intent: WriteIntent, speculative: bool = False
-    ) -> None:
-        """FORD-style per-object undo log (delegates to the strategy)."""
-        self.log.post_object_log(tx, intent, speculative=speculative)
-
-    def _write_lock_log(
-        self, intent: WriteIntent, lock_word: int
-    ) -> Generator[Event, Any, None]:
-        """Traditional scheme's pre-lock ownership log (blocking RTT).
-
-        The record stores the exact lock word about to be CAS'd in, so
-        recovery can release the lock iff it is still the one we took
-        (a CAS conditioned on the logged word).
-        """
-        events = []
-        nodes = self.catalog.log_nodes(self.coord_id)
-        for node in nodes:
-            record = LogRecord(
-                coord_id=self.coord_id,
-                txn_id=-1,  # lock-intent record, not a txn undo record
-                entries=((intent.table_id, intent.slot, intent.key, lock_word),),
-            )
-            events.append(self.verbs.write_log(node, record, 64))
-        results = yield self.sim.all_of(events)
-        intent._locklog_copies = list(zip(nodes, results))  # type: ignore[attr-defined]
-
-    def _release_lock_logs(self, intent: WriteIntent) -> None:
-        """Invalidate lock-intent records once the lock is released."""
-        for node, record_id in getattr(intent, "_locklog_copies", ()):
-            self.verbs.invalidate_log(node, self.coord_id, record_id, signaled=False)
-
     def _post_coalesced_log(self, tx: Txn) -> None:
         """Write-set-wide log barrier (coalesced record when the log
         strategy posts one; a no-op otherwise). Runs after all locks
@@ -741,7 +675,7 @@ class ProtocolEngine:
         for intent in tx.write_set.values():
             if intent.locked:
                 self.verbs.write_lock(intent.lock_node, intent.table_id, intent.slot, 0)
-                self._release_lock_logs(intent)
+                self.log.release_intent(intent)
                 tx.trace.lock_event(
                     "released", intent.table_id, intent.slot, self.sim.now
                 )
@@ -806,7 +740,7 @@ class ProtocolEngine:
                 if node is None:
                     node = self.placement.primary(intent.table_id, intent.slot)
                 self.verbs.write_lock(node, intent.table_id, intent.slot, 0)
-                self._release_lock_logs(intent)
+                self.log.release_intent(intent)
                 tx.trace.lock_event(
                     "released", intent.table_id, intent.slot, self.sim.now
                 )
@@ -942,7 +876,7 @@ class ProtocolEngine:
         for intent in tx.write_set.values():
             if intent.locked:
                 self.verbs.write_lock(intent.lock_node, intent.table_id, intent.slot, 0)
-                self._release_lock_logs(intent)
+                self.log.release_intent(intent)
                 tx.trace.lock_event(
                     "released", intent.table_id, intent.slot, self.sim.now
                 )

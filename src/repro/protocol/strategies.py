@@ -2,7 +2,8 @@
 
 Every protocol run by the shared OCC engine
 (:mod:`repro.protocol.base`) is a point in a three-axis design space,
-expressed as three strategy objects plugged into the engine:
+expressed as three strategy classes (:mod:`repro.protocol.zoo` holds
+the table of triples):
 
 * :class:`LockStrategy` — the lock-word format and the write-lock
   acquisition flow (CAS-word anonymous / CAS-word PILL / LOTUS ticket
@@ -13,38 +14,47 @@ expressed as three strategy objects plugged into the engine:
   upgrade re-check runs (logged commit / late-upgrade logged commit /
   logless vote write).
 
-The five protocols as triples (their seeded outcomes are pinned by
-``tests/integration/test_golden_outcomes.py``):
-
-=========  ======================  ====================  ==========================
-protocol   lock                    log                   commit
-=========  ======================  ====================  ==========================
-pandora    PillCasLockStrategy     CoalescedLogStrategy  LoggedCommitStrategy
-ford       AnonymousCasLock...     PerObjectLogStrategy  LateUpgradeLoggedCommit...
-tradlog    AnonymousCasLock...     LockIntentLog...      LateUpgradeLoggedCommit...
-lotus      TicketLockStrategy      CoalescedLogStrategy  LoggedCommitStrategy
-vote1pc    PillCasLockStrategy     NoLogStrategy         VoteCommitStrategy
-=========  ======================  ====================  ==========================
+Each class owns both halves of its axis. The **forward half** is
+instance methods on a strategy bound to a live engine. The **recovery
+half** is class methods run by the recovery coordinator *rc*
+(:class:`repro.recovery.manager.RecoveryManager`) on behalf of a dead
+coordinator, reading back what the forward half left in memory: the
+log axis says where a dead coordinator's records live and decodes
+them, the commit axis says which transactions were interrupted and
+posts their undo images, the lock axis says which words a dead owner
+can be held to. The wire formats in between (:class:`UndoEntry`,
+:class:`LockIntent`, :class:`VoteShadow`) are written and read here
+and nowhere else.
 
 Engine-level bug flags (Table 1) stay on the engine: they model *bugs*
 in a given protocol's implementation, not protocol design points. The
 two per-object logging bugs ride inside :class:`PerObjectLogStrategy`
 because they only exist on that axis.
 
-Strategies hold a back-reference to their engine and call through
-``engine._is_stray`` / ``engine._post_coalesced_log``-style hooks where
-one exists, so engine subclasses that override those hooks (the
-mutation harness's seeded-bug engines do) still intercept strategy
+Forward-half strategies hold a back-reference to their engine and call
+through ``engine._is_stray`` / ``engine._post_coalesced_log``-style
+hooks where one exists, so engine subclasses that override those hooks
+(the mutation harness's seeded-bug engines do) still intercept strategy
 behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Any,
+    Dict,
+    Generator,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.memory.node import LogRecord
 from repro.protocol.locks import (
-    ANONYMOUS_OWNER,
     encode_anonymous_lock,
     encode_lock,
     is_locked,
@@ -64,6 +74,11 @@ from repro.sim import Event
 __all__ = [
     "STEAL_RETRY_LIMIT",
     "TICKET_POLL_LIMIT",
+    "UndoEntry",
+    "LockIntent",
+    "VoteShadow",
+    "StrayTxn",
+    "Evidence",
     "LockStrategy",
     "CasLockStrategy",
     "PillCasLockStrategy",
@@ -91,6 +106,101 @@ TICKET_POLL_LIMIT = 32
 
 
 # ---------------------------------------------------------------------------
+# What the forward halves leave in memory, and what recovery makes of it
+# ---------------------------------------------------------------------------
+
+Address = Tuple[int, int]  # (table_id, slot)
+
+# ``LogRecord.txn_id`` of a lock-intent record (no txn undo image).
+LOCK_INTENT_TXN = -1
+
+
+class UndoEntry(NamedTuple):
+    """One written object inside an undo-log record."""
+
+    table_id: int
+    slot: int
+    key: Hashable
+    old_version: int
+    new_version: int
+    old_value: Any
+    new_value: Any
+    old_present: bool
+    new_present: bool
+
+    @classmethod
+    def of(cls, intent: WriteIntent, old: Optional[Tuple] = None) -> "UndoEntry":
+        """*intent*'s entry. The pre-image ``(version, value, present)``
+        is the one read under the lock unless *old* supplies another."""
+        if old is None:
+            old = (intent.old_version, intent.old_value, intent.old_present)
+        version, value, present = old
+        return cls(
+            intent.table_id,
+            intent.slot,
+            intent.key,
+            version,
+            version + 1,
+            value,
+            intent.new_value,
+            present,
+            intent.new_present,
+        )
+
+
+class LockIntent(NamedTuple):
+    """The one entry of a lock-intent record: the exact word about to
+    be CAS'd in, so recovery can release the lock iff it is still the
+    one that was taken (an owner check by value)."""
+
+    table_id: int
+    slot: int
+    key: Hashable
+    word: int
+
+
+class VoteShadow(NamedTuple):
+    """Per-slot state a vote write leaves beside the new image: the
+    slot's undo image plus the whole txn's ``(table_id, slot,
+    new_version)`` manifest."""
+
+    coord_id: int
+    txn_id: int
+    old_version: int
+    old_value: Any
+    old_present: bool
+    manifest: Tuple[Tuple[int, int, int], ...]
+
+
+@dataclass
+class StrayTxn:
+    """One interrupted transaction of a dead coordinator."""
+
+    coord_id: int
+    txn_id: int
+    # Written address -> the version the txn was installing there.
+    new_versions: Dict[Address, int] = field(default_factory=dict)
+    # Logged pre-images (empty when they live in vote shadows).
+    undo: Dict[Address, UndoEntry] = field(default_factory=dict)
+
+
+@dataclass
+class Evidence:
+    """What one source — a dead coordinator's log regions, or a scan
+    for dead owners' lock words — says was left behind."""
+
+    txns: List[StrayTxn]  # in repair order
+    # Log regions: the coordinator they belong to, and how many records.
+    coord_id: Optional[int] = None
+    records: int = 0
+    # Intent log: locks to release by replaying the logged words.
+    lock_intents: Sequence[LockIntent] = ()
+    # Lock scan: every ``(node, table_id, slot, word)`` a dead owner
+    # holds (None when no scan ran and the write-sets locate the locks).
+    stray_words: Optional[List[Tuple[int, int, int, int]]] = None
+
+
+# ---------------------------------------------------------------------------
 # Lock strategies
 # ---------------------------------------------------------------------------
 
@@ -100,8 +210,6 @@ class LockStrategy:
     # Owner-attributable words: reads/validation pass stray locks and
     # recovery can release by owner id (PILL property, §3.1.2).
     pill = False
-    # LOTUS ticket-queue words (FAA enqueue, server-side advance).
-    ticket_based = False
 
     def __init__(self, engine) -> None:
         self.engine = engine
@@ -110,17 +218,16 @@ class LockStrategy:
         """The word a CAS-acquire installs (tag from the engine counter)."""
         raise NotImplementedError
 
+    @classmethod
+    def owned_by(cls, word: int, owners) -> bool:
+        """Is *word* a lock one of *owners* holds? Anonymous words
+        never say — so nobody steals them, and recovery releases them
+        from the lock-intent log or by a quiesced full scan."""
+        return cls.pill and is_locked(word) and owner_of(word) in owners
+
     def is_stray(self, word: int) -> bool:
         """Is this lock owned by a recovered-failed coordinator?"""
-        return False
-
-    def _owner_is_failed(self, word: int) -> bool:
-        if not is_locked(word):
-            return False
-        owner = owner_of(word)
-        if owner == ANONYMOUS_OWNER:
-            return False
-        return owner in self.engine.coordinator.node.failed_ids
+        return self.owned_by(word, self.engine.coordinator.node.failed_ids)
 
     def acquire(
         self, tx, intent: WriteIntent
@@ -160,15 +267,11 @@ class TicketLockStrategy(LockStrategy):
     """
 
     pill = True
-    ticket_based = True
 
     def lock_word(self, tag: int) -> int:
         raise NotImplementedError(
             "ticket words are minted server-side by faa_ticket"
         )
-
-    def is_stray(self, word: int) -> bool:
-        return self._owner_is_failed(word)
 
     def _acquire_flow(
         self, tx, intent: WriteIntent
@@ -214,7 +317,7 @@ class TicketLockStrategy(LockStrategy):
                 tx.trace.lock_event("conflict", table_id, slot, engine.sim.now)
                 intent.lock_result = (False, AbortReason.LOCK_CONFLICT)
                 return
-            if self._owner_is_failed(word):
+            if self.is_stray(word):
                 # Queue-aware steal: the holder died. A CAS conditioned
                 # on the observed word asks the server to advance past
                 # it (and past any dead waiters, via failed-ids).
@@ -380,9 +483,6 @@ class PillCasLockStrategy(CasLockStrategy):
     def lock_word(self, tag: int) -> int:
         return encode_lock(self.engine.coord_id, tag)
 
-    def is_stray(self, word: int) -> bool:
-        return self._owner_is_failed(word)
-
 
 class AnonymousCasLockStrategy(CasLockStrategy):
     """FORD-style: no owner identity; conflicts always abort."""
@@ -399,8 +499,8 @@ class LogStrategy:
     """Owns undo-record placement and timing. The base class posts
     nothing — it doubles as the logless strategy."""
 
-    coalesced = False
-    per_object = False
+    # A lock-intent record precedes every lock CAS (recovery can find a
+    # dead owner's locks without owner ids in the words).
     pre_lock_intent = False
 
     def __init__(self, engine) -> None:
@@ -420,13 +520,53 @@ class LogStrategy:
     ) -> None:
         """Per-object hook once the lock is held and checks passed."""
 
-    def post_object_log(
-        self, tx, intent: WriteIntent, speculative: bool = False
-    ) -> None:
-        """Engine back-compat shim target; only per-object logs post."""
-
     def post_barrier(self, tx) -> None:
         """Write-set-wide hook after the lock barrier."""
+
+    def release_intent(self, intent: WriteIntent) -> None:
+        """Per-object hook as the engine lets go of *intent*."""
+
+    # -- recovery half ------------------------------------------------------
+
+    # The §4 logging claim: write_log posts per committed read-write
+    # txn (f+1 == log servers, R == replication degree), and how the
+    # flight report words it.
+    formula = "0 (logless)"
+
+    @staticmethod
+    def expected_log_writes(writes: int, log_servers: int, replication: int) -> int:
+        return 0
+
+    @classmethod
+    def sources(cls, rc, coord_id: int) -> List[int]:
+        """Live memory nodes holding *coord_id*'s log regions."""
+        return []
+
+    @staticmethod
+    def decode(coord_id: int, records: Sequence[LogRecord]) -> Evidence:
+        """Rebuild what *coord_id*'s fetched records say it left behind:
+        the write-set of every Logged-Stray-Tx, and any lock intents."""
+        txns: Dict[int, StrayTxn] = {}
+        lock_intents: List[LockIntent] = []
+        for record in records:
+            if not record.valid:
+                continue
+            if record.txn_id == LOCK_INTENT_TXN:
+                lock_intents.extend(LockIntent._make(e) for e in record.entries)
+                continue
+            txn = txns.get(record.txn_id)
+            if txn is None:
+                txn = txns[record.txn_id] = StrayTxn(coord_id, record.txn_id)
+            for entry in map(UndoEntry._make, record.entries):
+                address = (entry.table_id, entry.slot)
+                txn.new_versions[address] = entry.new_version
+                txn.undo[address] = entry
+        return Evidence(
+            txns=[txns[txn_id] for txn_id in sorted(txns)],
+            coord_id=coord_id,
+            records=len(records),
+            lock_intents=lock_intents,
+        )
 
 
 class NoLogStrategy(LogStrategy):
@@ -439,7 +579,20 @@ class CoalescedLogStrategy(LogStrategy):
     f+1 fixed log servers, posted after all locks are held
     (lock-to-log order); the decision point waits for the acks."""
 
-    coalesced = True
+    formula = "f+1 per txn (0 when read-only)"
+
+    @staticmethod
+    def expected_log_writes(writes: int, log_servers: int, replication: int) -> int:
+        return log_servers if writes else 0
+
+    @classmethod
+    def sources(cls, rc, coord_id: int) -> List[int]:
+        # Gathered in the coordinator's f+1 fixed log servers (§3.1.4).
+        return [
+            node_id
+            for node_id in rc.catalog.log_nodes(coord_id)
+            if rc.memory_nodes[node_id].alive
+        ]
 
     def post_barrier(self, tx) -> None:
         engine = self.engine
@@ -447,7 +600,7 @@ class CoalescedLogStrategy(LogStrategy):
             return
         tx.trace.focus("log")
         entries = tuple(
-            intent.log_entry()
+            UndoEntry.of(intent)
             for intent in tx.write_set.values()
             if intent.locked
         )
@@ -475,7 +628,16 @@ class PerObjectLogStrategy(LogStrategy):
     insert log" (inserts skip their undo record).
     """
 
-    per_object = True
+    formula = "R x writes"
+
+    @staticmethod
+    def expected_log_writes(writes: int, log_servers: int, replication: int) -> int:
+        return replication * writes
+
+    @classmethod
+    def sources(cls, rc, coord_id: int) -> List[int]:
+        # Spread over every object's replicas: any node may hold some.
+        return rc.alive_memory_ids()
 
     def post_speculative(self, tx, intent: WriteIntent) -> bool:
         engine = self.engine
@@ -487,7 +649,13 @@ class PerObjectLogStrategy(LogStrategy):
         # BUG (Table 1, "Logging without locking"): in a corner case
         # FORD posts the undo log — built from the earlier read's image
         # — before the CAS outcome is known.
-        self.post_object_log(tx, intent, speculative=True)
+        cached = tx.read_set.get((intent.table_id, intent.slot))
+        if cached is not None:
+            self._post(
+                tx,
+                intent,
+                UndoEntry.of(intent, (cached.version, cached.value, cached.present)),
+            )
         return True
 
     def post_locked(
@@ -498,42 +666,15 @@ class PerObjectLogStrategy(LogStrategy):
             return
         if engine.bugs.missing_insert_log and intent.kind == OP_INSERT:
             return
-        self.post_object_log(tx, intent)
+        self._post(tx, intent, UndoEntry.of(intent))
 
-    def post_object_log(
-        self, tx, intent: WriteIntent, speculative: bool = False
-    ) -> None:
-        """Undo-log one object to each of its replicas.
-
-        A *speculative* log (the "logging without locking" bug) is
-        posted before the CAS outcome is known, so its undo image
-        comes from the transaction's earlier read of the object.
-        """
+    def _post(self, tx, intent: WriteIntent, entry: UndoEntry) -> None:
+        """Undo-log one object to each of its replicas."""
         engine = self.engine
         tx.trace.focus("log")
-        if speculative:
-            cached = tx.read_set.get((intent.table_id, intent.slot))
-            if cached is None:
-                return
-            entry = (
-                intent.table_id,
-                intent.slot,
-                intent.key,
-                cached.version,
-                cached.version + 1,
-                cached.value,
-                intent.new_value,
-                cached.present,
-                intent.new_present,
-            )
-        else:
-            entry = intent.log_entry()
-        record_template_entries = (entry,)
         for node in engine.placement.replicas(intent.table_id, intent.slot):
             record = LogRecord(
-                coord_id=engine.coord_id,
-                txn_id=tx.txn_id,
-                entries=record_template_entries,
+                coord_id=engine.coord_id, txn_id=tx.txn_id, entries=(entry,)
             )
             size = record.size_bytes(
                 {intent.table_id: engine._log_value_size(intent.table_id)}
@@ -549,10 +690,41 @@ class LockIntentLogStrategy(CoalescedLogStrategy):
     round trip recording the exact word about to be installed."""
 
     pre_lock_intent = True
+    formula = "(f+1) x (writes+1)"
+
+    @staticmethod
+    def expected_log_writes(writes: int, log_servers: int, replication: int) -> int:
+        # One lock-intent record per written object plus the coalesced
+        # undo record, each to the f+1 log servers.
+        return log_servers * (writes + 1) if writes else 0
 
     def pre_lock(self, tx, intent: WriteIntent, lock_word: int):
+        engine = self.engine
         tx.trace.focus("log")
-        yield from self.engine._write_lock_log(intent, lock_word)
+        nodes = engine.catalog.log_nodes(engine.coord_id)
+        events = [
+            engine.verbs.write_log(
+                node,
+                LogRecord(
+                    coord_id=engine.coord_id,
+                    txn_id=LOCK_INTENT_TXN,
+                    entries=(
+                        LockIntent(intent.table_id, intent.slot, intent.key, lock_word),
+                    ),
+                ),
+                64,
+            )
+            for node in nodes
+        ]
+        results = yield engine.sim.all_of(events)
+        intent._locklog_copies = list(zip(nodes, results))  # type: ignore[attr-defined]
+
+    def release_intent(self, intent: WriteIntent) -> None:
+        engine = self.engine
+        for node, record_id in getattr(intent, "_locklog_copies", ()):
+            engine.verbs.invalidate_log(
+                node, engine.coord_id, record_id, signaled=False
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +739,6 @@ class CommitStrategy:
     # undo logs were written. Pandora enforces the check at lock time,
     # before anything is logged (lock-to-log order, §3.1.5).
     late_upgrade = False
-    # No durable decision record: the decision is embedded in replica
-    # state (vote1pc).
-    logless = False
 
     def __init__(self, engine) -> None:
         self.engine = engine
@@ -588,11 +757,55 @@ class CommitStrategy:
             value_size=value_size,
         )
 
+    # -- recovery half ------------------------------------------------------
+
+    @classmethod
+    def find_interrupted(
+        cls, rc, sources, record, pid: int
+    ) -> Generator[Event, Any, List[Evidence]]:
+        """Which transactions did the dead coordinators leave
+        interrupted? *sources* pairs each with the live nodes holding
+        its log regions (none, on a logless log axis)."""
+        raise NotImplementedError
+
+    @classmethod
+    def post_undo(
+        cls, rc, txn: StrayTxn, updated: List[Tuple[int, Address]]
+    ) -> Generator[Event, Any, List[Event]]:
+        """Post *txn*'s undo image to each ``(node, address)`` replica
+        that took its update; returns the restore writes' acks."""
+        raise NotImplementedError
+
 
 class LoggedCommitStrategy(CommitStrategy):
     """Classic commit: the decision is the durable undo-log state; the
     decision point (run_attempt) waited for the f+1 log acks before any
-    in-place update."""
+    in-place update. So recovery's evidence is the log: a transaction
+    was interrupted iff a valid undo record of it survives, and that
+    record is its undo image."""
+
+    @classmethod
+    def find_interrupted(cls, rc, sources, record, pid):
+        regions = yield from rc.read_log_regions(sources)
+        decode = rc.protocol.log.decode
+        return [decode(coord_id, records) for coord_id, records in regions]
+
+    @classmethod
+    def post_undo(cls, rc, txn, updated):
+        yield from ()  # the images were fetched with the log regions
+        restores = []
+        for node_id, address in updated:
+            entry = txn.undo[address]
+            restores.append(
+                rc.restore(
+                    node_id,
+                    address,
+                    entry.old_version,
+                    entry.old_value,
+                    entry.old_present,
+                )
+            )
+        return restores
 
 
 class LateUpgradeLoggedCommitStrategy(LoggedCommitStrategy):
@@ -609,13 +822,11 @@ class VoteCommitStrategy(CommitStrategy):
     iff every manifest address reached its new version on all live
     replicas (the client could only have acked in that case)."""
 
-    logless = True
-
     def post_apply(
         self, tx, intent: WriteIntent, node: int, value_size: int
     ) -> Event:
         engine = self.engine
-        shadow = (
+        shadow = VoteShadow(
             engine.coord_id,
             tx.txn_id,
             intent.old_version,
@@ -643,3 +854,94 @@ class VoteCommitStrategy(CommitStrategy):
             if intent.locked
             and (intent.new_value is not None or intent.kind == OP_DELETE)
         )
+
+    # -- recovery half ------------------------------------------------------
+
+    @classmethod
+    def find_interrupted(cls, rc, sources, record, pid):
+        """No log regions to read: the price of skipping the f+1 log
+        write is a keyspace scan for the dead owners' lock words — no
+        stop-the-world, live traffic keeps running — whose vote
+        shadows name the interrupted transactions. A stray lock with
+        no shadow is a lock-phase-only txn: nothing was applied, so
+        releasing the lock is its entire roll-back."""
+        dead = {coord_id for coord_id, _nodes in sources}
+        owned_by = rc.protocol.lock.owned_by
+        stray: List[Tuple[int, int, int, int]] = []
+
+        def collect(node_id: int, table_id: int, slot: int, word: int) -> bool:
+            if owned_by(word, dead):
+                stray.append((node_id, table_id, slot, word))
+            return False  # released after the repairs, not mid-scan
+
+        # Chunks are charged as bulk 16B-header transfers (the RC reads
+        # in large parallel bursts, not one slot per round trip).
+        scan_started = rc.sim.now
+        yield from rc.scan_locks(
+            lambda slots: rc.network.transfer_time(slots * 16), collect, record
+        )
+        rc.obs.tracer.span(
+            "recovery",
+            "vote-scan",
+            scan_started,
+            rc.sim.now,
+            pid=pid,
+            args={
+                "scanned_slots": record.scanned_slots,
+                "stray_locks": len(stray),
+            },
+        )
+
+        txns: Dict[Tuple[int, int], StrayTxn] = {}
+        posted = [
+            rc.verbs.read_vote(node_id, table_id, slot)
+            for node_id, table_id, slot, _word in stray
+        ]
+        for event in posted:
+            try:
+                shadow = yield event
+            except RdmaError:
+                continue
+            if shadow is None:
+                continue
+            shadow = VoteShadow._make(shadow)
+            key = (shadow.coord_id, shadow.txn_id)
+            if shadow.coord_id in dead and key not in txns:
+                txns[key] = StrayTxn(
+                    *key,
+                    new_versions={
+                        (table_id, slot): new_version
+                        for table_id, slot, new_version in shadow.manifest
+                    },
+                )
+        return [Evidence(txns=[txns[key] for key in sorted(txns)], stray_words=stray)]
+
+    @classmethod
+    def post_undo(cls, rc, txn, updated):
+        """Each replica that took the update restores the pre-image
+        from its own vote shadow."""
+        posted = [
+            (node_id, address, rc.verbs.read_vote(node_id, *address))
+            for node_id, address in updated
+        ]
+        restores = []
+        for node_id, address, event in posted:
+            try:
+                shadow = yield event
+            except RdmaError:
+                continue
+            if shadow is None:
+                continue
+            shadow = VoteShadow._make(shadow)
+            if (shadow.coord_id, shadow.txn_id) != (txn.coord_id, txn.txn_id):
+                continue  # already repaired / overwritten since
+            restores.append(
+                rc.restore(
+                    node_id,
+                    address,
+                    shadow.old_version,
+                    shadow.old_value,
+                    shadow.old_present,
+                )
+            )
+        return restores

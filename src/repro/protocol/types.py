@@ -111,20 +111,6 @@ class WriteIntent:
         """Presence after commit (False only for deletes)."""
         return self.kind != OP_DELETE
 
-    def log_entry(self) -> Tuple:
-        """Entry tuple stored in undo-log records (see LogRecord docs)."""
-        return (
-            self.table_id,
-            self.slot,
-            self.key,
-            self.old_version,
-            self.new_version,
-            self.old_value,
-            self.new_value,
-            self.old_present,
-            self.new_present,
-        )
-
 
 @dataclass
 class BugFlags:

@@ -17,22 +17,12 @@ Implements §3.2.2's four steps for compute failures:
    compute servers the failed coordinator-ids so they start stealing
    NotLogged-Stray-Tx locks (Cor4).
 
-Four recovery modes mirror the protocol zoo:
-
-* ``pill``     — Pandora (and LOTUS, whose ticket words carry the same
-  owner attribution): steps 1-4 as above; stray locks are healed
-  lazily by PILL stealing, so nothing blocks.
-* ``locklog``  — traditional scheme: additionally replays the
-  per-lock intent records to release stray locks eagerly (~2x slower).
-* ``scan``     — Baseline (FORD): locks are anonymous, so the whole
-  store is paused, drained, and scanned slot-by-slot with one-sided
-  reads (~5 s per million keys, §6.1).
-* ``vote``     — vote1pc (logless 1PC): no log regions exist, so the
-  keyspace is scanned for dead-owner locks (no stop-the-world — the
-  words carry PILL owners) and each interrupted txn's decision is
-  re-derived from replica state: roll forward iff every manifest
-  address reached its new version on all live replicas, else roll
-  back from the per-slot vote shadows.
+The manager is protocol-agnostic: it takes the protocol's declaration
+(:class:`repro.protocol.zoo.Protocol`) and runs one fixed pipeline —
+fence → find → decide → undo → release → truncate → notify — whose
+protocol-specific answers come from the recovery halves of the three
+strategy classes (:mod:`repro.protocol.strategies`); see
+:meth:`RecoveryManager._repair_strays` and docs/PROTOCOLS.md §6.
 """
 
 from __future__ import annotations
@@ -41,17 +31,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from repro.obs import NOOP_OBS
-from repro.protocol.locks import is_locked, owner_of
 from repro.rdma.errors import RdmaError
+from repro.recovery.scan import release_word, scan_locks
 from repro.sim import Event, Simulator
 
 __all__ = ["RecoveryManager", "RecoveryRecord"]
-
-# Log-entry tuple layout (see WriteIntent.log_entry):
-# (table_id, slot, key, old_version, new_version,
-#  old_value, new_value, old_present, new_present)
-_E_TABLE, _E_SLOT, _E_KEY, _E_OLD_VER, _E_NEW_VER = 0, 1, 2, 3, 4
-_E_OLD_VAL, _E_NEW_VAL, _E_OLD_PRESENT, _E_NEW_PRESENT = 5, 6, 7, 8
 
 
 @dataclass
@@ -98,17 +82,14 @@ class RecoveryManager:
         compute_nodes: Dict[int, Any],
         memory_nodes: Dict[int, Any],
         id_allocator,
-        mode: str = "pill",
+        protocol,
         drain_delay: float = 0.5e-3,
         reconfig_delay: float = 2e-3,
         scan_chunk_slots: int = 512,
         restart_hook=None,
         restart_after: Optional[float] = None,
         obs=None,
-        parallel_log_recovery: bool = True,
     ) -> None:
-        if mode not in ("pill", "locklog", "scan", "vote"):
-            raise ValueError(f"unknown recovery mode {mode!r}")
         self.sim = sim
         self.verbs = verbs
         self.catalog = catalog
@@ -117,13 +98,13 @@ class RecoveryManager:
         self.compute_nodes = compute_nodes
         self.memory_nodes = memory_nodes
         self.id_allocator = id_allocator
-        self.mode = mode
+        # The declaration (lock x log x commit) recovery is composed from.
+        self.protocol = protocol
         self.drain_delay = drain_delay
         self.reconfig_delay = reconfig_delay
         self.scan_chunk_slots = scan_chunk_slots
         self.restart_hook = restart_hook
         self.restart_after = restart_after
-        self.parallel_log_recovery = parallel_log_recovery
         self.obs = obs if obs is not None else NOOP_OBS
         self.records: List[RecoveryRecord] = []
         self._in_progress: Set[Tuple[str, int]] = set()
@@ -172,7 +153,7 @@ class RecoveryManager:
 
     # -- compute-failure recovery (§3.2.2) ---------------------------------------
 
-    def _alive_memory_ids(self) -> List[int]:
+    def alive_memory_ids(self) -> List[int]:
         return [nid for nid, node in self.memory_nodes.items() if node.alive]
 
     def _alive_compute_nodes(self, excluding: int) -> List[Any]:
@@ -215,13 +196,9 @@ class RecoveryManager:
         # — an all_of here would abort the whole recovery instead.
         fence_events = [
             self.verbs.revoke_link(mem_id, node.node_id)
-            for mem_id in self._alive_memory_ids()
+            for mem_id in self.alive_memory_ids()
         ]
-        for event in fence_events:
-            try:
-                yield event
-            except RdmaError:
-                continue
+        yield from self._settle(fence_events)
         record.fenced_at = self.sim.now
         tracer.span(
             "recovery",
@@ -233,12 +210,7 @@ class RecoveryManager:
         )
 
         # Step 3: log recovery (or its logless / anonymous analogues).
-        if self.mode == "scan":
-            yield from self._scan_recovery(node, coord_ids, record)
-        elif self.mode == "vote":
-            yield from self._vote_recovery(node, coord_ids, record)
-        else:
-            yield from self._log_recovery(coord_ids, record, pid=node.node_id)
+        yield from self._repair_strays(coord_ids, record, pid=node.node_id)
         record.log_recovered_at = self.sim.now
 
         # Step 4: stray-lock notification, strictly after truncation
@@ -280,475 +252,189 @@ class RecoveryManager:
                 lambda n=node: self.restart_hook(n),
             )
 
-    # -- log recovery --------------------------------------------------------------
+    # -- step 3: find, decide, undo, release, truncate ---------------------------
 
-    def _log_source_nodes(self, coord_id: int) -> List[int]:
-        """Where this coordinator's logs live.
-
-        Coalesced logging gathers them in f+1 fixed servers (§3.1.4);
-        FORD's per-object logging spreads them over every memory node.
-        """
-        if self.mode == "scan":
-            return self._alive_memory_ids()
-        return [
-            node_id
-            for node_id in self.catalog.log_nodes(coord_id)
-            if self.memory_nodes[node_id].alive
-        ]
-
-    def _log_recovery(
-        self, coord_ids: Iterable[int], record: RecoveryRecord, pid: int = 0
+    def _repair_strays(
+        self, coord_ids: List[int], record: RecoveryRecord, pid: int
     ) -> Generator[Event, Any, None]:
-        """Steps: read log regions, decide per txn, repair, truncate.
+        """One pipeline for every protocol, composed from its axes.
 
-        When ``parallel_log_recovery`` is on (the default, matching the
-        paper's RC which fetches all f+1 regions "with large parallel
-        reads", §4/Table 2), the region reads for *every* dead
-        coordinator are posted in one burst before the first result is
-        awaited — so the reads pipeline on the QPs instead of paying
-        one full round trip per coordinator. Repairs then run in
-        deterministic coordinator order (they mutate object state, so
-        interleaving them would be a behaviour change, not a speedup),
-        and the truncations go out as one final burst.
+        The commit axis *finds* the interrupted transactions (from the
+        places the log axis says a dead coordinator's records live, or
+        from a scan for its lock words) and supplies their undo images;
+        deciding between roll-forward and roll-back is the same rule
+        for all of them; the lock axis says which words a dead owner
+        can be held to, and whatever it cannot attribute is released
+        by lock-intent replay or — with neither — a quiesced full scan.
+        Regions are truncated last, making re-execution idempotent
+        (§3.2.3); every step before that is idempotent too (conditioned
+        CAS releases, version-guarded restores), so a killed recovery
+        can re-run from scratch.
         """
-        coord_ids = list(coord_ids)
-        if not self.parallel_log_recovery or len(coord_ids) <= 1:
-            for coord_id in coord_ids:
-                yield from self._recover_coordinator_logs(coord_id, record, pid=pid)
-            return
+        protocol = self.protocol
+        tracer = self.obs.tracer
+        quiesce = protocol.needs_quiesce_scan
+        if quiesce:
+            yield from self._quiesce(pid)
 
-        # Phase 1: one parallel burst of all region reads. Posting
-        # happens eagerly at verbs.read_log_region() call time; the
-        # yields below only await completions.
-        read_started = self.sim.now
-        posted = []
-        for coord_id in coord_ids:
-            source_nodes = self._log_source_nodes(coord_id)
-            events = [
-                self.verbs.read_log_region(node_id, coord_id)
-                for node_id in source_nodes
-            ]
-            posted.append((coord_id, source_nodes, events))
-        gathered = []
-        for coord_id, source_nodes, events in posted:
-            all_records = []
-            for event in events:
-                try:
-                    all_records.extend((yield event))
-                except RdmaError:
-                    continue  # a log replica died; the others suffice
-            gathered.append((coord_id, source_nodes, all_records))
-
-        # Phase 2: decide + repair, coordinator by coordinator. Span
-        # starts chain (first covers the read burst, the rest begin
-        # where the previous replay ended) so the recovery spans still
-        # tile [detected_at, finished_at] exactly.
-        segment_started = read_started
-        for coord_id, _source_nodes, all_records in gathered:
-            yield from self._replay_coordinator_logs(
-                coord_id, all_records, record, segment_started, pid=pid
-            )
+        # Span starts chain (the first log-region-read covers the read
+        # burst, the rest begin where the previous replay ended) so the
+        # recovery spans still tile [detected_at, finished_at] exactly.
+        segment_started = self.sim.now
+        sources = [
+            (coord_id, protocol.log.sources(self, coord_id))
+            for coord_id in coord_ids
+        ]
+        found = yield from protocol.commit.find_interrupted(
+            self, sources, record, pid
+        )
+        for evidence in found:
+            coord_id = evidence.coord_id
+            if coord_id is not None:
+                tracer.span(
+                    "recovery",
+                    "log-region-read",
+                    segment_started,
+                    self.sim.now,
+                    pid=pid,
+                    tid=coord_id,
+                    args={
+                        "records": evidence.records,
+                        "logged_txns": len(evidence.txns),
+                    },
+                )
+            record.logged_txns += len(evidence.txns)
+            # Repairs run in deterministic order, one at a time: they
+            # mutate object state, so interleaving them would be a
+            # behaviour change, not a speedup.
+            for txn in evidence.txns:
+                headers = yield from self._repair_txn(txn, record, pid)
+                if protocol.lock.pill and evidence.stray_words is None:
+                    # The write-set says where this txn's locks are;
+                    # the words say whether it still holds them.
+                    started = self.sim.now
+                    yield from self._release_txn_locks(txn, headers, record)
+                    tracer.span(
+                        "recovery", "stray-lock-release", started, self.sim.now,
+                        pid=pid, tid=txn.coord_id,
+                    )
+            if evidence.lock_intents:
+                started = self.sim.now
+                yield from self._replay_lock_intents(evidence.lock_intents, record)
+                tracer.span(
+                    "recovery", "stray-lock-release", started, self.sim.now,
+                    pid=pid, tid=coord_id,
+                    args={"lock_intents": len(evidence.lock_intents)},
+                )
+            if evidence.stray_words is not None:
+                # Owner-conditioned CAS on every scanned word (which
+                # also clears that slot's vote shadow server-side).
+                started = self.sim.now
+                for stray in evidence.stray_words:
+                    yield from release_word(self.verbs, record, *stray)
+                tracer.span(
+                    "recovery", "stray-lock-release", started, self.sim.now,
+                    pid=pid, args={"locks": len(evidence.stray_words)},
+                )
             segment_started = self.sim.now
 
-        # Phase 3: one burst of region truncations.
-        truncate_started = self.sim.now
-        truncate_events = []
-        regions = 0
-        for coord_id, source_nodes, _all_records in gathered:
-            for node_id in source_nodes:
-                if self.memory_nodes[node_id].alive:
-                    truncate_events.append(
-                        self.verbs.truncate_log_region(node_id, coord_id)
-                    )
-                    regions += 1
-        for event in truncate_events:
-            try:
-                yield event
-            except RdmaError:
-                continue
-        self.obs.tracer.span(
-            "recovery",
-            "truncate",
-            truncate_started,
-            self.sim.now,
-            pid=pid,
-            args={"regions": regions, "coordinators": len(gathered)},
-        )
+        if any(node_ids for _coord_id, node_ids in sources):
+            yield from self._truncate_log_regions(sources, pid)
+        if quiesce:
+            yield from self._release_every_lock(record, pid)
 
-    def _recover_coordinator_logs(
-        self, coord_id: int, record: RecoveryRecord, pid: int = 0
-    ) -> Generator[Event, Any, None]:
-        """Sequential per-coordinator recovery: read, replay, truncate."""
-        tracer = self.obs.tracer
-        read_started = self.sim.now
-        source_nodes = self._log_source_nodes(coord_id)
-        read_events = [
-            (node_id, self.verbs.read_log_region(node_id, coord_id))
-            for node_id in source_nodes
+    def read_log_regions(
+        self, sources: List[Tuple[int, List[int]]]
+    ) -> Generator[Event, Any, List[Tuple[int, List[Any]]]]:
+        """Fetch every dead coordinator's log regions in one burst.
+
+        The paper's RC fetches all f+1 regions "with large parallel
+        reads" (§4/Table 2): the reads for *every* coordinator are
+        posted before the first result is awaited — posting happens
+        eagerly at verbs.read_log_region() call time — so they pipeline
+        on the QPs instead of paying one round trip per coordinator.
+        """
+        posted = [
+            (
+                coord_id,
+                [self.verbs.read_log_region(node_id, coord_id) for node_id in node_ids],
+            )
+            for coord_id, node_ids in sources
         ]
-        all_records = []
-        for _node_id, event in read_events:
-            try:
-                all_records.extend((yield event))
-            except RdmaError:
-                continue  # a log replica died; the others suffice
+        gathered = []
+        for coord_id, events in posted:
+            records: List[Any] = []
+            for event in events:
+                try:
+                    records.extend((yield event))
+                except RdmaError:
+                    continue  # a log replica died; the others suffice
+            gathered.append((coord_id, records))
+        return gathered
 
-        yield from self._replay_coordinator_logs(
-            coord_id, all_records, record, read_started, pid=pid
-        )
-
-        truncate_started = self.sim.now
-        truncate_events = [
+    def _truncate_log_regions(
+        self, sources: List[Tuple[int, List[int]]], pid: int
+    ) -> Generator[Event, Any, None]:
+        """One burst of region truncations, after every repair."""
+        started = self.sim.now
+        events = [
             self.verbs.truncate_log_region(node_id, coord_id)
-            for node_id in source_nodes
+            for coord_id, node_ids in sources
+            for node_id in node_ids
             if self.memory_nodes[node_id].alive
         ]
-        for event in truncate_events:
+        yield from self._settle(events)
+        self.obs.tracer.span(
+            "recovery",
+            "truncate",
+            started,
+            self.sim.now,
+            pid=pid,
+            args={"regions": len(events), "coordinators": len(sources)},
+        )
+
+    def _settle(self, events: Iterable[Event]) -> Generator[Event, Any, None]:
+        """Await posted verbs one by one; a memory server that died in
+        flight fails only its own (the survivors' outcomes stand)."""
+        for event in events:
             try:
                 yield event
             except RdmaError:
                 continue
-        tracer.span(
-            "recovery",
-            "truncate",
-            truncate_started,
-            self.sim.now,
-            pid=pid,
-            tid=coord_id,
-            args={"regions": len(truncate_events)},
+
+    def restore(
+        self, node_id: int, address: Tuple[int, int], version: int, value, present
+    ) -> Event:
+        """Post one undo image to one replica (roll-back)."""
+        table_id, slot = address
+        return self.verbs.write_object(
+            node_id,
+            table_id,
+            slot,
+            version,
+            value,
+            present,
+            value_size=self.catalog.tables[table_id].value_size,
         )
 
-    def _replay_coordinator_logs(
-        self,
-        coord_id: int,
-        all_records: List[Any],
-        record: RecoveryRecord,
-        read_started: float,
-        pid: int = 0,
-    ) -> Generator[Event, Any, None]:
-        """Parse fetched log records, then repair each logged txn."""
-        tracer = self.obs.tracer
-        txns: Dict[int, Dict[Tuple[int, int], Tuple]] = {}
-        lock_intents: List[Tuple] = []
-        for log_record in all_records:
-            if not log_record.valid:
-                continue
-            if log_record.txn_id == -1:
-                lock_intents.extend(log_record.entries)
-                continue
-            entries = txns.setdefault(log_record.txn_id, {})
-            for entry in log_record.entries:
-                entries[(entry[_E_TABLE], entry[_E_SLOT])] = entry
-        tracer.span(
-            "recovery",
-            "log-region-read",
-            read_started,
-            self.sim.now,
-            pid=pid,
-            tid=coord_id,
-            args={"records": len(all_records), "logged_txns": len(txns)},
-        )
-
-        record.logged_txns += len(txns)
-        for txn_id in sorted(txns):
-            yield from self._repair_logged_txn(coord_id, txns[txn_id], record, pid=pid)
-
-        if self.mode == "locklog" and lock_intents:
-            release_started = self.sim.now
-            yield from self._release_logged_locks(lock_intents, record)
-            tracer.span(
-                "recovery",
-                "stray-lock-release",
-                release_started,
-                self.sim.now,
-                pid=pid,
-                tid=coord_id,
-                args={"lock_intents": len(lock_intents)},
-            )
-
-    def _repair_logged_txn(
-        self,
-        coord_id: int,
-        entries: Dict[Tuple[int, int], Tuple],
-        record: RecoveryRecord,
-        pid: int = 0,
-    ) -> Generator[Event, Any, None]:
-        """Decide roll-forward vs roll-back for one Logged-Stray-Tx."""
-        repair_started = self.sim.now
-        # Read the headers of every replica of every written object,
-        # batched per memory node.
-        per_node: Dict[int, List[Tuple[Tuple[int, int], Tuple[int, int]]]] = {}
-        for (table_id, slot), entry in entries.items():
-            for node_id in self.placement.replicas(table_id, slot):
-                if not self.memory_nodes[node_id].alive:
-                    continue
-                per_node.setdefault(node_id, []).append(
-                    ((table_id, slot), (table_id, slot))
-                )
-        headers: Dict[Tuple[int, Tuple[int, int]], Tuple] = {}
-        posted = []
-        for node_id, pairs in per_node.items():
-            addresses = [address for _key, address in pairs]
-            posted.append((node_id, pairs, self.verbs.read_headers(node_id, addresses)))
-        for node_id, pairs, event in posted:
-            try:
-                results = yield event
-            except RdmaError:
-                continue
-            for (key, _address), header in zip(pairs, results):
-                headers[(node_id, key)] = header
-
-        # Cor2/Cor3 decision: roll forward iff every live replica of
-        # every write carries (at least) the new version — then a
-        # commit-ack may have reached the client, while an abort-ack
-        # is impossible.
-        updated_all = True
-        for (table_id, slot), entry in entries.items():
-            for node_id in self.placement.replicas(table_id, slot):
-                header = headers.get((node_id, (table_id, slot)))
-                if header is None:
-                    continue  # replica down; judged by the survivors
-                _lock, version, _present = header
-                if version < entry[_E_NEW_VER]:
-                    updated_all = False
-                    break
-            if not updated_all:
-                break
-
-        if updated_all:
-            record.rolled_forward += 1
-        else:
-            record.rolled_back += 1
-            restore_events = []
-            for (table_id, slot), entry in entries.items():
-                value_size = self.catalog.tables[table_id].value_size
-                for node_id in self.placement.replicas(table_id, slot):
-                    header = headers.get((node_id, (table_id, slot)))
-                    if header is None:
-                        continue
-                    _lock, version, _present = header
-                    if version >= entry[_E_NEW_VER]:
-                        # This replica took the update; undo it.
-                        restore_events.append(
-                            self.verbs.write_object(
-                                node_id,
-                                table_id,
-                                slot,
-                                entry[_E_OLD_VER],
-                                entry[_E_OLD_VAL],
-                                entry[_E_OLD_PRESENT],
-                                value_size=value_size,
-                            )
-                        )
-            record.restored_replicas += len(restore_events)
-            for event in restore_events:
-                try:
-                    yield event
-                except RdmaError:
-                    continue
-        self.obs.tracer.span(
-            "recovery",
-            "roll-forward" if updated_all else "roll-back",
-            repair_started,
-            self.sim.now,
-            pid=pid,
-            tid=coord_id,
-            args={"writes": len(entries)},
-        )
-
-        # Release the primary locks this txn still holds. With PILL we
-        # release by owner-conditioned CAS; anonymous locks (scan and
-        # locklog modes) are handled by the scan / lock-intent replay.
-        if self.mode == "pill":
-            release_started = self.sim.now
-            yield from self._release_owned_locks(coord_id, entries, headers, record)
-            self.obs.tracer.span(
-                "recovery",
-                "stray-lock-release",
-                release_started,
-                self.sim.now,
-                pid=pid,
-                tid=coord_id,
-            )
-
-    def _release_owned_locks(
-        self, coord_id, entries, headers, record
-    ) -> Generator[Event, Any, None]:
-        cas_events = []
-        for (table_id, slot), _entry in entries.items():
-            node_id = self.placement.primary(table_id, slot)
-            header = headers.get((node_id, (table_id, slot)))
-            if header is None:
-                continue
-            lock, _version, _present = header
-            if is_locked(lock) and owner_of(lock) == coord_id:
-                cas_events.append(
-                    self.verbs.cas_lock(node_id, table_id, slot, lock, 0)
-                )
-        for event in cas_events:
-            try:
-                old = yield event
-                if is_locked(old) and owner_of(old) == coord_id:
-                    record.locks_released += 1
-            except RdmaError:
-                continue
-
-    def _release_logged_locks(
-        self, lock_intents: List[Tuple], record: RecoveryRecord
-    ) -> Generator[Event, Any, None]:
-        """Traditional scheme: replay lock-intent records.
-
-        Each record carries the exact word that was CAS'd in; the lock
-        is released only if the word still matches (the lock could have
-        been released and re-taken by a live transaction since).
-        """
-        for table_id, slot, _key, word in lock_intents:
-            try:
-                node_id = self.placement.primary(table_id, slot)
-            except RuntimeError:
-                continue
-            if not self.memory_nodes[node_id].alive:
-                continue
-            try:
-                lock, _version, _present = yield self.verbs.read_header(
-                    node_id, table_id, slot
-                )
-                if lock == word:
-                    old = yield self.verbs.cas_lock(node_id, table_id, slot, word, 0)
-                    if old == word:
-                        record.locks_released += 1
-            except RdmaError:
-                continue
-
-    # -- vote1pc logless recovery -------------------------------------------------
-
-    def _vote_recovery(
-        self, node, coord_ids: Iterable[int], record: RecoveryRecord
-    ) -> Generator[Event, Any, None]:
-        """Re-derive decisions from replica state (logless 1PC).
-
-        There are no log regions to read: the price of skipping the
-        f+1 log write is a keyspace scan for dead-owner locks. Unlike
-        the Baseline scan this needs no stop-the-world — vote1pc words
-        carry PILL owner ids, so live traffic keeps running and only
-        locks attributable to the failed coordinators are touched.
-        Every step is idempotent (conditioned CAS releases, version-
-        guarded restores), so a killed recovery can re-run from scratch.
-        """
-        dead = set(coord_ids)
-        tracer = self.obs.tracer
-
-        # Phase 1: chunked header scans over every live memory node,
-        # collecting slots locked by a dead coordinator. Chunks are
-        # charged as bulk 16B-header transfers (the RC reads in large
-        # parallel bursts, not one slot per round trip).
-        scan_started = self.sim.now
-        stray: List[Tuple[int, int, int, int]] = []  # (mem, table, slot, word)
-        for mem_id in self._alive_memory_ids():
-            memory = self.memory_nodes[mem_id]
-            for table_id, table in memory.tables.items():
-                position = 0
-                total = len(table)
-                while position < total:
-                    chunk = min(self.scan_chunk_slots, total - position)
-                    yield self.sim.timeout(self.network.transfer_time(chunk * 16))
-                    try:
-                        locked, position = yield self.verbs.scan_chunk(
-                            mem_id, table_id, position, chunk
-                        )
-                    except RdmaError:
-                        break
-                    record.scanned_slots += chunk
-                    for slot, word in locked:
-                        if is_locked(word) and owner_of(word) in dead:
-                            stray.append((mem_id, table_id, slot, word))
-        tracer.span(
-            "recovery",
-            "vote-scan",
-            scan_started,
-            self.sim.now,
-            pid=node.node_id,
-            args={
-                "scanned_slots": record.scanned_slots,
-                "stray_locks": len(stray),
-            },
-        )
-
-        # Phase 2: read the stray slots' vote shadows and group the
-        # interrupted transactions by (coord, txn). A stray lock with
-        # no shadow is a lock-phase-only txn — nothing was applied, so
-        # releasing the lock (phase 4) is its entire roll-back.
-        txns: Dict[Tuple[int, int], Tuple] = {}  # (coord, txn) -> manifest
-        posted = [
-            (mem_id, table_id, slot, self.verbs.read_vote(mem_id, table_id, slot))
-            for mem_id, table_id, slot, _word in stray
-        ]
-        for mem_id, table_id, slot, event in posted:
-            try:
-                shadow = yield event
-            except RdmaError:
-                continue
-            if shadow is None:
-                continue
-            shadow_coord, shadow_txn = shadow[0], shadow[1]
-            if shadow_coord in dead:
-                txns.setdefault((shadow_coord, shadow_txn), shadow[5])
-        record.logged_txns += len(txns)
-
-        # Phase 3: decide + repair, txn by txn (deterministic order).
-        for (coord_id, txn_id), manifest in sorted(txns.items()):
-            yield from self._repair_vote_txn(
-                coord_id, txn_id, manifest, record, pid=node.node_id
-            )
-
-        # Phase 4: release every dead-owner lock found by the scan via
-        # owner-conditioned CAS (which also clears that slot's shadow
-        # server-side).
-        release_started = self.sim.now
-        for mem_id, table_id, slot, word in stray:
-            try:
-                old = yield self.verbs.cas_lock(mem_id, table_id, slot, word, 0)
-                if old == word:
-                    record.locks_released += 1
-            except RdmaError:
-                continue
-        tracer.span(
-            "recovery",
-            "stray-lock-release",
-            release_started,
-            self.sim.now,
-            pid=node.node_id,
-            args={"locks": len(stray)},
-        )
-
-    def _repair_vote_txn(
-        self,
-        coord_id: int,
-        txn_id: int,
-        manifest: Tuple,
-        record: RecoveryRecord,
-        pid: int = 0,
-    ) -> Generator[Event, Any, None]:
-        """Decide one interrupted vote1pc txn from its manifest.
-
-        Roll forward iff every live replica of every manifest address
-        already carries (at least) the new version — only then can the
-        client have been acked (the coordinator acks after all
-        vote_writes complete). Otherwise roll back each replica that
-        took an update, restoring the pre-image from that replica's own
-        vote shadow.
-        """
-        repair_started = self.sim.now
+    def _repair_txn(
+        self, txn, record: RecoveryRecord, pid: int
+    ) -> Generator[Event, Any, Dict[Tuple[int, Tuple[int, int]], Tuple]]:
+        """Decide roll-forward vs roll-back for one stray transaction;
+        returns the replica headers the decision was made on."""
+        started = self.sim.now
+        # Read the headers of every live replica of every written
+        # object, batched per memory node.
         per_node: Dict[int, List[Tuple[int, int]]] = {}
-        for table_id, slot, _new_version in manifest:
-            for node_id in self.placement.replicas(table_id, slot):
+        for address in txn.new_versions:
+            for node_id in self.placement.replicas(*address):
                 if self.memory_nodes[node_id].alive:
-                    per_node.setdefault(node_id, []).append((table_id, slot))
-        headers: Dict[Tuple[int, Tuple[int, int]], Tuple] = {}
+                    per_node.setdefault(node_id, []).append(address)
         posted = [
             (node_id, addresses, self.verbs.read_headers(node_id, addresses))
             for node_id, addresses in per_node.items()
         ]
+        headers: Dict[Tuple[int, Tuple[int, int]], Tuple] = {}
         for node_id, addresses, event in posted:
             try:
                 results = yield event
@@ -757,140 +443,144 @@ class RecoveryManager:
             for address, header in zip(addresses, results):
                 headers[(node_id, address)] = header
 
-        updated_all = True
-        for table_id, slot, new_version in manifest:
-            for node_id in self.placement.replicas(table_id, slot):
-                header = headers.get((node_id, (table_id, slot)))
-                if header is None:
-                    continue  # replica down; judged by the survivors
-                _lock, version, _present = header
-                if version < new_version:
-                    updated_all = False
-                    break
-            if not updated_all:
-                break
-
-        if updated_all:
+        updated, roll_forward = self._updated_replicas(txn, headers)
+        if roll_forward:
             record.rolled_forward += 1
         else:
             record.rolled_back += 1
-            vote_posted = []
-            for table_id, slot, new_version in manifest:
-                for node_id in self.placement.replicas(table_id, slot):
-                    header = headers.get((node_id, (table_id, slot)))
-                    if header is None or header[1] < new_version:
-                        continue  # replica never took the update
-                    vote_posted.append(
-                        (
-                            node_id,
-                            table_id,
-                            slot,
-                            self.verbs.read_vote(node_id, table_id, slot),
-                        )
-                    )
-            restore_events = []
-            for node_id, table_id, slot, event in vote_posted:
-                try:
-                    shadow = yield event
-                except RdmaError:
-                    continue
-                if (
-                    shadow is None
-                    or shadow[0] != coord_id
-                    or shadow[1] != txn_id
-                ):
-                    continue  # already repaired / overwritten since
-                restore_events.append(
-                    self.verbs.write_object(
-                        node_id,
-                        table_id,
-                        slot,
-                        shadow[2],
-                        shadow[3],
-                        shadow[4],
-                        value_size=self.catalog.tables[table_id].value_size,
-                    )
-                )
-            record.restored_replicas += len(restore_events)
-            for event in restore_events:
-                try:
-                    yield event
-                except RdmaError:
-                    continue
+            restores = yield from self.protocol.commit.post_undo(self, txn, updated)
+            record.restored_replicas += len(restores)
+            yield from self._settle(restores)
         self.obs.tracer.span(
             "recovery",
-            "roll-forward" if updated_all else "roll-back",
-            repair_started,
+            "roll-forward" if roll_forward else "roll-back",
+            started,
             self.sim.now,
             pid=pid,
-            tid=coord_id,
-            args={"writes": len(manifest)},
+            tid=txn.coord_id,
+            args={"writes": len(txn.new_versions)},
+        )
+        return headers
+
+    def _updated_replicas(
+        self, txn, headers
+    ) -> Tuple[List[Tuple[int, Tuple[int, int]]], bool]:
+        """The Cor2/Cor3 rule: roll forward iff every live replica of
+        every written address carries (at least) the new version — only
+        then may a commit-ack have reached the client, and an abort-ack
+        is impossible. Returns the ``(node, address)`` replicas that
+        took the update (the ones a roll-back must restore) and whether
+        that is all of them."""
+        updated = []
+        roll_forward = True
+        for address, new_version in txn.new_versions.items():
+            for node_id in self.placement.replicas(*address):
+                header = headers.get((node_id, address))
+                if header is None:
+                    continue  # replica down; judged by the survivors
+                _lock, version, _present = header
+                if version >= new_version:
+                    updated.append((node_id, address))
+                else:
+                    roll_forward = False
+        return updated, roll_forward
+
+    # -- releasing a dead owner's locks ------------------------------------------
+
+    def _release_txn_locks(
+        self, txn, headers, record: RecoveryRecord
+    ) -> Generator[Event, Any, None]:
+        """Owner-conditioned CAS on the primaries *txn* still holds."""
+        owned_by = self.protocol.lock.owned_by
+        owner = (txn.coord_id,)
+        cas_events = []
+        for address in txn.new_versions:
+            node_id = self.placement.primary(*address)
+            header = headers.get((node_id, address))
+            if header is not None and owned_by(header[0], owner):
+                table_id, slot = address
+                cas_events.append(
+                    self.verbs.cas_lock(node_id, table_id, slot, header[0], 0)
+                )
+        for event in cas_events:
+            try:
+                old = yield event
+            except RdmaError:
+                continue
+            if owned_by(old, owner):
+                record.locks_released += 1
+
+    def _replay_lock_intents(
+        self, lock_intents, record: RecoveryRecord
+    ) -> Generator[Event, Any, None]:
+        """Traditional scheme: release each lock whose word still
+        matches its lock-intent record."""
+        for intent in lock_intents:
+            try:
+                node_id = self.placement.primary(intent.table_id, intent.slot)
+            except RuntimeError:
+                continue
+            if not self.memory_nodes[node_id].alive:
+                continue
+            try:
+                lock, _version, _present = yield self.verbs.read_header(
+                    node_id, intent.table_id, intent.slot
+                )
+            except RdmaError:
+                continue
+            if lock == intent.word:
+                yield from release_word(
+                    self.verbs, record, node_id, intent.table_id, intent.slot, lock
+                )
+
+    def scan_locks(self, chunk_charge, release, tally) -> Generator[Event, Any, None]:
+        """The shared keyspace scanner over the live memory nodes."""
+        yield from scan_locks(
+            self.sim,
+            self.verbs,
+            self.memory_nodes,
+            self.alive_memory_ids(),
+            self.scan_chunk_slots,
+            chunk_charge,
+            release,
+            tally,
         )
 
-    # -- Baseline scan recovery (§3.1.1 / §6.1) ---------------------------------------
-
-    def _scan_recovery(
-        self, node, coord_ids: Iterable[int], record: RecoveryRecord
-    ) -> Generator[Event, Any, None]:
-        """Stop the world, drain, scan every slot, unlock stray locks.
-
-        One-sided reads cannot attribute anonymous locks to owners, so
-        the Baseline must quiesce all compute servers first; afterwards
-        every remaining lock belongs to the failed node and can be
-        released. The scan itself issues one read per slot from a
-        single recovery thread — the source of the ~5 s/million-keys
-        latency the paper measures.
-        """
-        drain_started = self.sim.now
-        for compute in self._alive_compute_nodes(excluding=node.node_id):
+    def _quiesce(self, pid: int) -> Generator[Event, Any, None]:
+        """Stop the world and drain. One-sided reads cannot attribute
+        anonymous locks to owners, so every compute server must be
+        quiesced first; afterwards every remaining lock belongs to the
+        failed node (§3.1.1)."""
+        started = self.sim.now
+        for compute in self._alive_compute_nodes(excluding=pid):
             delay = self.network.delay(128)
             self.sim.call_at(self.sim.now + delay, compute.pause)
         yield self.sim.timeout(self.drain_delay)
-        self.obs.tracer.span(
-            "recovery", "drain", drain_started, self.sim.now, pid=node.node_id
-        )
+        self.obs.tracer.span("recovery", "drain", started, self.sim.now, pid=pid)
 
-        # FORD's undo logs still allow rolling logged txns back/forward.
-        yield from self._log_recovery(coord_ids, record, pid=node.node_id)
-
-        scan_started = self.sim.now
+    def _release_every_lock(
+        self, record: RecoveryRecord, pid: int
+    ) -> Generator[Event, Any, None]:
+        """Scan every slot of the quiesced store, unlock whatever is
+        locked, resume. The scan issues one read per slot from a single
+        recovery thread — the source of the ~5 s/million-keys latency
+        the paper measures (§6.1)."""
+        started = self.sim.now
         per_slot_rtt = 2 * self.network.config.one_way_latency + 4e-7
-        for mem_id in self._alive_memory_ids():
-            memory = self.memory_nodes[mem_id]
-            for table_id, table in memory.tables.items():
-                position = 0
-                total = len(table)
-                while position < total:
-                    chunk = min(self.scan_chunk_slots, total - position)
-                    # Single-threaded per-slot one-sided reads: charge
-                    # the round trips, then fetch the chunk's locks.
-                    yield self.sim.timeout(chunk * per_slot_rtt)
-                    try:
-                        locked, position = yield self.verbs.scan_chunk(
-                            mem_id, table_id, position, chunk
-                        )
-                    except RdmaError:
-                        break
-                    record.scanned_slots += chunk
-                    for slot, word in locked:
-                        try:
-                            old = yield self.verbs.cas_lock(
-                                mem_id, table_id, slot, word, 0
-                            )
-                            if old == word:
-                                record.locks_released += 1
-                        except RdmaError:
-                            continue
-
+        yield from self.scan_locks(
+            lambda slots: slots * per_slot_rtt,
+            lambda _node, _table, _slot, _word: True,
+            record,
+        )
         self.obs.tracer.span(
             "recovery",
             "scan",
-            scan_started,
+            started,
             self.sim.now,
-            pid=node.node_id,
+            pid=pid,
             args={"scanned_slots": record.scanned_slots},
         )
-        for compute in self._alive_compute_nodes(excluding=node.node_id):
+        for compute in self._alive_compute_nodes(excluding=pid):
             delay = self.network.delay(128)
             self.sim.call_at(self.sim.now + delay, compute.resume)
 

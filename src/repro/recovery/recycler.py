@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Set
 
 from repro.protocol.locks import is_locked, owner_of
-from repro.rdma.errors import RdmaError
+from repro.recovery.scan import scan_locks
 from repro.sim import Event, Simulator
 
 __all__ = ["IdRecycler"]
@@ -53,6 +53,7 @@ class IdRecycler:
         self.id_allocator = id_allocator
         self.scan_chunk_slots = scan_chunk_slots
         self.runs = 0
+        self.scanned_slots = 0
         self.locks_released = 0
         self.ids_recycled = 0
 
@@ -66,33 +67,20 @@ class IdRecycler:
             return
 
         # 1. Scan all memory, releasing stray locks under candidate ids.
+        #    Liveness is checked as the scan reaches each node.
         per_slot_rtt = 2 * self.network.config.one_way_latency + 4e-7
-        for mem_id, memory in self.memory_nodes.items():
-            if not memory.alive:
-                continue
-            for table_id, table in memory.tables.items():
-                position = 0
-                total = len(table)
-                while position < total:
-                    chunk = min(self.scan_chunk_slots, total - position)
-                    yield self.sim.timeout(chunk * per_slot_rtt)
-                    try:
-                        locked, position = yield self.verbs.scan_chunk(
-                            mem_id, table_id, position, chunk
-                        )
-                    except RdmaError:
-                        break
-                    for slot, word in locked:
-                        if not is_locked(word) or owner_of(word) not in candidates:
-                            continue
-                        try:
-                            old = yield self.verbs.cas_lock(
-                                mem_id, table_id, slot, word, 0
-                            )
-                            if old == word:
-                                self.locks_released += 1
-                        except RdmaError:
-                            continue
+        yield from scan_locks(
+            self.sim,
+            self.verbs,
+            self.memory_nodes,
+            (nid for nid, memory in self.memory_nodes.items() if memory.alive),
+            self.scan_chunk_slots,
+            lambda slots: slots * per_slot_rtt,
+            lambda _node, _table, _slot, word: (
+                is_locked(word) and owner_of(word) in candidates
+            ),
+            self,
+        )
 
         # 2. Tell every live compute node to forget these ids, and wait
         #    for all acknowledgments before the ids become reusable.

@@ -23,12 +23,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             Config(memory_nodes=2, replication_degree=3).validate()
 
-    def test_recovery_mode_mapping(self):
-        assert Config(protocol="pandora").recovery_mode == "pill"
-        assert Config(protocol="baseline").recovery_mode == "scan"
-        assert Config(protocol="ford").recovery_mode == "scan"
-        assert Config(protocol="tradlog").recovery_mode == "locklog"
-
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError):
             Config(compute_nodes=0).validate()

@@ -116,7 +116,7 @@ class TestCheckerOnLiveHistory:
         rig.sim.run()
         return history
 
-    @pytest.mark.parametrize("protocol", ["pandora", "ford-fixed", "tradlog"])
+    @pytest.mark.parametrize("protocol", ["pandora", "baseline", "tradlog"])
     def test_live_history_is_serializable(self, protocol):
         history = self._run_workload(protocol)
         # Contention is high and the rig coordinators do not retry, so

@@ -17,10 +17,8 @@ from repro.kvs.catalog import Catalog, TableSpec
 from repro.kvs.placement import Placement
 from repro.memory.node import MemoryNode
 from repro.protocol.coordinator import Coordinator, CoordinatorConfig
-from repro.protocol.ford import ford_factory
-from repro.protocol.pandora import pandora_factory
-from repro.protocol.tradlog import tradlog_factory
 from repro.protocol.types import BugFlags
+from repro.protocol.zoo import ZOO
 from repro.rdma.network import Network, NetworkConfig
 from repro.rdma.verbs import Verbs
 from repro.sim import Simulator
@@ -59,16 +57,7 @@ class ProtocolRig:
         self.catalog.provision(self.memory.values())
         self.catalog.load(self.memory, 0, ((k, 0) for k in range(keys)))
 
-        if protocol == "pandora":
-            factory = pandora_factory(bugs)
-        elif protocol == "ford":
-            factory = ford_factory(bugs if bugs is not None else BugFlags.published())
-        elif protocol == "ford-fixed":
-            factory = ford_factory(bugs if bugs is not None else BugFlags.fixed())
-        elif protocol == "tradlog":
-            factory = tradlog_factory(bugs)
-        else:
-            raise ValueError(protocol)
+        factory = ZOO[protocol].engine_factory(bugs)
 
         self.nodes = []
         self.coordinators = []

@@ -33,7 +33,7 @@ def read_txn(*keys):
     return logic
 
 
-@pytest.mark.parametrize("protocol", ["pandora", "ford-fixed", "tradlog"])
+@pytest.mark.parametrize("protocol", ["pandora", "baseline", "tradlog"])
 class TestCommitPath:
     def test_blind_write_commits(self, rig_factory, protocol):
         rig = rig_factory(protocol=protocol)
@@ -94,7 +94,7 @@ class TestCommitPath:
         assert rig.value_at(10) == 1 and rig.value_at(11) == 1
 
 
-@pytest.mark.parametrize("protocol", ["pandora", "ford-fixed", "tradlog"])
+@pytest.mark.parametrize("protocol", ["pandora", "baseline", "tradlog"])
 class TestInsertDelete:
     def test_insert_then_read(self, rig_factory, protocol):
         rig = rig_factory(protocol=protocol, keys=64)
@@ -180,7 +180,7 @@ class TestInsertDelete:
         assert rig.run_txn(rig.coordinators[0], read_txn(8)).value == [500]
 
 
-@pytest.mark.parametrize("protocol", ["pandora", "ford-fixed", "tradlog"])
+@pytest.mark.parametrize("protocol", ["pandora", "baseline", "tradlog"])
 class TestConflicts:
     def test_lock_conflict_aborts_one(self, rig_factory, protocol):
         rig = rig_factory(protocol=protocol, compute_nodes=2)
@@ -380,7 +380,7 @@ class TestPandoraSpecifics:
 
 class TestFordSpecifics:
     def test_per_object_logging_to_object_replicas(self, rig_factory):
-        rig = rig_factory(protocol="ford-fixed", replication=2)
+        rig = rig_factory(protocol="baseline", replication=2)
         coordinator = rig.coordinators[0]
 
         def logic(tx):
@@ -397,7 +397,7 @@ class TestFordSpecifics:
     def test_anonymous_locks(self, rig_factory):
         from repro.protocol.locks import ANONYMOUS_OWNER, owner_of
 
-        rig = rig_factory(protocol="ford-fixed")
+        rig = rig_factory(protocol="baseline")
         seen = {}
 
         def logic(tx):

@@ -222,7 +222,7 @@ class TestMemoryNodeLossDuringTxn:
 class TestLateUpgradeCheck:
     def test_ford_aborts_at_validation_not_lock_time(self, rig_factory):
         """FORD's deferred re-check still prevents lost updates."""
-        rig = rig_factory(protocol="ford-fixed", compute_nodes=2)
+        rig = rig_factory(protocol="baseline", compute_nodes=2)
         sim = rig.sim
 
         def read_then_write(tx):
