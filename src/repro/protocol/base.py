@@ -675,10 +675,10 @@ class ProtocolEngine:
         for intent in tx.write_set.values():
             if intent.locked:
                 self.verbs.write_lock(intent.lock_node, intent.table_id, intent.slot, 0)
-                self.log.release_intent(intent)
                 tx.trace.lock_event(
                     "released", intent.table_id, intent.slot, self.sim.now
                 )
+            self.log.release_intent(intent)
         checkpoint = self._cp("unlocked")
         if checkpoint is not None:
             yield checkpoint
@@ -740,10 +740,12 @@ class ProtocolEngine:
                 if node is None:
                     node = self.placement.primary(intent.table_id, intent.slot)
                 self.verbs.write_lock(node, intent.table_id, intent.slot, 0)
-                self.log.release_intent(intent)
                 tx.trace.lock_event(
                     "released", intent.table_id, intent.slot, self.sim.now
                 )
+            # Held or not: an intent whose lock CAS lost may still have
+            # left something behind (tradlog's lock-intent record).
+            self.log.release_intent(intent)
         checkpoint = self._cp("abort_unlocked")
         if checkpoint is not None:
             yield checkpoint
@@ -876,7 +878,7 @@ class ProtocolEngine:
         for intent in tx.write_set.values():
             if intent.locked:
                 self.verbs.write_lock(intent.lock_node, intent.table_id, intent.slot, 0)
-                self.log.release_intent(intent)
                 tx.trace.lock_event(
                     "released", intent.table_id, intent.slot, self.sim.now
                 )
+            self.log.release_intent(intent)

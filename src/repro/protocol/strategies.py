@@ -524,7 +524,9 @@ class LogStrategy:
         """Write-set-wide hook after the lock barrier."""
 
     def release_intent(self, intent: WriteIntent) -> None:
-        """Per-object hook as the engine lets go of *intent*."""
+        """Per-object hook as the engine lets go of *intent* — on
+        commit, abort and interrupt alike, whether or not its lock was
+        ever held."""
 
     # -- recovery half ------------------------------------------------------
 
@@ -720,6 +722,10 @@ class LockIntentLogStrategy(CoalescedLogStrategy):
         intent._locklog_copies = list(zip(nodes, results))  # type: ignore[attr-defined]
 
     def release_intent(self, intent: WriteIntent) -> None:
+        # The record precedes the CAS, so it exists even when the CAS
+        # lost; left valid it would be replayed when this coordinator
+        # later dies — and an anonymous word is only LOCKED|tag, so a
+        # stale one can equal another coordinator's live lock.
         engine = self.engine
         for node, record_id in getattr(intent, "_locklog_copies", ()):
             engine.verbs.invalidate_log(

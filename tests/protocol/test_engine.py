@@ -203,6 +203,15 @@ class TestConflicts:
         rig.sim.run()
         assert all(process.triggered for process in processes)
         assert rig.slot_state(5).lock == 0
+        # ... and no log record outlives its transaction — including
+        # tradlog's lock-intent records of the CASes that lost.
+        assert not all(process.value.committed for process in processes)
+        assert not [
+            record
+            for memory in rig.memory.values()
+            for region in memory.log_regions.values()
+            for record in region.valid_records()
+        ]
 
     def test_validation_catches_intervening_write(self, rig_factory, protocol):
         """Read-set validation: a write between read and validation

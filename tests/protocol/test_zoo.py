@@ -17,20 +17,7 @@ from repro.protocol.zoo import ZOO, Protocol
 from repro.workloads import MicroBenchmark
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(
-            name,
-            marks=pytest.mark.xfail(
-                name == "tradlog",
-                reason="lost lock CAS leaks its lock-intent record (next commit)",
-                strict=True,
-            ),
-        )
-        for name in ZOO
-    ],
-)
+@pytest.mark.parametrize("name", ZOO)
 def test_row_builds_recovers_and_stays_clean(name):
     config = ClusterConfig(protocol=name, coordinators_per_node=4, seed=3)
     config.validate()
