@@ -133,8 +133,11 @@ class UndoEntry(NamedTuple):
         """*intent*'s entry. The pre-image ``(version, value, present)``
         is the one read under the lock unless *old* supplies another."""
         if old is None:
-            old = (intent.old_version, intent.old_value, intent.old_present)
-        version, value, present = old
+            version, value, present = (
+                intent.old_version, intent.old_value, intent.old_present
+            )
+        else:
+            version, value, present = old
         return cls(
             intent.table_id,
             intent.slot,
@@ -778,8 +781,8 @@ class CommitStrategy:
     def post_undo(
         cls, rc, txn: StrayTxn, updated: List[Tuple[int, Address]]
     ) -> Generator[Event, Any, List[Event]]:
-        """Post *txn*'s undo image to each ``(node, address)`` replica
-        that took its update; returns the restore writes' acks."""
+        """Post *txn*'s undo image (``rc.restore``) to each ``(node,
+        address)`` replica that took its update; returns the acks."""
         raise NotImplementedError
 
 
@@ -799,19 +802,10 @@ class LoggedCommitStrategy(CommitStrategy):
     @classmethod
     def post_undo(cls, rc, txn, updated):
         yield from ()  # the images were fetched with the log regions
-        restores = []
-        for node_id, address in updated:
-            entry = txn.undo[address]
-            restores.append(
-                rc.restore(
-                    node_id,
-                    address,
-                    entry.old_version,
-                    entry.old_value,
-                    entry.old_present,
-                )
-            )
-        return restores
+        return [
+            rc.restore(node_id, address, txn.undo[address])
+            for node_id, address in updated
+        ]
 
 
 class LateUpgradeLoggedCommitStrategy(LoggedCommitStrategy):
@@ -941,13 +935,5 @@ class VoteCommitStrategy(CommitStrategy):
             shadow = VoteShadow._make(shadow)
             if (shadow.coord_id, shadow.txn_id) != (txn.coord_id, txn.txn_id):
                 continue  # already repaired / overwritten since
-            restores.append(
-                rc.restore(
-                    node_id,
-                    address,
-                    shadow.old_version,
-                    shadow.old_value,
-                    shadow.old_present,
-                )
-            )
+            restores.append(rc.restore(node_id, address, shadow))
         return restores

@@ -402,18 +402,17 @@ class RecoveryManager:
             except RdmaError:
                 continue
 
-    def restore(
-        self, node_id: int, address: Tuple[int, int], version: int, value, present
-    ) -> Event:
-        """Post one undo image to one replica (roll-back)."""
+    def restore(self, node_id: int, address: Tuple[int, int], image) -> Event:
+        """Roll one replica back to *image* — anything carrying the
+        ``old_version`` / ``old_value`` / ``old_present`` it had."""
         table_id, slot = address
         return self.verbs.write_object(
             node_id,
             table_id,
             slot,
-            version,
-            value,
-            present,
+            image.old_version,
+            image.old_value,
+            image.old_present,
             value_size=self.catalog.tables[table_id].value_size,
         )
 
