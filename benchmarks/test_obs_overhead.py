@@ -20,12 +20,13 @@ FACTORY = smallbank_factory()
 
 # Enabled tracing does real work (one histogram sample + span per
 # phase, counters per verb); allow a generous factor before flagging a
-# hot-path regression. Measured ~1.5-1.9x.
+# hot-path regression. Measured ~1.4-1.7x.
 MAX_ENABLED_OVERHEAD = 2.5
 
 # The flight recorder adds one list append per posted verb and two
-# in-place writes per completion on top of tracing. Measured ~1.1-1.2x
-# over the traced run.
+# in-place writes per completion on top of tracing. Measured ~1.3-1.45x
+# over the traced run (it keeps every verb entry, so the collector's
+# work grows with the run); a busy box has read 1.5 once.
 MAX_FLIGHT_OVERHEAD = 1.5
 
 

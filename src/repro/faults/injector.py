@@ -67,14 +67,16 @@ class FaultInjector:
             )
             rng = random.Random(DEFAULT_FAULT_SEED)
         self.rng = rng
-        self._plans_by_node: Dict[int, List[CrashPlan]] = {}
+        # node id -> armed crash plans. Empty means no crash point can
+        # fire, which is all an engine checks before calling in.
+        self.plans_by_node: Dict[int, List[CrashPlan]] = {}
         self.crashes: List[tuple] = []  # (time, node_id, point)
 
     # -- plan management -----------------------------------------------------
 
     def add_plan(self, plan: CrashPlan) -> CrashPlan:
         """Register a crash plan."""
-        self._plans_by_node.setdefault(plan.node_id, []).append(plan)
+        self.plans_by_node.setdefault(plan.node_id, []).append(plan)
         return plan
 
     def crash_at(self, node, when: float) -> None:
@@ -115,11 +117,11 @@ class FaultInjector:
         """
         if node_id is None:
             removed = [
-                plan for plans in self._plans_by_node.values() for plan in plans
+                plan for plans in self.plans_by_node.values() for plan in plans
             ]
-            self._plans_by_node.clear()
+            self.plans_by_node.clear()
         else:
-            removed = self._plans_by_node.pop(node_id, [])
+            removed = self.plans_by_node.pop(node_id, [])
         for plan in removed:
             plan._seen = 0
             plan.fired = False
@@ -136,7 +138,7 @@ class FaultInjector:
         like a thread dying between two instructions.
         """
         node = coordinator.node
-        plans = self._plans_by_node.get(node.node_id)
+        plans = self.plans_by_node.get(node.node_id)
         if not plans:
             return None
         if not node.alive:

@@ -207,10 +207,6 @@ class Obs:
         # report layer needs but events don't carry; populated by the
         # cluster builder, exported as the JSONL meta line.
         self.run_meta: Dict[str, Any] = {}
-
-    def set_run_meta(self, **meta: Any) -> None:
-        """Attach run-level metadata (cluster shape, seed, workload)."""
-        self.run_meta.update(meta)
         # Hot-path metric instances, cached per label set so recording
         # is one method call (see MetricsRegistry docstring).
         self._verb_counters: Dict[Tuple[str, int], Counter] = {}
@@ -219,6 +215,10 @@ class Obs:
         self._verb_latency: Dict[str, Histogram] = {}
         self._phase_hist: Dict[Tuple[str, str], Histogram] = {}
         self._outcome_counters: Dict[Tuple[str, str], Counter] = {}
+
+    def set_run_meta(self, **meta: Any) -> None:
+        """Attach run-level metadata (cluster shape, seed, workload)."""
+        self.run_meta.update(meta)
 
     # -- RDMA verb hooks (hot path: called once per posted verb) -------------
 

@@ -70,11 +70,12 @@ _SUBSYSTEMS = {
     "util": "util",
 }
 
-# Categories whose frames are owned by the kernel itself.
+# Category -> owning subsystem. ``resume`` frames are not listed: a
+# generator resume is billed to the subsystem that wrote the generator
+# (see :meth:`KernelProfiler._owner_of`), not to the kernel driving it.
 _CATEGORY_SUBSYSTEM = {
     "event": "kernel",
     "fanin": "kernel",
-    "resume": "kernel",
     "rdma.post": "rdma",
     "rdma.complete": "rdma",
     "network": "network",
@@ -150,6 +151,8 @@ class KernelProfiler:
         self._code_cache: Dict[Any, Tuple[str, str]] = {}
         self._name_cache: Dict[str, str] = {}
         self._file_cache: Dict[str, str] = {}
+        # normalized process name -> subsystem owning its generator
+        self._process_owner: Dict[str, str] = {}
 
     # -- run bracketing ------------------------------------------------------
 
@@ -182,11 +185,12 @@ class KernelProfiler:
         key = (category, detail)
         cached = self._label_cache.get(key)
         if cached is None:
-            if detail is None:
-                label = category
+            name = None if detail is None else self._normalize(detail)
+            label = category if name is None else f"{category}:{name}"
+            if category == "resume":
+                subsystem = self._process_owner.get(name, "kernel")
             else:
-                label = f"{category}:{self._normalize(detail)}"
-            subsystem = _CATEGORY_SUBSYSTEM.get(category, "other")
+                subsystem = _CATEGORY_SUBSYSTEM.get(category, "other")
             cached = self._label_cache[key] = (label, subsystem)
         phase = self._phase if category == "rdma.post" else None
         self._stack.append(
@@ -265,6 +269,24 @@ class KernelProfiler:
             cached = self._code_cache[code] = (label, subsystem_of_module(module))
         return cached
 
+    def _owner_of(self, process: Any) -> Tuple[str, str]:
+        """(normalized name, subsystem that wrote the generator) of *process*.
+
+        Remembered per name so the ``resume:<name>`` frames the process
+        pushes — which carry only the name — bill the same subsystem.
+        """
+        name = self._normalize(process.name)
+        code = getattr(process.generator, "gi_code", None)
+        if code is None:
+            subsystem = "kernel"
+        else:
+            filename = code.co_filename
+            subsystem = self._file_cache.get(filename)
+            if subsystem is None:
+                subsystem = self._file_cache[filename] = _subsystem_of_filename(filename)
+        self._process_owner[name] = subsystem
+        return name, subsystem
+
     def classify(self, entry: Any) -> Tuple[str, str]:
         """(label, subsystem) for one kernel queue entry."""
         # Local import keeps repro.obs importable without the kernel.
@@ -272,22 +294,17 @@ class KernelProfiler:
 
         if isinstance(entry, Event):
             if isinstance(entry, Process):
-                name = self._normalize(entry.name)
-                generator = entry.generator
-                code = getattr(generator, "gi_code", None)
-                if code is not None:
-                    filename = code.co_filename
-                    subsystem = self._file_cache.get(filename)
-                    if subsystem is None:
-                        subsystem = self._file_cache[filename] = (
-                            _subsystem_of_filename(filename)
-                        )
-                else:
-                    subsystem = "kernel"
+                name, subsystem = self._owner_of(entry)
                 return f"process:{name}", subsystem
             return f"event:{type(entry).__name__}", "kernel"
-        # Raw callable scheduled via call_soon / call_at.
+        # Raw callable scheduled via call_soon / call_at — bound methods
+        # included, which is how a QP work request's two legs
+        # (``cb:WorkRequest._arrive`` / ``._deliver``) land in ``rdma``.
         func = getattr(entry, "__func__", entry)  # unwrap bound methods
+        if func is Process._begin:
+            # Every process takes its first resume under this entry, so
+            # its owner is known before its first ``resume`` frame opens.
+            self._owner_of(entry.__self__)
         code = getattr(func, "__code__", None)
         if code is not None:
             return self._classify_code(

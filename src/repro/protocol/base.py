@@ -312,7 +312,9 @@ class ProtocolEngine:
     def _cp(self, name: str) -> Optional[Event]:
         """Crash point: the injector may kill this compute node here."""
         faults = self.coordinator.faults
-        if faults is None:
+        # Nearly every run arms no crash plan: answer that here instead
+        # of two calls down, at each of ~10 crash points per attempt.
+        if faults is None or not faults.plans_by_node:
             return None
         return faults.crash_point(name, self.coordinator)
 

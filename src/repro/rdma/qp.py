@@ -11,19 +11,25 @@ provides for one-sided CAS/FAA. Crashed compute nodes are *not*
 special-cased here: requests they posted before dying still land at
 memory — this is the mechanism that produces stray locks.
 
-Hot-path structure (see docs/KERNEL.md): each QP direction owns an
-:class:`_ArrivalBatch` that coalesces back-to-back deliveries due at
-the same arrival timestamp into **one** kernel entry instead of N heap
-pushes. Batching is purely a scheduling-cost optimisation — the items
-still execute in exactly the order one kernel entry per delivery would
-have produced (a batch only absorbs an item while no other kernel entry
-could sort between them), and ``processed_events`` is compensated so
-the count stays one per delivery.
+Hot-path structure (see docs/KERNEL.md): a posted verb is **one
+object**, a :class:`WorkRequest`, which is the completion event the
+caller waits on *and* the thing the kernel dispatches on both legs — at
+the memory node (:meth:`WorkRequest._arrive`) and back at the compute
+side (:meth:`WorkRequest._deliver`). Each QP direction is a
+:class:`_Channel` that FIFO-serialises arrivals and links back-to-back
+work requests due at the same instant into an intrusive chain, so N
+pipelined verbs cost one timer-heap entry, not N. Chaining is purely a
+scheduling-cost optimisation — the members still run in exactly the
+order one kernel entry per delivery would have produced (a chain only
+absorbs a work request while no other kernel entry could sort between
+them), and ``processed_events`` is compensated so the count stays one
+per delivery.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from types import MethodType
+from typing import Any, Callable, Optional, Tuple
 
 from repro.analysis import NOOP_SANITIZER
 from repro.obs import NOOP_OBS
@@ -31,72 +37,139 @@ from repro.rdma.errors import LinkRevokedError, RemoteNodeDownError
 from repro.rdma.network import Network
 from repro.sim import Event, Simulator
 
-__all__ = ["QueuePair", "VERB_HEADER_BYTES"]
+__all__ = ["QueuePair", "WorkRequest", "VERB_HEADER_BYTES"]
 
 # Approximate wire overhead of a one-sided verb (headers, CRCs).
 VERB_HEADER_BYTES = 36
 
 
-class _ArrivalBatch:
-    """Coalesces same-arrival-time deliveries on one FIFO channel.
+class WorkRequest(Event):
+    """One posted verb: the request, and the completion event it becomes.
 
-    A QP direction posts work due at computed arrival times that are
-    monotone (FIFO). Pipelined verbs frequently share one arrival
-    instant (the ``max(last, ...)`` serialisation), which would cost
-    one heap push/pop per delivery. Instead the first delivery at a
-    given instant schedules one kernel entry holding a list; subsequent
-    same-instant deliveries append to the list as long as **no other
-    heap push happened in between** (``sim._seq`` unchanged) — any
-    intervening push could order between the batch and the new item at
-    that timestamp, so the new item conservatively opens a fresh batch.
-    Ring appends cannot land at a future timestamp and need no guard.
+    The caller of :meth:`QueuePair.post` sees an :class:`Event`. The
+    kernel sees bound methods of the same object: ``_arrive`` when the
+    request reaches the memory node, ``_deliver`` when the response
+    reaches the compute side. ``_next`` links the work requests that
+    share one kernel entry (see :class:`_Channel`); only the head of a
+    chain is ever on the kernel queue.
 
-    The fired batch bumps ``sim._processed_events`` (and an enabled
-    profiler's step counter) by ``len - 1`` so every delivery still
-    counts as one processed event.
+    ``posted_at`` and ``flight_token`` are set on observed QPs only.
     """
 
-    __slots__ = ("sim", "items", "when", "seq")
+    __slots__ = ("qp", "kind", "args", "signaled", "_next", "posted_at", "flight_token")
 
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self.items: Optional[List[Callable[[], None]]] = None
-        self.when = 0.0
-        self.seq = -1
+    def __init__(self, qp: "QueuePair", kind: str, args: Tuple, signaled: bool) -> None:
+        Event.__init__(self, qp.sim)
+        self.qp = qp
+        self.kind = kind
+        self.args = args
+        self.signaled = signaled
+        self._next: Optional["WorkRequest"] = None
 
-    def schedule(self, arrival: float, fn: Callable[[], None]) -> None:
+    def _count_chain(self) -> None:
+        """A chain is one kernel entry: count its other members too.
+
+        Keeps ``processed_events`` — and an enabled profiler's step
+        counter — in delivery units, however deliveries happened to
+        chain.
+        """
+        extra = 0
+        verb = self._next
+        while verb is not None:
+            extra += 1
+            verb = verb._next
         sim = self.sim
-        items = self.items
-        if items is not None and arrival == self.when and sim._seq == self.seq:
-            items.append(fn)
-            return
-        if arrival <= sim.now:
-            # Due immediately (zero-latency networks in unit tests):
-            # no batching window exists, schedule directly.
-            sim.call_at(arrival, fn)
-            return
-        items = [fn]
-        self.items = items
-        self.when = arrival
+        sim._processed_events += extra
+        profiler = sim.profiler
+        if profiler.enabled:
+            profiler.steps += extra
 
-        def fire(self=self, items=items, sim=sim) -> None:
-            if self.items is items:
-                self.items = None
-            if len(items) == 1:
-                items[0]()
-                return
-            extra = len(items) - 1
-            sim._processed_events += extra
-            profiler = sim.profiler
-            if profiler.enabled:
-                # Keep the profiler's step counter in delivery units
-                # too, so profiled events/sec stays comparable.
-                profiler.steps += extra
-            for fn in items:
-                fn()
+    def _arrive(self) -> None:
+        """Request leg: execute this chain atomically at the memory node."""
+        if self._next is not None:
+            self._count_chain()
+        qp = self.qp
+        memory_node = qp.memory_node
+        compute_id = qp.compute_id
+        respond = qp._observed_respond if qp.observed else qp._responses.send
+        verb: Optional[WorkRequest] = self
+        while verb is not None:
+            # The response leg reuses the link, so detach first.
+            following, verb._next = verb._next, None
+            result, size = None, 0
+            if not memory_node.alive:
+                error = RemoteNodeDownError(memory_node.node_id)
+            elif memory_node.is_revoked(compute_id):
+                error = LinkRevokedError(compute_id, memory_node.node_id)
+            else:
+                error = None
+                result, size = memory_node.apply(compute_id, verb.kind, verb.args)
+            # No one waits for an unsignaled verb: its event fired at
+            # post time, so a refusal is dropped with the response.
+            if verb.signaled:
+                verb._value = result
+                verb._exception = error
+                respond(verb, size)
+            verb = following
 
-        sim.call_at(arrival, fire)
-        self.seq = sim._seq
+    def _deliver(self) -> None:
+        """Response leg: complete this chain, in order, at its due time."""
+        if self._next is not None:
+            self._count_chain()
+        verb: Optional[WorkRequest] = self
+        while verb is not None:
+            following = verb._next
+            verb._run_callbacks()
+            verb = following
+
+
+class _Channel:
+    """One direction of a QP: FIFO arrival times, same-instant chaining.
+
+    Arrival times on a channel are monotone (``max(last, now + delay)``),
+    so pipelined verbs frequently share one arrival instant. The first
+    work request due at an instant is scheduled as a kernel entry; a
+    later one due at the same instant is linked behind it instead, as
+    long as **no other timer push happened in between** (``sim._seq``
+    unchanged) — any intervening push could order between the two at
+    that timestamp, so the newcomer conservatively opens a fresh chain.
+    Ring appends cannot land at a future timestamp and need no guard.
+
+    ``arrival > now`` is tested first: a chain can only be appended to
+    while it is still in the timer heap, never once it has fired (its
+    instant is then ``<= now``, which no later arrival can equal).
+    """
+
+    __slots__ = ("sim", "network", "_entry", "_last_arrival", "_tail", "_when", "_seq")
+
+    def __init__(
+        self, sim: Simulator, network: Network, entry: Callable[[WorkRequest], None]
+    ) -> None:
+        self.sim = sim
+        self.network = network
+        self._entry = entry
+        self._last_arrival = 0.0
+        self._tail: Optional[WorkRequest] = None
+        self._when = -1.0
+        self._seq = -1
+
+    def send(self, verb: WorkRequest, size: int) -> float:
+        """Schedule *verb*'s leg on this channel; returns its arrival time."""
+        sim = self.sim
+        now = sim.now
+        arrival = now + self.network.delay(size + VERB_HEADER_BYTES)
+        if arrival < self._last_arrival:
+            arrival = self._last_arrival
+        else:
+            self._last_arrival = arrival
+        if arrival > now and arrival == self._when and sim._seq == self._seq:
+            self._tail._next = verb
+        else:
+            sim.call_at(arrival, MethodType(self._entry, verb))
+            self._when = arrival
+            self._seq = sim._seq
+        self._tail = verb
+        return arrival
 
 
 class QueuePair:
@@ -104,17 +177,14 @@ class QueuePair:
 
     __slots__ = (
         "sim",
-        "network",
         "compute_id",
         "memory_node",
-        "_last_request_arrival",
-        "_last_response_arrival",
         "posted_verbs",
         "obs",
         "sanitizer",
+        "observed",
         "_requests",
         "_responses",
-        "_instrumented",
     )
 
     def __init__(
@@ -127,29 +197,22 @@ class QueuePair:
         sanitizer: Optional[Any] = None,
     ) -> None:
         self.sim = sim
-        self.network = network
         self.compute_id = compute_id
         self.memory_node = memory_node
-        self._last_request_arrival = 0.0
-        self._last_response_arrival = 0.0
         self.posted_verbs = 0
-        # Observability hooks; the no-op singleton keeps the disabled
-        # path at one attribute lookup + one empty call per verb.
         self.obs = obs if obs is not None else NOOP_OBS
-        # PILL sanitizer hook (repro.analysis), same no-op pattern.
         self.sanitizer = sanitizer if sanitizer is not None else NOOP_SANITIZER
-        self._requests = _ArrivalBatch(sim)
-        self._responses = _ArrivalBatch(sim)
         # Hooks are fixed at construction (the cluster builder wires
-        # obs/sanitizer/profiler before any traffic), so the no-op case
-        # is decided once: when every hook is the disabled singleton the
-        # post path skips even the empty calls. Instrumented and fast
-        # paths schedule identically, so virtual time cannot diverge.
-        self._instrumented = (
+        # obs/sanitizer/profiler before any traffic), so whether anyone
+        # is watching is decided once. The hooks only wrap the one
+        # scheduling path below; they never choose another.
+        self.observed = (
             sim.profiler.enabled
             or self.obs is not NOOP_OBS
             or self.sanitizer is not NOOP_SANITIZER
         )
+        self._requests = _Channel(sim, network, WorkRequest._arrive)
+        self._responses = _Channel(sim, network, WorkRequest._deliver)
 
     def post(
         self,
@@ -171,201 +234,57 @@ class QueuePair:
         it). FORD posts its background undo-log writes unsignaled.
         """
         self.posted_verbs += 1
-        if self._instrumented:
-            return self._post_instrumented(kind, args, request_size, signaled)
-
-        # -- fast path: no profiler, no obs, no sanitizer ----------------
-        sim = self.sim
-        arrival = sim.now + self.network.delay(request_size + VERB_HEADER_BYTES)
-        last = self._last_request_arrival
-        if arrival < last:
-            arrival = last
-        self._last_request_arrival = arrival
-        memory_node = self.memory_node
-        compute_id = self.compute_id
-
+        verb = WorkRequest(self, kind, args, signaled)
+        if self.observed:
+            self._observed_post(verb, request_size)
+        else:
+            self._requests.send(verb, request_size)
         if not signaled:
-            def execute_unsignaled() -> None:
-                if memory_node.alive and not memory_node.is_revoked(compute_id):
-                    memory_node.apply(compute_id, kind, args)
+            verb._run_callbacks()
+        return verb
 
-            self._requests.schedule(arrival, execute_unsignaled)
-            done = Event(sim)
-            done.finish_now(None)
-            return done
-
-        completion = Event(sim)
-
-        def execute() -> None:
-            if not memory_node.alive:
-                self._respond(completion, None, RemoteNodeDownError(memory_node.node_id), 0)
-                return
-            if memory_node.is_revoked(compute_id):
-                self._respond(
-                    completion, None, LinkRevokedError(compute_id, memory_node.node_id), 0
-                )
-                return
-            result, response_size = memory_node.apply(compute_id, kind, args)
-            self._respond(completion, result, None, response_size)
-
-        self._requests.schedule(arrival, execute)
-        return completion
-
-    def _respond(
-        self,
-        completion: Event,
-        result: Any,
-        error: Optional[Exception],
-        response_size: int,
-    ) -> None:
-        """Fast-path response leg: delay, FIFO-serialise, deliver."""
-        sim = self.sim
-        arrival = sim.now + self.network.delay(response_size + VERB_HEADER_BYTES)
-        last = self._last_response_arrival
-        if arrival < last:
-            arrival = last
-        self._last_response_arrival = arrival
-        self._responses.schedule(
-            arrival, lambda: completion.finish_now(result, error)
-        )
-
-    # -- instrumented twin (profiler frames + obs + sanitizer hooks) ------
-
-    def _post_instrumented(
-        self,
-        kind: str,
-        args: Tuple,
-        request_size: int,
-        signaled: bool,
-    ) -> Event:
-        posted_at = self.sim.now
+    def _observed_post(self, verb: WorkRequest, request_size: int) -> None:
+        """The request send, wrapped in profiler / obs / sanitizer hooks."""
+        kind, args, node_id = verb.kind, verb.args, self.memory_node.node_id
+        verb.posted_at = posted_at = self.sim.now
         profiler = self.sim.profiler
         # The rdma.post frame also carries the ambient txn-phase tag
         # (asserted by TxnTrace.focus), feeding the per-phase wall-time
         # rollup in `repro perf`.
         profiler.push("rdma.post", kind)
         try:
-            return self._post_inner(kind, args, request_size, signaled, posted_at, profiler)
+            profiler.push("shim", "verb-post")
+            try:
+                self.obs.on_verb_post(
+                    kind, self.compute_id, node_id, request_size + VERB_HEADER_BYTES, posted_at
+                )
+                # Flight-recorder attribution: a token the completion
+                # fills with the measured latency (None when disabled or
+                # the verb is system traffic with no focused attempt).
+                verb.flight_token = self.obs.flight.on_post(
+                    kind, self.compute_id, node_id, posted_at, args
+                )
+                self.sanitizer.on_post(self.compute_id, node_id, kind, args, posted_at)
+            finally:
+                profiler.pop()
+            self._requests.send(verb, request_size)
         finally:
             profiler.pop()
 
-    def _post_inner(
-        self,
-        kind: str,
-        args: Tuple,
-        request_size: int,
-        signaled: bool,
-        posted_at: float,
-        profiler: Any,
-    ) -> Event:
-        profiler.push("shim", "verb-post")
-        try:
-            self.obs.on_verb_post(
-                kind,
-                self.compute_id,
-                self.memory_node.node_id,
-                request_size + VERB_HEADER_BYTES,
-                posted_at,
-            )
-            # Flight-recorder attribution: returns a token the completion
-            # path fills with the measured latency (None when disabled or
-            # the verb is system traffic with no focused attempt).
-            flight_token = self.obs.flight.on_post(
-                kind, self.compute_id, self.memory_node.node_id, posted_at, args
-            )
-            self.sanitizer.on_post(
-                self.compute_id, self.memory_node.node_id, kind, args, posted_at
-            )
-        finally:
-            profiler.pop()
-        arrival = max(
-            self._last_request_arrival,
-            self.sim.now + self.network.delay(request_size + VERB_HEADER_BYTES),
-        )
-        self._last_request_arrival = arrival
-        memory_node = self.memory_node
-        compute_id = self.compute_id
-
-        if not signaled:
-            # No one waits for an unsignaled verb: execute it at
-            # arrival, skip the response path, and hand the caller an
-            # already-satisfied event.
-            def execute_unsignaled() -> None:
-                if memory_node.alive and not memory_node.is_revoked(compute_id):
-                    memory_node.apply(compute_id, kind, args)
-
-            self._requests.schedule(arrival, execute_unsignaled)
-            done = Event(self.sim)
-            done.finish_now(None)
-            return done
-
-        completion = Event(self.sim)
-
-        def execute() -> None:
-            if not memory_node.alive:
-                self._complete(
-                    completion,
-                    None,
-                    RemoteNodeDownError(memory_node.node_id),
-                    0,
-                    kind,
-                    posted_at,
-                    flight_token,
-                )
-                return
-            if memory_node.is_revoked(compute_id):
-                self._complete(
-                    completion,
-                    None,
-                    LinkRevokedError(compute_id, memory_node.node_id),
-                    0,
-                    kind,
-                    posted_at,
-                    flight_token,
-                )
-                return
-            result, response_size = memory_node.apply(compute_id, kind, args)
-            self._complete(
-                completion, result, None, response_size, kind, posted_at, flight_token
-            )
-
-        self._requests.schedule(arrival, execute)
-        return completion
-
-    def _complete(
-        self,
-        completion: Event,
-        result: Any,
-        error: Optional[Exception],
-        response_size: int,
-        kind: str = "",
-        posted_at: float = 0.0,
-        flight_token: Optional[Any] = None,
-    ) -> None:
+    def _observed_respond(self, verb: WorkRequest, response_size: int) -> None:
+        """The response send, wrapped in profiler / obs / flight hooks."""
         profiler = self.sim.profiler
-        profiler.push("rdma.complete", kind)
+        profiler.push("rdma.complete", verb.kind)
         try:
-            arrival = max(
-                self._last_response_arrival,
-                self.sim.now + self.network.delay(response_size + VERB_HEADER_BYTES),
-            )
-            self._last_response_arrival = arrival
+            latency = self._responses.send(verb, response_size) - verb.posted_at
+            ok = verb._exception is None
             self.obs.on_verb_complete(
-                kind,
+                verb.kind,
                 self.memory_node.node_id,
-                arrival - posted_at,
+                latency,
                 response_size + VERB_HEADER_BYTES,
-                error is None,
+                ok,
             )
-            self.obs.flight.on_complete(
-                flight_token, arrival - posted_at, error is None
-            )
+            self.obs.flight.on_complete(verb.flight_token, latency, ok)
         finally:
             profiler.pop()
-
-        def deliver() -> None:
-            # finish_now runs waiters synchronously — we are already
-            # executing exactly at the completion's due time.
-            completion.finish_now(result, error)
-
-        self._responses.schedule(arrival, deliver)

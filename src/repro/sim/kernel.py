@@ -66,6 +66,11 @@ _PENDING = 0
 _TRIGGERED = 1
 _PROCESSED = 2
 
+# What a processed event's ``callbacks`` points at: nothing subscribes to
+# it any more (late subscribers go through ``call_soon``), so every
+# processed event shares one empty tuple instead of owning a fresh list.
+_NO_CALLBACKS: tuple = ()
+
 
 class Event:
     """A one-shot occurrence on the simulation timeline.
@@ -137,7 +142,7 @@ class Event:
 
     def _run_callbacks(self) -> None:
         self._state = _PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
+        callbacks, self.callbacks = self.callbacks, _NO_CALLBACKS
         for callback in callbacks:
             callback(self)
 
@@ -265,7 +270,7 @@ class Process(Event):
             # strip this callback from the target's *pending* callback
             # list — but that removal cannot reach a callback already
             # snapshotted by an in-flight ``_run_callbacks`` (the event
-            # swaps in a fresh list before invoking), nor one parked in
+            # detaches its list before invoking), nor one parked in
             # the kernel queue by ``add_callback``'s late-subscription
             # path. If such an orphaned wake-up then fires after the
             # process has moved on to a *new* yield target, resuming
@@ -421,11 +426,12 @@ class Simulator:
     :class:`~repro.obs.profile.KernelProfiler`, swaps the dispatch and
     scheduling methods for instrumented twins at construction time — so
     the default (unprofiled) loop pays literally zero extra work: no
-    flag test, no no-op call, not even an attribute load in ``step``.
-    The twins share the selection/dispatch body (``entry()`` via
-    :meth:`Event.__call__`), so they cannot drift behaviourally; the
-    profiler only reads the wall clock and virtual-time behaviour is
-    bit-identical either way.
+    flag test, no no-op call, not even an attribute load per entry
+    (``run`` tests the flag once per call and then loops with the
+    ``step`` body written out in place). The twins share the
+    selection/dispatch body (``entry()``), so they cannot drift
+    behaviourally; the profiler only reads the wall clock and
+    virtual-time behaviour is bit-identical either way.
     """
 
     def __init__(self, profiler: Optional[Any] = None) -> None:
@@ -558,26 +564,50 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queues drain or virtual time reaches *until*.
 
-        The stop check peeks the timer heap head at most once per step,
-        and only when the ring is empty: ring entries are due *now*,
-        which is ``<= until`` by construction, so they never need a
-        timestamp comparison. An entry landing exactly at ``until``
-        (e.g. a batched QP completion) is still dispatched.
+        The stop check peeks the timer heap head only when the ring is
+        empty: ring entries are due *now*, which is ``<= until`` by
+        construction, so they never need a timestamp comparison. An
+        entry landing exactly at ``until`` (e.g. a chained QP
+        completion) is still dispatched.
+
+        The unprofiled loop is :meth:`step` and :meth:`_advance` written
+        out in place — the same pop / advance / dispatch, minus two
+        Python calls per entry — and counts into a local that is folded
+        into ``processed_events`` on the way out, also when an entry
+        raises (the raising entry itself is not counted, as in
+        ``step``).
         """
         if until is not None and until < self.now:
             raise ValueError(f"until={until} is in the past (now={self.now})")
         ring = self._ring
         timers = self._timers
-        step = self.step
-        if until is None:
-            while ring or timers:
+        limit = float("inf") if until is None else until
+        if self.profiler.enabled:
+            step = self.step
+            while ring or (timers and timers[0][0] <= limit):
                 step()
-            return
-        while ring or timers:
-            if not ring and timers[0][0] > until:
-                break
-            step()
-        self.now = until
+        else:
+            popleft = ring.popleft
+            append = ring.append
+            pop = heapq.heappop
+            dispatched = 0
+            try:
+                while True:
+                    if ring:
+                        entry = popleft()
+                    elif timers and timers[0][0] <= limit:
+                        when, _seq, entry = pop(timers)
+                        self.now = when
+                        while timers and timers[0][0] == when:
+                            append(pop(timers)[2])
+                    else:
+                        break
+                    entry()
+                    dispatched += 1
+            finally:
+                self._processed_events += dispatched
+        if until is not None:
+            self.now = until
 
     def run_until_complete(self, process: Process, limit: Optional[float] = None) -> Any:
         """Run until *process* finishes; return its value (or raise)."""

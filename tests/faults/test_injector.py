@@ -78,12 +78,28 @@ class TestCrashPoints:
         cluster = make_cluster()
         cluster.injector.crash_on_point(0, "locked", nth=50_000)
         cluster.injector.clear(0)
-        assert cluster.injector._plans_by_node.get(0) in (None, [])
+        assert cluster.injector.plans_by_node.get(0) in (None, [])
 
     def test_other_nodes_unaffected(self):
         cluster = make_cluster()
         cluster.injector.crash_on_point(0, "locked", nth=1)
         cluster.run(until=0.010)
+        assert cluster.compute_nodes[1].alive
+
+    def test_plan_added_mid_run_still_fires(self):
+        # Engines skip the injector call while no plan is armed; arming
+        # one after traffic has started must take effect at the very
+        # next crash point, and cleared plans must stop firing again.
+        cluster = make_cluster()
+        cluster.run(until=0.002)
+        assert cluster.injector.crashes == []
+        cluster.injector.crash_on_point(0, "locked", nth=1)
+        cluster.run(until=0.003)
+        assert not cluster.compute_nodes[0].alive
+        (when, node_id, point), = cluster.injector.crashes
+        assert (node_id, point) == (0, "locked") and when >= 0.002
+        cluster.injector.clear()
+        cluster.run(until=0.004)
         assert cluster.compute_nodes[1].alive
 
     def test_crash_point_without_plans_is_free(self):

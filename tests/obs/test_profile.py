@@ -144,6 +144,52 @@ class TestProfiledSimulation:
         # Attributed self time never exceeds the bracketing run time.
         assert profiler.profiled_ns <= profiler.run_wall_ns
 
+    def test_resume_is_billed_to_the_generator_owner(self):
+        """A coordinator's resume is protocol code, not kernel code: the
+        ``resume:`` frame follows the file that defines the generator,
+        like the ``process:`` root does. (The workers of the test above
+        are defined outside ``repro``, hence "other".)"""
+        from repro.protocol.coordinator import Coordinator
+
+        profiler = KernelProfiler()
+        sim = Simulator(profiler=profiler)
+
+        def worker():
+            yield sim.timeout(1.0)
+
+        sim.process(worker(), name="worker-0")
+        # A generator defined under repro/protocol; with no coordinator
+        # behind it the first resume fails the process, which is enough.
+        stub = sim.process(Coordinator._run(None), name="coordinator-7")
+        sim.run()
+        assert isinstance(stub._exception, AttributeError)
+        assert profiler.sites["resume:worker-*"].subsystem == "other"
+        assert profiler.sites["resume:coordinator-*"].subsystem == "protocol"
+        # Not yet seen by the profiler: the old answer, not a crash.
+        profiler.push("resume", "stranger-1")
+        profiler.pop()
+        assert profiler.sites["resume:stranger-*"].subsystem == "kernel"
+
+    def test_work_request_legs_are_rdma_entries(self):
+        """The verb object is on the kernel queue as bound methods of
+        itself; both legs must classify as rdma, not event:*/kernel."""
+        import random
+
+        from repro.memory.node import MemoryNode
+        from repro.rdma.network import Network, NetworkConfig
+        from repro.rdma.qp import QueuePair
+
+        profiler = KernelProfiler()
+        sim = Simulator(profiler=profiler)
+        memory = MemoryNode(0)
+        memory.create_table(0, 4, value_size=8)
+        qp = QueuePair(sim, Network(NetworkConfig(), random.Random(0)), 0, memory)
+        qp.post("read_header", (0, 0), 16)
+        sim.run()
+        assert profiler.sites["cb:WorkRequest._arrive"].subsystem == "rdma"
+        assert profiler.sites["cb:WorkRequest._deliver"].subsystem == "rdma"
+        assert not any(label.startswith("event:") for label in profiler.sites)
+
     def test_report_sections_render(self):
         profiler = KernelProfiler()
         sim = Simulator(profiler=profiler)

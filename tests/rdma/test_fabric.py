@@ -274,3 +274,114 @@ class TestFailureSemantics:
         process.kill()
         sim.run()
         assert memory.slot(0, 3).lock == 0xDEAD
+
+
+class TestChainedWorkRequests:
+    """Same-instant verbs share one kernel entry per leg (docs/KERNEL.md).
+
+    The jitter-free rig makes equal-size verbs posted at one instant
+    arrive at one instant, so each burst below is a chain; every check
+    goes through ``post`` and the returned completion events only.
+    """
+
+    def _burst(self, verbs, count=3):
+        outcomes = []
+        for slot in range(count):
+            verbs.read_header(0, 0, slot).add_callback(
+                lambda event, slot=slot: outcomes.append((slot, type(event._exception)))
+            )
+        return outcomes
+
+    def test_node_crash_before_arrival_fails_every_member_in_order(self, rig):
+        sim, _network, memory, verbs = rig
+        outcomes = self._burst(verbs)
+        assert sim.queue_depth == 1
+        memory.crash()
+        sim.run()
+        assert outcomes == [(slot, RemoteNodeDownError) for slot in range(3)]
+        assert memory.verb_counts == {}
+        # Refusals travel back like results: 3 request + 3 response legs.
+        assert sim.processed_events == 6
+
+    def test_link_revoked_before_arrival_fails_every_member_in_order(self, rig):
+        sim, _network, memory, verbs = rig
+        outcomes = self._burst(verbs)
+        memory._op_ctrl_revoke(0, (7,))
+        sim.run()
+        assert outcomes == [(slot, LinkRevokedError) for slot in range(3)]
+        assert memory.verb_counts == {}
+
+    def test_unsignaled_verbs_to_a_dead_node_are_dropped(self, rig):
+        sim, _network, memory, verbs = rig
+        events = [
+            verbs.write_object(0, 0, 3, version=9, value=slot, signaled=False)
+            for slot in range(3)
+        ]
+        # Nobody waits for them: fired at post time, value None.
+        assert all(event.processed and event.value is None for event in events)
+        memory.crash()
+        sim.run()
+        assert memory.verb_counts == {}
+        assert memory.slot(0, 3).version == 1
+        # Still fired, still no error; only the request leg ever ran.
+        assert all(event.ok and event.value is None for event in events)
+        assert sim.processed_events == 3
+
+    # -- observed and unobserved QPs schedule identically -------------------
+
+    @staticmethod
+    def _script(profiler=None, obs=None, sanitize=False):
+        """Pipelined bursts, an unsignaled write, a revocation mid-flight
+        and a node crash, on a jittery fabric (so RNG draw order counts)."""
+        from repro.analysis.sanitizer import PillSanitizer
+
+        sim = Simulator(profiler=profiler)
+        network = Network(NetworkConfig(), random.Random(5))
+        network.profiler = sim.profiler
+        memory = MemoryNode(0)
+        memory.create_table(0, 64, value_size=8)
+        sanitizer = None
+        if sanitize:
+            sanitizer = PillSanitizer({0: memory}, sim=sim, strict=False)
+            memory.sanitizer = sanitizer
+        verbs = Verbs(sim, 7, network, {0: memory}, obs=obs, sanitizer=sanitizer)
+        completions = []
+
+        def note(event):
+            completions.append((sim.now, type(event._exception).__name__))
+
+        def client():
+            for round_ in range(3):
+                burst = [verbs.read_header(0, 0, slot) for slot in range(4)]
+                verbs.write_object(0, 0, 5, version=round_ + 2, value=round_, signaled=False)
+                burst.append(verbs.cas_lock(0, 0, 6, 0, 0))
+                for event in burst:
+                    event.add_callback(note)
+                yield sim.all_of(burst)
+            doomed = [verbs.read_header(0, 0, slot) for slot in range(3)]
+            memory._op_ctrl_revoke(0, (7,))
+            for event in doomed:
+                event.add_callback(note)
+            try:
+                yield sim.all_of(doomed)
+            except LinkRevokedError:
+                pass
+            memory.crash()
+            verbs.read_object(0, 0, 1).add_callback(note)
+
+        sim.process(client(), name="client")
+        sim.run()
+        return completions, sim.processed_events
+
+    def test_observed_qp_matches_unobserved(self):
+        from repro.obs import KernelProfiler, Obs
+
+        plain = self._script()
+        assert [name for _when, name in plain[0]].count("LinkRevokedError") == 3
+        assert plain[0][-1][1] == "RemoteNodeDownError"
+        assert self._script(sanitize=True) == plain
+        assert self._script(obs=Obs(trace=True, flight=True)) == plain
+        profiler = KernelProfiler()
+        assert self._script(profiler=profiler) == plain
+        # Chains are compensated in the profiler's step counter too.
+        assert profiler.steps == plain[1]

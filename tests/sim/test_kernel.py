@@ -120,6 +120,30 @@ class TestEvents:
         sim.run()
         assert seen == [7]
 
+    def test_processed_events_share_nothing_mutable(self, sim):
+        # A processed event holds no callback list of its own. kill()
+        # and interrupt() strip the target's callbacks whatever state
+        # it is in; that must not reach another processed event.
+        first, second = sim.event(), sim.event()
+        first.succeed(1)
+        second.succeed(2)
+        sim.run()
+
+        def parked():
+            yield first
+
+        for stop in ("kill", "interrupt"):
+            process = sim.process(parked())
+            sim.step()  # now waiting on the already-processed event
+            getattr(process, stop)()
+            sim.run()
+            assert not process.is_alive
+        seen = []
+        second.add_callback(lambda event: seen.append(event.value))
+        first.add_callback(lambda event: seen.append(event.value))
+        sim.run()
+        assert seen == [2, 1]
+
 
 class TestProcesses:
     def test_process_return_value(self, sim):
@@ -462,7 +486,7 @@ class TestNowRingScheduler:
     future entries, same-instant work drains in schedule order before
     time advances, queue_depth spans both queues, and ``run(until=...)``
     must peek across *both* queues — including when ``until`` lands
-    exactly on a batched QP completion's timestamp.
+    exactly on a chained QP completion's timestamp.
     """
 
     def test_timer_heap_holds_only_future_entries(self, sim):
@@ -498,37 +522,99 @@ class TestNowRingScheduler:
         sim.call_at(2.0, lambda: None)
         assert sim.queue_depth == 3
 
-    def test_run_until_lands_on_batched_completion(self, sim):
-        # Regression: run(until=T) with a coalesced QP batch due exactly
-        # at T must deliver every batched item, stop the clock at T, and
-        # count each item in processed_events (the batch compensates).
-        from repro.rdma.qp import _ArrivalBatch
+    def test_processed_events_is_right_at_every_run_boundary(self, sim):
+        # run() counts into a local; every way out of it — queues
+        # drained, `until` reached, an entry raising — must fold it in.
+        def boom():
+            raise RuntimeError("boom")
 
-        batch = _ArrivalBatch(sim)
-        fired = []
-        batch.schedule(1.0, lambda: fired.append("a"))
-        batch.schedule(1.0, lambda: fired.append("b"))
-        batch.schedule(1.0, lambda: fired.append("c"))
-        # One kernel entry holds all three items.
-        assert sim.queue_depth == 1
-        before = sim.processed_events
+        sim.call_soon(lambda: None)
+        sim.call_at(1.0, lambda: None)
+        sim.call_at(2.0, boom)
+        sim.call_at(2.0, lambda: None)
         sim.run(until=1.0)
-        assert fired == ["a", "b", "c"]
-        assert sim.now == 1.0
-        assert sim.processed_events - before == 3
-
-    def test_batch_splits_when_another_push_intervenes(self, sim):
-        # An unrelated heap push between same-instant deliveries could
-        # order between them, so the coalescer must open a fresh batch.
-        from repro.rdma.qp import _ArrivalBatch
-
-        batch = _ArrivalBatch(sim)
-        order = []
-        batch.schedule(1.0, lambda: order.append("a"))
-        sim.call_at(1.0, lambda: order.append("other"))
-        batch.schedule(1.0, lambda: order.append("b"))
+        assert sim.processed_events == 2
+        with pytest.raises(RuntimeError):
+            sim.run()
+        # Like step(): the entry that raised is not counted ...
+        assert (sim.processed_events, sim.now) == (2, 2.0)
         sim.run()
-        assert order == ["a", "other", "b"]
+        # ... and the rest of its cohort is still there to run.
+        assert (sim.processed_events, sim.queue_depth) == (3, 0)
+
+    # -- chained QP deliveries, through QueuePair.post only ----------------
+
+    @staticmethod
+    def _queue_pair(sim):
+        """A QP on a jitter-free fabric: equal-size verbs posted at one
+        instant share their arrival instant on both legs."""
+        import random
+
+        from repro.memory.node import MemoryNode
+        from repro.rdma.network import Network, NetworkConfig
+        from repro.rdma.qp import QueuePair
+
+        memory = MemoryNode(0)
+        memory.create_table(0, 8, value_size=8)
+        network = Network(NetworkConfig(jitter=0.0), random.Random(0))
+        return QueuePair(sim, network, 0, memory), memory, network
+
+    def test_pipelined_verbs_are_one_entry_fifo_and_counted_each(self, sim):
+        qp, _memory, _network = self._queue_pair(sim)
+        done = []
+        for slot in range(4):
+            qp.post("read_header", (0, slot), 16).add_callback(
+                lambda event, slot=slot: done.append((slot, sim.now))
+            )
+        # One kernel entry holds all four requests ...
+        assert sim.queue_depth == 1
+        sim.step()
+        # ... and, executed back to back, all four responses.
+        assert sim.queue_depth == 1
+        assert done == []
+        sim.run()
+        assert [slot for slot, _when in done] == [0, 1, 2, 3]
+        assert len({when for _slot, when in done}) == 1
+        # Four request deliveries + four response deliveries.
+        assert sim.processed_events == 8
+
+    def test_chain_splits_when_another_push_intervenes(self, sim):
+        # An unrelated timer push between two same-instant posts could
+        # order between them, so the second must open a fresh chain.
+        from repro.rdma.qp import VERB_HEADER_BYTES
+
+        qp, memory, network = self._queue_pair(sim)
+        arrival = network.delay(16 + VERB_HEADER_BYTES)
+        seen = []
+        qp.post("write_lock", (0, 0, 1), 16)
+        sim.call_at(arrival, lambda: seen.append(memory.slot(0, 0).lock))
+        qp.post("write_lock", (0, 0, 2), 16)
+        assert sim.queue_depth == 3
+        sim.run(until=arrival)
+        # Dispatched between the two writes, in (when, seq) order.
+        assert seen == [1]
+        assert memory.slot(0, 0).lock == 2
+
+    def test_run_until_lands_on_chained_completion(self, sim):
+        # run(until=T) with a chain of completions due exactly at T must
+        # deliver every member, stop the clock at T, and count each
+        # member in processed_events (the chain head compensates).
+        def drive(sim, until):
+            qp, _memory, _network = self._queue_pair(sim)
+            done = []
+            for slot in range(3):
+                qp.post("read_header", (0, slot), 16).add_callback(
+                    lambda _event: done.append(sim.now)
+                )
+            sim.run(until=until)
+            return done
+
+        completed_at = drive(Simulator(), None)[0]
+        done = drive(sim, completed_at)
+        assert done == [completed_at] * 3
+        assert sim.now == completed_at
+        assert sim.processed_events == 6
+        assert sim.queue_depth == 0
 
     def test_four_worker_drive_matches_recorded_trace(self):
         sim = Simulator()
