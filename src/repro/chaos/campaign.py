@@ -183,13 +183,12 @@ class ChaosRunner:
         sim = self.cluster.sim
         recovery = self.cluster.recovery
         node_id = fault.node % COMPUTE_NODES
-        key = ("compute", node_id)
 
         def watcher():
             # Fine-grained poll: a compute recovery completes in tens
             # of microseconds, so a coarse poll would always miss it.
             deadline = self.schedule.duration + _QUIESCE_DEADLINE
-            while key not in recovery._in_progress:
+            while not recovery.recovering("compute", node_id):
                 if sim.now >= deadline:
                     return
                 yield sim.timeout(2e-6)
@@ -199,7 +198,7 @@ class ChaosRunner:
             self.recovery_kills += 1
             yield sim.timeout(fault.restart_after)
             node = self.cluster.compute_nodes[node_id]
-            if not node.alive and key not in recovery._in_progress:
+            if not node.alive and not recovery.recovering("compute", node_id):
                 recovery.handle_compute_failure(node)
 
         sim.process(watcher(), name=f"chaos-rc-kill-c{node_id}")
@@ -211,11 +210,10 @@ class ChaosRunner:
         recovery = self.cluster.recovery
         node_id = fault.node % COMPUTE_NODES
         memory_id = (fault.memory_node or 0) % MEMORY_NODES
-        key = ("compute", node_id)
 
         def watcher():
             deadline = self.schedule.duration + _QUIESCE_DEADLINE
-            while key not in recovery._in_progress:
+            while not recovery.recovering("compute", node_id):
                 if sim.now >= deadline:
                     return
                 yield sim.timeout(2e-6)
@@ -233,29 +231,6 @@ class ChaosRunner:
         for coordinator in self.cluster.all_coordinators():
             if coordinator.history_sink is None:
                 coordinator.history_sink = self.history
-
-    def _busy(self) -> bool:
-        """True while recovery or a transaction is still in flight."""
-        cluster = self.cluster
-        if cluster.recovery._in_progress:
-            return True
-        for node in cluster.compute_nodes.values():
-            if node.alive:
-                for coordinator in node.coordinators:
-                    if coordinator.engine.current_tx is not None:
-                        return True
-            else:
-                # Crashed but not yet recovered: some of its ids are
-                # still undetected or mid-recovery.
-                if any(
-                    coord_id not in cluster.id_allocator.failed
-                    for coord_id in node.coordinator_ids()
-                ):
-                    return True
-        for memory in cluster.memory_nodes.values():
-            if not memory.alive and memory.node_id not in cluster.placement.down_nodes:
-                return True  # crashed but reconfiguration hasn't run
-        return False
 
     def _quiesce(self) -> Optional[OracleViolation]:
         """Stop traffic and faults, then drain recovery to a fixpoint."""
@@ -276,14 +251,14 @@ class ChaosRunner:
                     node.pause()
             cluster.run(until=sim.now + 1e-3)
             self._attach_history_sinks()
-            if not self._busy():
+            busy = cluster.busy()
+            if not busy:
                 return None
             if sim.now >= deadline:
                 return OracleViolation(
                     "CHAOS-QUIESCE",
                     "cluster failed to quiesce within "
-                    f"{_QUIESCE_DEADLINE * 1e3:.0f}ms: "
-                    f"in_progress={sorted(cluster.recovery._in_progress)}",
+                    f"{_QUIESCE_DEADLINE * 1e3:.0f}ms: {busy}",
                 )
 
     def _fingerprint(self) -> int:

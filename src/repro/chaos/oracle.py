@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.litmus.checker import SerializabilityChecker
 from repro.protocol.locks import is_locked, owner_of
 
 __all__ = ["OracleViolation", "check_cluster"]
@@ -219,8 +220,6 @@ def check_cluster(cluster, history: Optional[list] = None) -> List[OracleViolati
 
     # -- history serializability --------------------------------------------
     if history:
-        from repro.litmus.checker import SerializabilityChecker
-
         checker = SerializabilityChecker(history)
         if not checker.is_serializable():
             violations.append(

@@ -342,7 +342,7 @@ class Cluster:
             # failed, so it can never commit again. Treat the restart
             # as crash + rejoin instead of silently leaving it fenced.
             node.crash()
-        if ("compute", node.node_id) in self.recovery._in_progress:
+        if self.recovery.recovering("compute", node.node_id):
             # Recovery is mid-flight for this node; restarting now
             # would race link revocation against the new QPs. Defer.
             self.sim.call_at(
@@ -381,6 +381,30 @@ class Cluster:
             for coordinator in node.coordinators:
                 total.merge(coordinator.stats)
         return total
+
+    def busy(self) -> str:
+        """Why the deployment is not at rest — ``""`` when it is.
+
+        At rest: no recovery in flight, no transaction mid-protocol on
+        a live node, no crashed compute node with a coordinator id
+        still undetected or mid-recovery, no dead memory node awaiting
+        reconfiguration. The chaos quiesce drains to this fixpoint.
+        """
+        recovering = self.recovery.recovering()
+        if recovering:
+            return f"recovery in flight for {recovering}"
+        failed = self.id_allocator.failed
+        for node in self.compute_nodes.values():
+            if node.alive:
+                for coordinator in node.coordinators:
+                    if coordinator.engine.current_tx is not None:
+                        return f"coordinator {coordinator.coord_id} is mid-transaction"
+            elif any(cid not in failed for cid in node.coordinator_ids()):
+                return f"crashed c{node.node_id} holds ids not yet marked failed"
+        for memory in self.memory_nodes.values():
+            if not memory.alive and memory.node_id not in self.placement.down_nodes:
+                return f"dead m{memory.node_id} is not yet reconfigured"
+        return ""
 
     def live_coordinator_count(self) -> int:
         """Coordinators on currently alive nodes."""

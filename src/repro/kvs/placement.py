@@ -150,13 +150,6 @@ class Placement:
             if node != primary and node not in self._down
         )
 
-    def nodes_for_table(self, table_id: int) -> Set[int]:
-        """All memory nodes that host at least one partition replica."""
-        nodes: Set[int] = set()
-        for replica_list in self._partition_replicas:
-            nodes.update(replica_list)
-        return nodes
-
     def log_nodes(self, coord_id: int) -> Tuple[int, ...]:
         """The f+1 fixed log servers for a coordinator (§3.1.4).
 

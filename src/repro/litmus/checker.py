@@ -2,8 +2,8 @@
 
 A complement to the application-observable litmus assertions: given the
 read/write version footprints of committed transactions (collected via
-``Coordinator.history_sink``), build the direct serialization graph and
-check it for cycles.
+``Cluster.record_history()`` / ``Coordinator.history_sink``), build the
+direct serialization graph and check it for cycles.
 
 Edges follow Adya's dependency taxonomy:
 
@@ -14,13 +14,17 @@ Edges follow Adya's dependency taxonomy:
   T1 → T2.
 
 A cycle means the committed transactions admit no serial order.
+
+The graph is a plain insertion-ordered adjacency map and the verdict,
+the witness and the serial order all come from one depth-first walk
+that visits transactions in history order and successors in the order
+their edges were first added — so a witness is a function of the
+history alone (the golden outcomes record two).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
-
-import networkx as nx
 
 __all__ = ["SerializabilityChecker", "check_history"]
 
@@ -36,16 +40,19 @@ class SerializabilityChecker:
 
     def __init__(self, history: Iterable[HistoryEntry]) -> None:
         self.history = list(history)
-        self.graph = nx.DiGraph()
+        #: txn id -> {successor txn id: edge kind ("ww" / "wr" / "rw")}.
+        self.edges: Dict[int, Dict[int, str]] = {}
         self._build()
+        self._cycle, self._order = self._walk()
 
     def _build(self) -> None:
+        edges = self.edges
         # Writers by (object, installed version).
         installer: Dict[Tuple, int] = {}
         # All installed versions per object, with their writers.
         versions: Dict[Tuple, List[Tuple[int, int]]] = {}
         for txn_id, _time, _reads, _rmw, writes in self.history:
-            self.graph.add_node(txn_id)
+            edges.setdefault(txn_id, {})
             for address, version in writes.items():
                 installer[(address, version)] = txn_id
                 versions.setdefault(address, []).append((version, txn_id))
@@ -55,7 +62,7 @@ class SerializabilityChecker:
             installed.sort()
             for (v1, t1), (v2, t2) in zip(installed, installed[1:]):
                 if t1 != t2:
-                    self.graph.add_edge(t1, t2, kind="ww")
+                    edges[t1][t2] = "ww"
 
         # wr and rw edges.
         for txn_id, _time, reads, rmw_reads, _writes in self.history:
@@ -64,31 +71,58 @@ class SerializabilityChecker:
             for address, version in observed.items():
                 writer = installer.get((address, version))
                 if writer is not None and writer != txn_id:
-                    self.graph.add_edge(writer, txn_id, kind="wr")
+                    edges[writer][txn_id] = "wr"
                 # Anti-dependency to the *next* installed version.
                 for installed_version, next_writer in versions.get(address, ()):
                     if installed_version > version:
                         if next_writer != txn_id:
-                            self.graph.add_edge(txn_id, next_writer, kind="rw")
+                            edges[txn_id][next_writer] = "rw"
                         break
 
+    def _walk(self) -> Tuple[List[Tuple[int, int]], List[int]]:
+        """Depth-first over the whole graph: ``(cycle, [])`` at the
+        first edge back into the path being explored, else
+        ``([], reverse postorder)`` — a topological order."""
+        edges = self.edges
+        finished: Dict[int, bool] = {}  # absent: unseen; False: on the path
+        postorder: List[int] = []
+        for root in edges:
+            if root in finished:
+                continue
+            finished[root] = False
+            path = [root]
+            pending = [iter(edges[root])]
+            while pending:
+                for successor in pending[-1]:
+                    state = finished.get(successor)
+                    if state is None:
+                        finished[successor] = False
+                        path.append(successor)
+                        pending.append(iter(edges[successor]))
+                        break
+                    if not state:
+                        walk = path[path.index(successor):] + [successor]
+                        return list(zip(walk, walk[1:])), []
+                else:
+                    pending.pop()
+                    node = path.pop()
+                    finished[node] = True
+                    postorder.append(node)
+        postorder.reverse()
+        return [], postorder
+
     def is_serializable(self) -> bool:
-        return nx.is_directed_acyclic_graph(self.graph)
+        return not self._cycle
 
     def find_cycle(self) -> List[Tuple[int, int]]:
         """A witness cycle (edge list), or [] when serializable."""
-        try:
-            return [
-                (u, v) for u, v, _dir in nx.find_cycle(self.graph, orientation="original")
-            ]
-        except nx.NetworkXNoCycle:
-            return []
+        return list(self._cycle)
 
     def serial_order(self) -> List[int]:
         """A valid serial order of the committed transactions."""
-        if not self.is_serializable():
+        if self._cycle:
             raise ValueError("history is not serializable")
-        return list(nx.topological_sort(self.graph))
+        return list(self._order)
 
 
 def check_history(history: Iterable[HistoryEntry]) -> bool:

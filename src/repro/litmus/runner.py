@@ -276,8 +276,7 @@ class LitmusRunner:
         while sim.now < deadline:
             sim.run(until=min(deadline, sim.now + 1e-3))
             settled = all(process.triggered for process in processes)
-            recovering = bool(self.cluster.recovery._in_progress)
-            if settled and not recovering:
+            if settled and not self.cluster.recovery.recovering():
                 break
         # Margin for notification deliveries still in flight.
         sim.run(until=sim.now + 0.5e-3)

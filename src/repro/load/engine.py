@@ -292,8 +292,9 @@ class OpenLoopEngine:
         """Drive the whole point: warmup, measured window, drain, checks."""
         cluster = self.cluster
         sim = self.sim
-        for coordinator in cluster.all_coordinators():
-            coordinator.history_sink = self._history
+        if self.check_oracle:
+            for coordinator in cluster.all_coordinators():
+                coordinator.history_sink = self._history
         for monitor in self.monitors:
             monitor.attach(cluster)
         cluster.start(run_coordinators=False)
@@ -359,8 +360,7 @@ class OpenLoopEngine:
         sim = self.sim
         deadline = sim.now + self.quiesce_grace
         while sim.now < deadline:
-            recovering = bool(cluster.recovery._in_progress)
-            if not self._busy and not recovering:
+            if not self._busy and not cluster.recovery.recovering():
                 break
             cluster.run(until=min(deadline, sim.now + 1e-3))
         # Margin for notification deliveries still in flight.

@@ -229,9 +229,6 @@ class Verbs:
         """Active-link termination: revoke *target*'s access (Cor1)."""
         return self.ctrl_rpc(node, "ctrl_revoke", (target_compute_id,))
 
-    def restore_link(self, node: int, target_compute_id: int) -> Event:
-        return self.ctrl_rpc(node, "ctrl_unrevoke", (target_compute_id,))
-
     def register_log_region(self, node: int, coord_id: int) -> Event:
         return self.ctrl_rpc(node, "ctrl_register_log_region", (coord_id,))
 

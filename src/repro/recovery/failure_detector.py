@@ -77,13 +77,6 @@ class FailureDetector:
         self._last_heartbeat[key] = self.sim.now
         self._suspected.discard(key)
 
-    def deregister(self, kind: str, node_id: int) -> None:
-        """Stop tracking a node."""
-        key = (kind, node_id)
-        self._registered.pop(key, None)
-        self._last_heartbeat.pop(key, None)
-        self._suspected.discard(key)
-
     # -- heartbeat ingestion ------------------------------------------------------
 
     def heartbeat_sinks(self) -> List[Callable[[str, int, float], None]]:
@@ -166,7 +159,7 @@ class FailureDetector:
             node = self._registered.get(key)
             if node is None or node.alive:
                 continue
-            if key in self.recovery_manager._in_progress:
+            if self.recovery_manager.recovering(kind, _node_id):
                 continue
             if now - self._last_declared.get(key, 0.0) < self.redetect_interval:
                 continue

@@ -136,6 +136,18 @@ class RecoveryManager:
         self._processes[key] = process
         return process
 
+    def recovering(
+        self, kind: Optional[str] = None, node_id: Optional[int] = None
+    ) -> List[Tuple[str, int]]:
+        """The recoveries in flight, as sorted ``(kind, node_id)`` claims
+        — all of them, or only those of *kind* and/or for *node_id*.
+        Empty (falsy) when there is none."""
+        return sorted(
+            claim
+            for claim in self._in_progress
+            if kind in (None, claim[0]) and node_id in (None, claim[1])
+        )
+
     def kill_recovery(self, kind: str, node_id: int) -> bool:
         """Crash-stop an in-flight recovery (the RC itself failing).
 

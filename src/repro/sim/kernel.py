@@ -146,19 +146,6 @@ class Event:
         for callback in callbacks:
             callback(self)
 
-    def finish_now(self, value: Any, exception: Optional[BaseException] = None) -> None:
-        """Trigger and run callbacks synchronously at the current time.
-
-        A fast path for high-volume producers (the RDMA fabric) that
-        are already executing at the event's due time: it skips the
-        schedule/dequeue round trip of :meth:`succeed`.
-        """
-        if self._state != _PENDING:
-            raise RuntimeError("event already triggered")
-        self._value = value
-        self._exception = exception
-        self._run_callbacks()
-
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Invoke *callback(event)* once the event fires."""
         if self._state == _PROCESSED:

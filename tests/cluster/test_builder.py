@@ -63,6 +63,28 @@ class TestWiring:
         cluster.crash_compute(0)
         assert cluster.live_coordinator_count() == 4
 
+    def test_busy_names_what_is_not_at_rest(self):
+        cluster = Cluster(
+            Config(coordinators_per_node=2, seed=3, fd_timeout=2e-3), workload()
+        )
+        cluster.start(run_coordinators=False)
+        recovery = cluster.recovery
+        assert cluster.busy() == "" and recovery.recovering() == []
+        cluster.crash_memory(1)
+        assert "m1" in cluster.busy()  # dead, placement not yet reconfigured
+        cluster.crash_compute(0)
+        assert "c0" in cluster.busy()  # dead, ids not yet marked failed
+        reasons = set()
+        while cluster.busy() and cluster.sim.now < 0.040:
+            cluster.run(until=cluster.sim.now + 20e-6)
+            reasons.add(cluster.busy())
+            if recovery.recovering("compute"):
+                assert recovery.recovering("compute", 0) == [("compute", 0)]
+                assert recovery.recovering("compute", 1) == []
+                assert ("compute", 0) in recovery.recovering(node_id=0)
+        assert cluster.busy() == ""
+        assert any("recovery in flight" in reason for reason in reasons)
+
     def test_protocol_selection(self):
         for name, expected in [
             ("pandora", "pandora"),

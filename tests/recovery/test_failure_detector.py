@@ -123,7 +123,7 @@ class TestRedetection:
         cluster.crash_compute(0, at=0.010)
 
         def assassin():
-            while ("compute", 0) not in recovery._in_progress:
+            while not recovery.recovering("compute", 0):
                 yield sim.timeout(5e-6)
             yield sim.timeout(5e-6)
             assert recovery.kill_recovery("compute", 0)
