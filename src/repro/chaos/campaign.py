@@ -118,8 +118,7 @@ class ChaosRunner:
             sanitize=sanitize,
         )
         self.cluster = Cluster(config, _FuzzWorkload(schedule.keys))
-        self.history: List = []
-        self._attach_history_sinks()
+        self.history: List = self.cluster.record_history()
         self._baseline_loss = config.network.loss_probability
         self._baseline_jitter = config.network.jitter
         self._blackholed: List[int] = []
@@ -227,11 +226,6 @@ class ChaosRunner:
 
     # -- run -----------------------------------------------------------------
 
-    def _attach_history_sinks(self) -> None:
-        for coordinator in self.cluster.all_coordinators():
-            if coordinator.history_sink is None:
-                coordinator.history_sink = self.history
-
     def _quiesce(self) -> Optional[OracleViolation]:
         """Stop traffic and faults, then drain recovery to a fixpoint."""
         cluster = self.cluster
@@ -250,7 +244,6 @@ class ChaosRunner:
                 if node.alive:
                     node.pause()
             cluster.run(until=sim.now + 1e-3)
-            self._attach_history_sinks()
             busy = cluster.busy()
             if not busy:
                 return None
@@ -300,13 +293,7 @@ class ChaosRunner:
         result = ChaosResult(schedule=schedule)
         self._arm()
         cluster.start()
-        step = 0.5e-3
-        now = 0.0
-        while now < schedule.duration:
-            now = min(now + step, schedule.duration)
-            cluster.run(until=now)
-            # Coordinators spawned by restarts join the history too.
-            self._attach_history_sinks()
+        cluster.run(until=schedule.duration)
         quiesce_violation = self._quiesce()
         # Let fire-and-forget verbs still on the wire (lazy log
         # invalidations, stray-lock notifications) land before judging.

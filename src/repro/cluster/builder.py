@@ -164,6 +164,9 @@ class Cluster:
             scan_chunk_slots=config.scan_chunk_slots,
         )
 
+        # The committed-history feed; None until record_history().
+        self._history: Optional[list] = None
+
         # Compute servers + coordinators.
         self.compute_nodes: Dict[int, ComputeNode] = {}
         for node_id in range(config.compute_nodes):
@@ -223,6 +226,7 @@ class Cluster:
                 random.Random((self.config.seed << 20) ^ (coord_id * 2654435761)),
                 self._coordinator_config(),
             )
+            coordinator.history_sink = self._history
             node.add_coordinator(coordinator)
 
     # -- lifecycle --------------------------------------------------------------------
@@ -381,6 +385,22 @@ class Cluster:
             for coordinator in node.coordinators:
                 total.merge(coordinator.stats)
         return total
+
+    def record_history(self) -> list:
+        """The one committed-history feed (always the same list).
+
+        From the first call on, every coordinator this cluster has or
+        will ever spawn — restarts included — appends the footprint of
+        each commit it acknowledges, so the list holds exactly the
+        commits ``aggregate_stats()`` counts from then on: what the
+        serializability checker and the oracle's durability check
+        judge.
+        """
+        if self._history is None:
+            self._history = []
+            for coordinator in self.all_coordinators():
+                coordinator.history_sink = self._history
+        return self._history
 
     def busy(self) -> str:
         """Why the deployment is not at rest — ``""`` when it is.

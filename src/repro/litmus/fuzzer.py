@@ -10,7 +10,7 @@ module implements the former so the two can cross-check each other:
   transactions over a small keyspace,
 * optional random compute crashes (with recovery running underneath),
 * every committed transaction's footprint collected through
-  ``Coordinator.history_sink``,
+  ``Cluster.record_history()``,
 * the final history checked for strict serializability with the
   precedence-graph checker.
 
@@ -167,9 +167,7 @@ class HistoryFuzzer:
         if jitter is not None:
             config.network.jitter = jitter
         self.cluster = Cluster(config, _FuzzWorkload(keys))
-        self.history: List = []
-        for coordinator in self.cluster.all_coordinators():
-            coordinator.history_sink = self.history
+        self.history: List = self.cluster.record_history()
 
     def run(self) -> FuzzReport:
         report = FuzzReport(protocol=self.protocol, seed=self.seed)
@@ -180,10 +178,6 @@ class HistoryFuzzer:
         while now < self.duration:
             now = min(now + step, self.duration)
             cluster.run(until=now)
-            # Coordinators spawned by restarts join the history too.
-            for coordinator in cluster.all_coordinators():
-                if coordinator.history_sink is None:
-                    coordinator.history_sink = self.history
             if (
                 self.crash_probability_per_ms
                 and self.rng.random() < self.crash_probability_per_ms

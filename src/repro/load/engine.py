@@ -146,7 +146,6 @@ class OpenLoopEngine:
         self._queue_mark = 0.0
         self._closed = False
         self._measure_from = 0.0
-        self._history: List = []
         self._monitor_errors: List[str] = []
         self.result = LoadResult(
             cluster.config.protocol,
@@ -293,8 +292,7 @@ class OpenLoopEngine:
         cluster = self.cluster
         sim = self.sim
         if self.check_oracle:
-            for coordinator in cluster.all_coordinators():
-                coordinator.history_sink = self._history
+            cluster.record_history()
         for monitor in self.monitors:
             monitor.attach(cluster)
         cluster.start(run_coordinators=False)
@@ -365,4 +363,4 @@ class OpenLoopEngine:
             cluster.run(until=min(deadline, sim.now + 1e-3))
         # Margin for notification deliveries still in flight.
         cluster.run(until=sim.now + 2e-3)
-        return [str(v) for v in check_cluster(cluster, self._history)]
+        return [str(v) for v in check_cluster(cluster, cluster.record_history())]

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos import generate_schedule, run_schedule
+from repro.chaos import ChaosRunner, generate_schedule, run_schedule
 from repro.chaos.schedule import Fault, Schedule
 
 # One seed per fault family (seed % 5 selects the family).
@@ -22,6 +22,17 @@ class TestCampaign:
         result = run_schedule(generate_schedule(seed))
         assert result.ok, [v.detail for v in result.violations]
         assert result.crashes > 0 or result.schedule.family == "fd_false_positive"
+
+    @pytest.mark.parametrize("seed", FAMILY_SEEDS)
+    def test_history_holds_every_acknowledged_commit(self, seed):
+        """The oracle judges the commits clients were told about — all
+        of them. Coordinators a restart spawns record from their first
+        commit (found by polling, they used to lose their first few
+        dozen to CHAOS-SERIAL and CHAOS-DURABLE)."""
+        runner = ChaosRunner(generate_schedule(seed))
+        result = runner.run()
+        assert result.committed == len(runner.history)
+        assert len(runner.history) == runner.cluster.aggregate_stats().commits
 
     def test_recovery_kill_lands(self):
         """The recovery_crash family really kills recovery mid-flight

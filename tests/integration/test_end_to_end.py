@@ -172,9 +172,7 @@ class TestSerializabilityUnderCrashes:
             ),
             MicroBenchmark(num_keys=200, write_ratio=0.7, rmw=True, hot_keys=40),
         )
-        history = []
-        for coordinator in cluster.all_coordinators():
-            coordinator.history_sink = history
+        history = cluster.record_history()
         cluster.start()
         cluster.crash_compute(0, at=0.008)
         cluster.run(until=0.030)

@@ -9,7 +9,12 @@ same schedule must therefore fire for ford and stay clean for pandora
 — a one-sided check would also pass for an oracle that never fires.
 """
 
-from repro.load import ConservationMonitor, OrderIdMonitor, run_load_point
+from repro.load import (
+    ConservationMonitor,
+    OrderIdMonitor,
+    WorkloadInvariant,
+    run_load_point,
+)
 from repro.workloads import SmallBank, TpcC
 
 
@@ -17,7 +22,14 @@ def _conserving_smallbank():
     return SmallBank(accounts=1_000, hot_accounts=200, conserving_only=True)
 
 
-def _crash_point(protocol):
+class _ClusterProbe(WorkloadInvariant):
+    """A monitor that only remembers the cluster it was attached to."""
+
+    def attach(self, cluster):
+        self.cluster = cluster
+
+
+def _crash_point(protocol, *extra_monitors):
     return run_load_point(
         protocol,
         _conserving_smallbank,
@@ -28,7 +40,9 @@ def _crash_point(protocol):
         check_oracle=True,
         crash_compute=[(0, 6e-3)],
         restart_failed_after=2e-3,
-        monitor_factory=lambda workload: [ConservationMonitor(workload)],
+        monitor_factory=lambda workload: [
+            ConservationMonitor(workload), *extra_monitors
+        ],
     )
 
 
@@ -42,6 +56,14 @@ class TestOracleUnderLoad:
         result = _crash_point("pandora")
         assert result.violations == []
         assert result.commits > 0
+
+    def test_oracle_sees_every_acknowledged_commit_across_the_restart(self):
+        probe = _ClusterProbe()
+        _crash_point("pandora", probe)
+        cluster = probe.cluster
+        restarted = cluster.compute_nodes[0].coordinators
+        assert sum(coordinator.stats.commits for coordinator in restarted) > 0
+        assert len(cluster.record_history()) == cluster.aggregate_stats().commits
 
     def test_conservation_monitor_holds_without_faults(self):
         result = run_load_point(
