@@ -7,12 +7,12 @@ skews across all five protocols on a fixed two-point offered grid, so
 the baseline pins down each lock strategy's abort-rate and queueing
 behaviour on both sides of the knee.
 
-Four guards per (protocol, theta, offered) point, mirroring the
-kernel-perf and load gates: achieved throughput has a tolerance floor,
-CO-corrected p99 and abort rate tolerance ceilings, and the commit
-count must reproduce exactly — seeded virtual time means commit drift
-is a behaviour change that needs a deliberate re-baseline (delete the
-JSON and rerun), not a shrug.
+Four guards per (protocol, theta, offered) point (the ``contention/1``
+row of ``repro.bench.report.SNAPSHOT_KINDS``): achieved throughput has a
+tolerance floor, CO-corrected p99 and abort rate tolerance ceilings, and
+the commit count must reproduce exactly — seeded virtual time means
+commit drift is a behaviour change that needs a deliberate re-baseline
+(delete the JSON and rerun), not a shrug.
 """
 
 import json
@@ -20,11 +20,10 @@ import pathlib
 
 import pytest
 
-from repro.bench.report import write_bench_snapshot, write_report
+from repro.bench.report import gate, write_bench_snapshot, write_report
 from repro.load import (
     CONTENTION_PROTOCOLS,
     CONTENTION_THETAS,
-    compare_contention_to_baseline,
     contention_payload,
     format_contention,
     run_contention_sweep,
@@ -51,7 +50,7 @@ def test_contention_vs_committed_baseline(curves):
         write_bench_snapshot("CONTENTION", payload)
         return
     baseline = json.loads(BASELINE.read_text())
-    failures = compare_contention_to_baseline(payload, baseline)
+    failures = gate(payload, baseline)
     assert not failures, "contention regression vs committed baseline:\n" + (
         "\n".join(f"  {failure}" for failure in failures)
     )

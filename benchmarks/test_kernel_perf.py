@@ -23,10 +23,9 @@ from repro.bench.kernelperf import (
     run_fleet,
     run_suite,
     suite_payload,
-    compare_to_baseline,
     format_suite,
 )
-from repro.bench.report import write_bench_snapshot, write_report
+from repro.bench.report import gate, write_bench_snapshot, write_report
 from repro.obs.profile import KernelProfiler
 
 BASELINE = pathlib.Path(__file__).parent / "results" / "BENCH_KERNEL.json"
@@ -48,7 +47,7 @@ def test_kernel_events_per_sec():
         write_bench_snapshot("KERNEL", payload)
         return
     baseline = json.loads(BASELINE.read_text())
-    failures = compare_to_baseline(payload, baseline)
+    failures = gate(payload, baseline)
     assert not failures, "kernel-perf regression vs committed baseline:\n" + (
         "\n".join(f"  {failure}" for failure in failures)
     )

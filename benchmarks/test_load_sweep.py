@@ -7,12 +7,12 @@ capacity-derived so the baseline is stable: one point the cluster keeps
 up with and one far past the saturation knee, which pins down both
 sides of every latency-vs-offered-load curve.
 
-Three guards per (protocol, offered) point, mirroring the kernel-perf
-gate: achieved throughput has a tolerance floor, CO-corrected p99 a
-tolerance ceiling, and the commit count must reproduce exactly — the
-sweep is seeded virtual time, so commit drift means simulated behaviour
-changed and the baseline must be regenerated deliberately (delete the
-JSON and rerun), not shrugged past.
+Three guards per (protocol, offered) point (the ``load/1`` row of
+``repro.bench.report.SNAPSHOT_KINDS``): achieved throughput has a
+tolerance floor, CO-corrected p99 a tolerance ceiling, and the commit
+count must reproduce exactly — the sweep is seeded virtual time, so
+commit drift means simulated behaviour changed and the baseline must be
+regenerated deliberately (delete the JSON and rerun), not shrugged past.
 """
 
 import json
@@ -20,8 +20,8 @@ import pathlib
 
 import pytest
 
-from repro.bench.report import write_bench_snapshot, write_report
-from repro.load import compare_to_baseline, format_curves, run_sweep, sweep_payload
+from repro.bench.report import gate, write_bench_snapshot, write_report
+from repro.load import format_curves, run_sweep, sweep_payload
 from repro.workloads import SmallBank
 
 BASELINE = pathlib.Path(__file__).parent / "results" / "BENCH_LOAD.json"
@@ -56,7 +56,7 @@ def test_load_curves_vs_committed_baseline(curves):
         write_bench_snapshot("LOAD", payload)
         return
     baseline = json.loads(BASELINE.read_text())
-    failures = compare_to_baseline(payload, baseline)
+    failures = gate(payload, baseline)
     assert not failures, "load regression vs committed baseline:\n" + (
         "\n".join(f"  {failure}" for failure in failures)
     )

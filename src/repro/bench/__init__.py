@@ -14,12 +14,11 @@ from repro.bench.kernelperf import (
     DEFAULT_FLEETS,
     FleetSpec,
     KernelPerfResult,
-    compare_to_baseline,
     run_fleet,
     run_suite,
     suite_payload,
 )
-from repro.bench.report import format_series, format_table, write_report
+from repro.bench.report import delta, format_series, format_table, gate, write_report
 
 __all__ = [
     "DEFAULT_FLEETS",
@@ -28,10 +27,11 @@ __all__ = [
     "KernelPerfResult",
     "RecoveryLatencyResult",
     "SteadyStateResult",
-    "compare_to_baseline",
     "default_config",
+    "delta",
     "format_series",
     "format_table",
+    "gate",
     "run_failover",
     "run_fleet",
     "run_mttf",

@@ -31,7 +31,7 @@ from time import perf_counter_ns  # simlint: disable=SIM001
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.bench.harness import default_config
-from repro.bench.report import format_table
+from repro.bench.report import DEFAULT_TOLERANCE, format_table
 from repro.cluster.builder import Cluster
 from repro.workloads import MicroBenchmark
 
@@ -40,23 +40,15 @@ __all__ = [
     "KernelPerfResult",
     "DEFAULT_FLEETS",
     "SMOKE_FLEET",
-    "DEFAULT_TOLERANCE",
     "SNAPSHOT_SCHEMA",
     "run_fleet",
     "run_suite",
     "suite_payload",
-    "compare_to_baseline",
     "format_suite",
 ]
 
 #: Snapshot format marker (bump on incompatible payload changes).
 SNAPSHOT_SCHEMA = "kernel-perf/1"
-
-#: Allowed fractional events/sec drop vs the committed baseline. ±25%
-#: absorbs runner noise (CI machines differ run to run); a real kernel
-#: regression — an accidental O(n) scan in the dispatch loop, say —
-#: moves events/sec far more than that.
-DEFAULT_TOLERANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -197,12 +189,12 @@ def run_suite(
 
 
 def suite_payload(
-    results: Sequence[KernelPerfResult], tolerance: float = DEFAULT_TOLERANCE
+    results: Sequence[KernelPerfResult], tolerance: Optional[float] = None
 ) -> Dict[str, Any]:
     """The ``BENCH_KERNEL.json`` payload (see docs/OBSERVABILITY.md)."""
     return {
         "schema": SNAPSHOT_SCHEMA,
-        "tolerance": tolerance,
+        "tolerance": DEFAULT_TOLERANCE if tolerance is None else tolerance,
         "fleets": {
             result.fleet: {
                 "coordinators": result.coordinators,
@@ -216,48 +208,6 @@ def suite_payload(
             for result in results
         },
     }
-
-
-def compare_to_baseline(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    tolerance: Optional[float] = None,
-) -> List[str]:
-    """Regression check; returns failure messages (empty = pass).
-
-    Fails when a baseline fleet is missing from *current* or its
-    events/sec fell below ``baseline * (1 - tolerance)``. Faster runs
-    never fail (improvements are re-baselined by committing the new
-    snapshot). A changed virtual ``steps`` count is also reported: the
-    benchmark is seeded, so steps must reproduce exactly — a drift
-    means simulated behaviour changed underneath the benchmark and the
-    baseline needs regenerating *with review*.
-    """
-    if tolerance is None:
-        tolerance = float(baseline.get("tolerance", DEFAULT_TOLERANCE))
-    failures = []
-    current_fleets = current.get("fleets", {})
-    for name, base in baseline.get("fleets", {}).items():
-        entry = current_fleets.get(name)
-        if entry is None:
-            failures.append(f"fleet {name!r}: missing from current run")
-            continue
-        floor = base["events_per_sec"] * (1.0 - tolerance)
-        if entry["events_per_sec"] < floor:
-            failures.append(
-                f"fleet {name!r}: {entry['events_per_sec']:,.0f} events/sec "
-                f"< floor {floor:,.0f} "
-                f"(baseline {base['events_per_sec']:,.0f}, "
-                f"tolerance {tolerance:.0%})"
-            )
-        if entry.get("steps") != base.get("steps"):
-            failures.append(
-                f"fleet {name!r}: virtual step count changed "
-                f"{base.get('steps')} -> {entry.get('steps')} "
-                "(seeded behaviour drift; regenerate the baseline "
-                "deliberately)"
-            )
-    return failures
 
 
 def format_suite(results: Sequence[KernelPerfResult]) -> str:

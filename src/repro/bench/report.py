@@ -4,13 +4,20 @@ Every benchmark writes a plain-text report under ``benchmarks/results/``
 so the regenerated rows/series survive pytest's output capture; the
 same text is printed for ``-s`` runs. EXPERIMENTS.md indexes the
 reports against the paper's tables and figures.
+
+``BENCH_*.json`` snapshots are *rows x metrics*: :data:`SNAPSHOT_KINDS`
+says, per ``schema`` string, how a payload flattens into labelled rows
+and how each metric is gated; :func:`gate` and :func:`delta` are the
+only readers (see docs/OBSERVABILITY.md § Snapshots).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+from repro.obs.metrics import render_rows
 
 __all__ = [
     "format_table",
@@ -19,6 +26,10 @@ __all__ = [
     "results_dir",
     "write_bench_snapshot",
     "bench_snapshot_payload",
+    "DEFAULT_TOLERANCE",
+    "SNAPSHOT_KINDS",
+    "gate",
+    "delta",
 ]
 
 
@@ -37,22 +48,7 @@ def format_table(
     note: str = "",
 ) -> str:
     """Fixed-width table with a title and an optional footnote."""
-    rendered_rows: List[List[str]] = [[str(cell) for cell in row] for row in rows]
-    widths = [len(header) for header in headers]
-    for row in rendered_rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    lines = [title, "=" * len(title)]
-    lines.append(
-        "  ".join(header.ljust(widths[i]) for i, header in enumerate(headers))
-    )
-    lines.append("  ".join("-" * width for width in widths))
-    for row in rendered_rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    if note:
-        lines.append("")
-        lines.append(note)
-    return "\n".join(lines) + "\n"
+    return render_rows(headers, rows, title=title) + (f"\n{note}\n" if note else "")
 
 
 def format_series(
@@ -104,6 +100,7 @@ def bench_snapshot_payload(result, obs=None) -> Dict[str, Any]:
     reproduces the snapshot byte for byte.
     """
     payload: Dict[str, Any] = {
+        "schema": "steady/1",
         "protocol": result.protocol,
         "workload": result.workload,
         "duration_s": result.duration,
@@ -158,3 +155,202 @@ def write_bench_snapshot(name: str, payload: Dict[str, Any]) -> str:
         handle.write("\n")
     print(f"[snapshot written to {path}]")
     return path
+
+
+# -- snapshots: kinds, gate, delta --------------------------------------------
+
+#: Fractional drift the gate allows when neither the caller nor the
+#: baseline's own ``tolerance`` field says otherwise. ±25% absorbs runner
+#: noise on the wall-clock rows; a real regression — an accidental O(n)
+#: scan in the dispatch loop, say — moves a number far more than that.
+DEFAULT_TOLERANCE = 0.25
+
+
+class Metric(NamedTuple):
+    """One column of a snapshot row: where it lives, how it reads, how
+    it is gated — ``floor`` / ``ceiling`` at the tolerance (a ceiling
+    plus an absolute *grace*), ``exact``, or ``None`` for display only."""
+
+    key: str
+    label: str
+    gate: Optional[str] = None
+    fmt: str = ",.1f"
+    grace: float = 0.0
+
+
+Row = Tuple[str, str, Dict[str, Any]]  # (group, row label, metric values)
+
+
+def _fleet_rows(payload: Dict[str, Any]) -> Iterator[Row]:
+    for name, entry in payload.get("fleets", {}).items():
+        yield name, name, entry
+
+
+def _curve_rows(payload: Dict[str, Any]) -> Iterator[Row]:
+    for label, curve in payload.get("curves", {}).items():
+        for point in curve.get("points", []):
+            yield label, f"{label} @ {point['offered_tps']:,.0f} tps", point
+
+
+def _steady_rows(payload: Dict[str, Any]) -> Iterator[Row]:
+    yield "run", "run", payload
+
+
+_POINT = (
+    Metric("achieved_tps", "achieved", "floor", ",.0f"),
+    Metric("co_p50_us", "co p50 (us)"),
+    Metric("co_p99_us", "co p99 (us)", "ceiling"),
+    Metric("abort_rate", "abort rate", None, ".4f"),
+    Metric("commits", "commits", "exact"),
+)
+
+#: ``schema`` string -> (payload -> rows, the metrics of one row). Counts
+#: that are pure virtual time under a fixed seed (``steps``, ``commits``)
+#: are ``exact``: a drift there means simulated behaviour changed, which
+#: needs a deliberate re-baseline, whatever the tolerance says.
+SNAPSHOT_KINDS = {
+    "kernel-perf/1": (
+        _fleet_rows,
+        (
+            Metric("events_per_sec", "events/sec", "floor", ",.0f"),
+            Metric("wall_us_per_event", "us/event"),
+            Metric("steps", "steps", "exact"),
+        ),
+    ),
+    "load/1": (_curve_rows, _POINT),
+    # Abort rate gates here, with two points of absolute grace so that
+    # near-zero baselines do not fail on noise-sized wiggles.
+    "contention/1": (
+        _curve_rows,
+        tuple(
+            m._replace(gate="ceiling", grace=0.02) if m.key == "abort_rate" else m
+            for m in _POINT
+        ),
+    ),
+    "steady/1": (
+        _steady_rows,
+        (
+            Metric("throughput_tps", "throughput (tps)", "floor", ",.0f"),
+            Metric("p50_latency_us", "p50 (us)"),
+            Metric("p99_latency_us", "p99 (us)", "ceiling"),
+            Metric("abort_rate", "abort rate", None, ".4f"),
+            Metric("commits", "commits", "exact"),
+            Metric("aborts", "aborts"),
+        ),
+    ),
+}
+
+
+def _kind(*payloads: Dict[str, Any]):
+    """(name, flatten, metrics) of the first payload that says its kind;
+    snapshots older than the ``schema`` field are steady-state ones."""
+    schema = next((p["schema"] for p in payloads if "schema" in p), "steady/1")
+    if schema not in SNAPSHOT_KINDS:
+        raise ValueError(
+            f"unknown snapshot schema {schema!r}; known: {sorted(SNAPSHOT_KINDS)}"
+        )
+    return (schema.split("/")[0], *SNAPSHOT_KINDS[schema])
+
+
+def gate(
+    current: Dict[str, Any],
+    baseline: Dict[str, Any],
+    tolerance: Optional[float] = None,
+) -> List[str]:
+    """Regression check of any snapshot kind; returns failure messages
+    (empty = pass).
+
+    Every baseline row must exist in *current*; per row a ``floor``
+    metric must not fall below ``baseline * (1 - tolerance)``, a
+    ``ceiling`` metric must not rise above ``baseline * (1 + tolerance)
+    + grace``, an ``exact`` metric must match. Better-than-baseline runs
+    never fail (re-baseline by committing the new snapshot). *tolerance*
+    defaults to the baseline's own ``tolerance`` field.
+    """
+    if tolerance is None:
+        tolerance = float(baseline.get("tolerance", DEFAULT_TOLERANCE))
+    _name, flatten, metrics = _kind(baseline)
+    have = {row: entry for _group, row, entry in flatten(current)}
+    groups = {group for group, _row, _entry in flatten(current)}
+    failures: List[str] = []
+    for group, row, base in flatten(baseline):
+        entry = have.get(row)
+        if entry is None:
+            missing = f"{row if group in groups else group}: missing from current run"
+            if missing not in failures:
+                failures.append(missing)
+            continue
+        for metric in metrics:
+            was, now = base.get(metric.key), entry.get(metric.key)
+            if metric.gate is None or was is None:
+                continue
+            if now is None:
+                failures.append(f"{row}: {metric.label} missing from current run")
+            elif metric.gate == "exact":
+                if now != was:
+                    failures.append(
+                        f"{row}: {metric.label} changed {was} -> {now} (seeded "
+                        "behaviour drift; regenerate the baseline deliberately)"
+                    )
+            else:
+                floor = metric.gate == "floor"
+                bound = (
+                    was * (1.0 - tolerance)
+                    if floor
+                    else was * (1.0 + tolerance) + metric.grace
+                )
+                if now < bound if floor else now > bound:
+                    failures.append(
+                        f"{row}: {metric.label} {now:{metric.fmt}} "
+                        f"{'<' if floor else '>'} {metric.gate} "
+                        f"{bound:{metric.fmt}} (baseline {was:{metric.fmt}}, "
+                        f"tolerance {tolerance:.0%})"
+                    )
+    return failures
+
+
+def _delta_cell(before: Any, after: Any) -> str:
+    try:
+        before_f, after_f = float(before), float(after)
+    except (TypeError, ValueError):
+        return ""
+    if before_f == 0.0:
+        return "n/a" if after_f else "0%"
+    return f"{100.0 * (after_f - before_f) / before_f:+.1f}%"
+
+
+def delta(
+    before: Dict[str, Any],
+    after: Dict[str, Any],
+    label_before: str = "A",
+    label_after: str = "B",
+) -> str:
+    """Delta table between two snapshots of any kind: one line per
+    (row, metric) either side records, the change relative to *before*,
+    and ``DRIFT`` where an ``exact`` metric moved."""
+    name, flatten, metrics = _kind(before, after)
+    old = {row: entry for _group, row, entry in flatten(before)}
+    new = {row: entry for _group, row, entry in flatten(after)}
+    lines = []
+    for row in dict.fromkeys([*old, *new]):
+        for metric in metrics:
+            was = old.get(row, {}).get(metric.key)
+            now = new.get(row, {}).get(metric.key)
+            if was is None and now is None:
+                continue
+            cell = _delta_cell(was, now)
+            if metric.gate == "exact" and None not in (was, now) and was != now:
+                cell += " DRIFT"
+            lines.append(
+                (
+                    f"{row} {metric.label}",
+                    "-" if was is None else was,
+                    "-" if now is None else now,
+                    cell,
+                )
+            )
+    return render_rows(
+        ["metric", label_before, label_after, "delta"],
+        lines,
+        title=f"{name} snapshot delta",
+    )

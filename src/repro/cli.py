@@ -9,7 +9,7 @@ Usage (also via ``python -m repro``)::
     python -m repro recovery-latency --coordinators 1 8 32 64
     python -m repro perf --collapsed kernel.folded
     python -m repro perf --bench --baseline benchmarks/results/BENCH_KERNEL.json
-    python -m repro load --sweep --workload smallbank --html curves.html
+    python -m repro load --workload smallbank --html curves.html
     python -m repro load --offered 300000 --protocols ford --oracle --progress
     python -m repro contention --protocols lotus vote1pc --thetas 1.5
     python -m repro contention --baseline benchmarks/results/BENCH_CONTENTION.json
@@ -22,6 +22,7 @@ writes, so the paper's experiments are reproducible without pytest.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -60,6 +61,72 @@ def _add_obs_flags(parser) -> None:
         help="print the observability report (per-verb counts, "
              "per-phase latency histograms, recovery metrics)",
     )
+
+
+def _add_snapshot_flags(parser, html: bool = True) -> None:
+    parser.add_argument(
+        "--snapshot", metavar="NAME", default=None,
+        help="write benchmarks/results/BENCH_<NAME>.json with the results",
+    )
+    parser.add_argument(
+        "--baseline", metavar="PATH", default=None,
+        help="gate the run against a committed BENCH_*.json of the same "
+             "kind and exit 1 on regression (floors, ceilings, exact counts "
+             "— see docs/OBSERVABILITY.md)",
+    )
+    parser.add_argument(
+        "--tolerance", type=float, default=None,
+        help="fractional drift allowed vs the baseline "
+             "(default: the baseline's own tolerance field, 0.25)",
+    )
+    if html:
+        parser.add_argument(
+            "--html", metavar="PATH", default=None,
+            help="write an HTML report with SVG curve plots to PATH",
+        )
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"cannot read {what} {path!r}: {error}")
+
+
+def _write_text(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as error:
+        raise SystemExit(f"cannot write {what} to {path!r}: {error}")
+
+
+def _finish_snapshot(args, payload, html_title: str = "Open-loop load curves") -> int:
+    """The tail `perf --bench`, `load` and `contention` share: write the
+    snapshot, the optional HTML, then gate against ``--baseline``."""
+    from repro.bench.report import gate, write_bench_snapshot
+
+    if args.snapshot:
+        write_bench_snapshot(args.snapshot, payload)
+    if getattr(args, "html", None):  # perf --bench has no --html
+        from repro.obs.report import render_load_html
+
+        _write_text(args.html, render_load_html(payload, html_title), "HTML report")
+        print(f"html report -> {args.html}")
+    if not args.baseline:
+        return 0
+    kind = payload["schema"].split("/")[0]
+    failures = gate(
+        payload, _read_json(args.baseline, "baseline"), tolerance=args.tolerance
+    )
+    if failures:
+        print(f"{kind} regression vs baseline:")
+        for failure in failures:
+            print(f"  {failure}")
+        return 1
+    print(f"{kind}: within tolerance of {args.baseline}")
+    return 0
 
 
 def _build_obs(args):
@@ -237,25 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats", type=int, default=3,
         help="with --bench: wall-time repeats per fleet (best is kept)",
     )
-    perf.add_argument(
-        "--snapshot", metavar="NAME", default=None,
-        help="with --bench: write benchmarks/results/BENCH_<NAME>.json",
-    )
-    perf.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="with --bench: compare events/sec against a committed "
-             "BENCH_KERNEL.json and exit 1 on regression",
-    )
-    perf.add_argument(
-        "--tolerance", type=float, default=None,
-        help="fractional events/sec drop allowed vs the baseline "
-             "(default: the baseline's own tolerance field, 0.25)",
-    )
-    perf.add_argument(
-        "--compare", nargs=2, metavar=("OLD.json", "NEW.json"), default=None,
-        help="render a per-fleet delta table between two BENCH_*.json "
-             "snapshots (events/sec, wall us/event, step drift)",
-    )
+    _add_snapshot_flags(perf, html=False)  # with --bench
 
     report = sub.add_parser(
         "obs-report",
@@ -275,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--compare", nargs=2, metavar=("A.json", "B.json"), default=None,
-        help="print a delta table between two BENCH_*.json snapshots "
-             "(load sweeps or steady-state payloads) instead of a "
-             "flight-recorder report",
+        help="print a delta table between two BENCH_*.json snapshots of "
+             "the same kind (kernel-perf, load, contention or steady) "
+             "instead of a flight-recorder report",
     )
 
     from repro.load.arrivals import ARRIVAL_KINDS
@@ -295,14 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: pandora ford tradlog)",
     )
     load.add_argument(
-        "--sweep", action="store_true",
-        help="walk the default offered grid (multiples of estimated "
-             "closed-loop capacity); this is the default when --offered "
-             "is not given",
-    )
-    load.add_argument(
         "--offered", type=float, nargs="+", default=None, metavar="TPS",
-        help="explicit offered rates (tps) instead of the capacity grid",
+        help="explicit offered rates (tps) instead of the default grid "
+             "(multiples of estimated closed-loop capacity)",
     )
     load.add_argument(
         "--arrivals", default="poisson", choices=sorted(ARRIVAL_KINDS),
@@ -341,24 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print live SLO gauge lines during the run and per-point "
              "sweep progress",
     )
-    load.add_argument(
-        "--snapshot", metavar="NAME", default=None,
-        help="write benchmarks/results/BENCH_<NAME>.json with the curves",
-    )
-    load.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="compare against a committed BENCH_LOAD.json and exit 1 on "
-             "regression (throughput floor, CO-p99 ceiling, exact commits)",
-    )
-    load.add_argument(
-        "--tolerance", type=float, default=None,
-        help="fractional drift allowed vs the baseline "
-             "(default: the baseline's own tolerance field)",
-    )
-    load.add_argument(
-        "--html", metavar="PATH", default=None,
-        help="write an HTML report with SVG curve plots to PATH",
-    )
+    _add_snapshot_flags(load)
     load.add_argument("--seed", type=int, default=42)
 
     from repro.load.contention import CONTENTION_PROTOCOLS, CONTENTION_THETAS
@@ -396,25 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress", action="store_true",
         help="print per-point progress lines during the sweep",
     )
-    contention.add_argument(
-        "--snapshot", metavar="NAME", default=None,
-        help="write benchmarks/results/BENCH_<NAME>.json with the curves",
-    )
-    contention.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="compare against a committed BENCH_CONTENTION.json and "
-             "exit 1 on regression (throughput floor, p99/abort-rate "
-             "ceilings, exact commits)",
-    )
-    contention.add_argument(
-        "--tolerance", type=float, default=None,
-        help="fractional drift allowed vs the baseline "
-             "(default: the baseline's own tolerance field)",
-    )
-    contention.add_argument(
-        "--html", metavar="PATH", default=None,
-        help="write an HTML report with SVG curve plots to PATH",
-    )
+    _add_snapshot_flags(contention)
     contention.add_argument("--seed", type=int, default=42)
     return parser
 
@@ -611,65 +620,12 @@ def _cmd_chaos(args) -> int:
 def _cmd_perf(args) -> int:
     from repro.bench import kernelperf
 
-    if args.compare:
-        import json as json_module
-        import os
-
-        from repro.obs.report import compare_snapshots
-
-        old_path, new_path = args.compare
-        snapshots = []
-        for path in (old_path, new_path):
-            try:
-                with open(path) as handle:
-                    snapshots.append(json_module.load(handle))
-            except (OSError, ValueError) as error:
-                raise SystemExit(f"cannot read snapshot {path!r}: {error}")
-        print(
-            compare_snapshots(
-                snapshots[0],
-                snapshots[1],
-                label_before=os.path.basename(old_path),
-                label_after=os.path.basename(new_path),
-            )
-        )
-        return 0
-
     if args.bench:
         results = kernelperf.run_suite(repeats=args.repeats)
         print(kernelperf.format_suite(results))
-        payload = kernelperf.suite_payload(
-            results,
-            tolerance=(
-                args.tolerance
-                if args.tolerance is not None
-                else kernelperf.DEFAULT_TOLERANCE
-            ),
+        return _finish_snapshot(
+            args, kernelperf.suite_payload(results, tolerance=args.tolerance)
         )
-        if args.snapshot:
-            from repro.bench.report import write_bench_snapshot
-
-            write_bench_snapshot(args.snapshot, payload)
-        if args.baseline:
-            import json as json_module
-
-            try:
-                with open(args.baseline) as handle:
-                    baseline = json_module.load(handle)
-            except (OSError, ValueError) as error:
-                raise SystemExit(
-                    f"cannot read baseline {args.baseline!r}: {error}"
-                )
-            failures = kernelperf.compare_to_baseline(
-                payload, baseline, tolerance=args.tolerance
-            )
-            if failures:
-                print("kernel-perf regression vs baseline:")
-                for failure in failures:
-                    print(f"  {failure}")
-                return 1
-            print(f"kernel-perf: within tolerance of {args.baseline}")
-        return 0
 
     # Profiled steady-state run: wall-time attribution per subsystem /
     # site / txn phase. A lightweight Obs (no tracer, no flight) rides
@@ -697,14 +653,11 @@ def _cmd_perf(args) -> int:
         "`repro perf --bench` for clean events/sec numbers."
     )
     if args.collapsed:
-        try:
-            with open(args.collapsed, "w") as handle:
-                for line in profiler.collapsed():
-                    handle.write(line + "\n")
-        except OSError as error:
-            raise SystemExit(
-                f"cannot write collapsed stacks to {args.collapsed!r}: {error}"
-            )
+        _write_text(
+            args.collapsed,
+            "".join(line + "\n" for line in profiler.collapsed()),
+            "collapsed stacks",
+        )
         print(f"collapsed stacks -> {args.collapsed}")
     return 0
 
@@ -746,7 +699,6 @@ def _load_workload_setup(name: str, oracle: bool):
 def _cmd_load(args) -> int:
     from repro.load import (
         SloMonitor,
-        compare_to_baseline,
         format_curves,
         make_arrivals,
         run_sweep,
@@ -783,57 +735,17 @@ def _cmd_load(args) -> int:
         seed=args.seed,
     )
     print(format_curves(curves))
-    payload = sweep_payload(
-        curves,
-        tolerance=(
-            args.tolerance if args.tolerance is not None else 0.25
-        ),
-    )
-    if args.snapshot:
-        from repro.bench.report import write_bench_snapshot
-
-        write_bench_snapshot(args.snapshot, payload)
-    if args.html:
-        from repro.obs.report import render_load_html
-
-        try:
-            with open(args.html, "w") as handle:
-                handle.write(render_load_html(payload))
-        except OSError as error:
-            raise SystemExit(
-                f"cannot write HTML report to {args.html!r}: {error}"
-            )
-        print(f"html report -> {args.html}")
     violations = sum(
         len(point.violations) for curve in curves for point in curve.points
     )
     if violations:
         print(f"load oracle: {violations} violation(s) — see tables above")
-    if args.baseline:
-        import json as json_module
-
-        try:
-            with open(args.baseline) as handle:
-                baseline = json_module.load(handle)
-        except (OSError, ValueError) as error:
-            raise SystemExit(
-                f"cannot read baseline {args.baseline!r}: {error}"
-            )
-        failures = compare_to_baseline(
-            payload, baseline, tolerance=args.tolerance
-        )
-        if failures:
-            print("load regression vs baseline:")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(f"load: within tolerance of {args.baseline}")
-    return 1 if violations else 0
+    code = _finish_snapshot(args, sweep_payload(curves, tolerance=args.tolerance))
+    return 1 if violations else code
 
 
 def _cmd_contention(args) -> int:
     from repro.load import (
-        compare_contention_to_baseline,
         contention_payload,
         format_contention,
         run_contention_sweep,
@@ -849,47 +761,11 @@ def _cmd_contention(args) -> int:
         progress=print if args.progress else None,
     )
     print(format_contention(curves))
-    payload = contention_payload(
-        curves,
-        tolerance=args.tolerance if args.tolerance is not None else 0.25,
+    return _finish_snapshot(
+        args,
+        contention_payload(curves, tolerance=args.tolerance),
+        html_title="Hot-key contention sweep",
     )
-    if args.snapshot:
-        from repro.bench.report import write_bench_snapshot
-
-        write_bench_snapshot(args.snapshot, payload)
-    if args.html:
-        from repro.obs.report import render_load_html
-
-        try:
-            with open(args.html, "w") as handle:
-                handle.write(
-                    render_load_html(payload, title="Hot-key contention sweep")
-                )
-        except OSError as error:
-            raise SystemExit(
-                f"cannot write HTML report to {args.html!r}: {error}"
-            )
-        print(f"html report -> {args.html}")
-    if args.baseline:
-        import json as json_module
-
-        try:
-            with open(args.baseline) as handle:
-                baseline = json_module.load(handle)
-        except (OSError, ValueError) as error:
-            raise SystemExit(
-                f"cannot read baseline {args.baseline!r}: {error}"
-            )
-        failures = compare_contention_to_baseline(
-            payload, baseline, tolerance=args.tolerance
-        )
-        if failures:
-            print("contention regression vs baseline:")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(f"contention: within tolerance of {args.baseline}")
-    return 0
 
 
 def _cmd_obs_report(args) -> int:
@@ -901,25 +777,10 @@ def _cmd_obs_report(args) -> int:
     )
 
     if args.compare:
-        import json as json_module
+        from repro.bench.report import delta
 
-        from repro.obs.report import compare_snapshots
-
-        payloads = []
-        for path in args.compare:
-            try:
-                with open(path) as handle:
-                    payloads.append(json_module.load(handle))
-            except (OSError, ValueError) as error:
-                raise SystemExit(f"cannot read snapshot {path!r}: {error}")
-        print(
-            compare_snapshots(
-                payloads[0],
-                payloads[1],
-                label_before=args.compare[0],
-                label_after=args.compare[1],
-            )
-        )
+        before, after = (_read_json(path, "snapshot") for path in args.compare)
+        print(delta(before, after, *args.compare))
         if not args.paths:
             return 0
     elif not args.paths:
@@ -935,12 +796,7 @@ def _cmd_obs_report(args) -> int:
             raise SystemExit(f"cannot read trace {path!r}: {error}")
     print_report(runs)
     if args.html:
-        html = render_html(runs)
-        try:
-            with open(args.html, "w") as handle:
-                handle.write(html)
-        except OSError as error:
-            raise SystemExit(f"cannot write HTML report to {args.html!r}: {error}")
+        _write_text(args.html, render_html(runs), "HTML report")
         print(f"html report -> {args.html}")
     if args.check:
         violations = sum(

@@ -146,8 +146,6 @@ class Cluster:
             id_allocator=self.id_allocator,
             protocol=self.protocol,
             drain_delay=config.drain_delay,
-            reconfig_delay=config.reconfig_delay,
-            scan_chunk_slots=config.scan_chunk_slots,
             restart_hook=self.restart_compute,
             restart_after=config.restart_failed_after,
             obs=self.obs,
@@ -161,7 +159,6 @@ class Cluster:
             memory_nodes=self.memory_nodes,
             compute_nodes={},  # filled below, shared with recovery
             id_allocator=self.id_allocator,
-            scan_chunk_slots=config.scan_chunk_slots,
         )
 
         # The committed-history feed; None until record_history().

@@ -56,8 +56,6 @@ class ClusterConfig:
 
     # Recovery.
     drain_delay: float = 0.5e-3
-    reconfig_delay: float = 2e-3
-    scan_chunk_slots: int = 512
     # Reuse freed resources: restart a crashed compute node this long
     # after recovery completes (None = never, the "no reuse" curve).
     restart_failed_after: Optional[float] = None

@@ -131,20 +131,12 @@ class LitmusRunner:
         jitter: float = 0.4e-6,
         loss_probability: float = 0.0,
         copies: int = 2,
-        max_start_offset: float = 8e-6,
-        crash_points: Optional[List[str]] = None,
-        retry_writers: bool = True,
         sanitize: bool = False,
         first_coord_id: int = 0,
     ) -> None:
         self.spec = spec
-        # One-shot writers match Figure 5 exactly (each litmus txn runs
-        # once); retried writers add interleaving diversity.
-        self.retry_writers = retry_writers
         self.rounds = rounds
         self.copies = copies
-        self.max_start_offset = max_start_offset
-        self.crash_points = crash_points if crash_points is not None else CRASH_POINTS
         self.crash_probability = crash_probability
         self.rng = random.Random(seed)
         self.workload = _LitmusWorkload(spec, rounds)
@@ -162,7 +154,6 @@ class LitmusRunner:
             fd_heartbeat_interval=0.1e-3,
             fd_check_interval=0.05e-3,
             drain_delay=0.2e-3,
-            abandon_on_conflict=not retry_writers,
             sanitize=sanitize,
             first_coord_id=first_coord_id,
         )
@@ -230,7 +221,7 @@ class LitmusRunner:
         crash_point: Optional[str] = None
         victim = None
         if self.crash_probability and self.rng.random() < self.crash_probability:
-            crash_point = self.rng.choice(self.crash_points)
+            crash_point = self.rng.choice(CRASH_POINTS)
             victim = self.cluster.compute_nodes[
                 self.rng.randrange(len(self.cluster.compute_nodes))
             ]
@@ -254,7 +245,7 @@ class LitmusRunner:
         ]
         # Mix tight (sub-RTT) and loose start offsets across rounds so
         # both racy and pipelined interleavings get exercised.
-        offset_scale = self.rng.choice([0.0, 0.5e-6, 2e-6, self.max_start_offset])
+        offset_scale = self.rng.choice([0.0, 0.5e-6, 2e-6, 8e-6])
         for launch_index, (_copy, writer) in enumerate(launch_specs):
             coordinator = coordinators[launch_index % len(coordinators)]
             logic = writer(keymap)

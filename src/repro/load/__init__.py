@@ -21,10 +21,10 @@ population would:
   order-id consistency) evaluated under traffic.
 * :mod:`repro.load.sweep` — walks offered load across a grid and emits
   latency-vs-offered-load curves per protocol, with ``BENCH_LOAD.json``
-  snapshots and baseline gating for CI.
+  snapshots (gated by :func:`repro.bench.report.gate`).
 * :mod:`repro.load.contention` — the hot-key contention sweep: the
   paper's 1 000-key RMW microbenchmark at three Zipf skews across the
-  full protocol zoo, with ``BENCH_CONTENTION.json`` gating.
+  full protocol zoo, with ``BENCH_CONTENTION.json`` snapshots.
 """
 
 from repro.load.arrivals import (
@@ -47,9 +47,7 @@ from repro.load.contention import (
     CONTENTION_PROTOCOLS,
     CONTENTION_SCHEMA,
     CONTENTION_THETAS,
-    CONTENTION_TOLERANCE,
     ContentionCurve,
-    compare_contention_to_baseline,
     contention_payload,
     contention_workload,
     format_contention,
@@ -58,10 +56,8 @@ from repro.load.contention import (
 from repro.load.sweep import (
     DEFAULT_MULTIPLIERS,
     DEFAULT_PROTOCOLS,
-    DEFAULT_TOLERANCE,
     SNAPSHOT_SCHEMA,
     LoadCurve,
-    compare_to_baseline,
     default_offered_grid,
     estimate_capacity,
     format_curves,
@@ -91,20 +87,16 @@ __all__ = [
     "estimate_capacity",
     "default_offered_grid",
     "sweep_payload",
-    "compare_to_baseline",
     "format_curves",
     "SNAPSHOT_SCHEMA",
-    "DEFAULT_TOLERANCE",
     "DEFAULT_PROTOCOLS",
     "DEFAULT_MULTIPLIERS",
     "ContentionCurve",
     "contention_workload",
     "run_contention_sweep",
     "contention_payload",
-    "compare_contention_to_baseline",
     "format_contention",
     "CONTENTION_SCHEMA",
-    "CONTENTION_TOLERANCE",
     "CONTENTION_PROTOCOLS",
     "CONTENTION_THETAS",
 ]

@@ -10,12 +10,10 @@ at three Zipf skews per protocol and reports abort-rate and CO-corrected
 p99 against offered load.
 
 ``contention_payload`` serialises the sweep into the committed
-``BENCH_CONTENTION.json`` snapshot and ``compare_contention_to_baseline``
-gates a fresh run against it exactly like the BENCH_KERNEL / BENCH_LOAD
-gates: achieved throughput has a tolerance floor, CO-corrected p99 a
-tolerance ceiling, abort rate a tolerance ceiling, and commit counts
-must reproduce exactly (seeded virtual time — drift means simulated
-behaviour changed and the baseline must be regenerated deliberately).
+``BENCH_CONTENTION.json`` snapshot (schema ``contention/1``), which
+:func:`repro.bench.report.gate` gates a fresh run against: the load
+snapshot's floor, ceiling and exact-commits checks plus a ceiling on
+the abort rate.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.bench.report import DEFAULT_TOLERANCE
 from repro.load.engine import LoadResult
 from repro.load.sweep import LoadCurve, format_curves, run_load_point
 from repro.protocol.zoo import TRIPLES
@@ -30,7 +29,6 @@ from repro.workloads import MicroBenchmark
 
 __all__ = [
     "CONTENTION_SCHEMA",
-    "CONTENTION_TOLERANCE",
     "CONTENTION_PROTOCOLS",
     "CONTENTION_THETAS",
     "HOT_KEYS",
@@ -38,15 +36,11 @@ __all__ = [
     "contention_workload",
     "run_contention_sweep",
     "contention_payload",
-    "compare_contention_to_baseline",
     "format_contention",
 ]
 
 #: Snapshot format marker (bump on incompatible payload changes).
 CONTENTION_SCHEMA = "contention/1"
-
-#: Same rationale as the kernel-perf and load gates.
-CONTENTION_TOLERANCE = 0.25
 
 #: The full zoo: every strategy triple the engine can run.
 CONTENTION_PROTOCOLS = TRIPLES
@@ -140,17 +134,17 @@ def run_contention_sweep(
 
 
 def contention_payload(
-    curves: Sequence[ContentionCurve], tolerance: float = CONTENTION_TOLERANCE
+    curves: Sequence[ContentionCurve], tolerance: Optional[float] = None
 ) -> Dict[str, Any]:
     """The ``BENCH_CONTENTION.json`` payload.
 
     Curves are keyed by ``"<protocol> s=<theta>"`` with the same point
-    dicts as the load snapshot, so ``render_load_html`` and the
-    ``obs-report --compare`` delta table work on it unchanged.
+    dicts as the load snapshot, so ``render_load_html`` works on it
+    unchanged.
     """
     return {
         "schema": CONTENTION_SCHEMA,
-        "tolerance": tolerance,
+        "tolerance": DEFAULT_TOLERANCE if tolerance is None else tolerance,
         "workload": curves[0].workload if curves else "",
         "arrivals": curves[0].arrivals if curves else "",
         "hot_keys": HOT_KEYS,
@@ -163,72 +157,6 @@ def contention_payload(
             for curve in curves
         },
     }
-
-
-def compare_contention_to_baseline(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    tolerance: Optional[float] = None,
-) -> List[str]:
-    """Regression check; returns failure messages (empty = pass).
-
-    Per (protocol, theta, offered) point: achieved throughput has a
-    tolerance floor, CO-corrected p99 and abort rate tolerance ceilings
-    (abort rate with a two-point absolute grace so near-zero baselines
-    do not gate on noise-sized wiggles), and commit counts must match
-    exactly.
-    """
-    if tolerance is None:
-        tolerance = float(baseline.get("tolerance", CONTENTION_TOLERANCE))
-    failures: List[str] = []
-    current_curves = current.get("curves", {})
-    for label, base_curve in baseline.get("curves", {}).items():
-        curve = current_curves.get(label)
-        if curve is None:
-            failures.append(f"{label}: missing from current sweep")
-            continue
-        current_points = {
-            point["offered_tps"]: point for point in curve.get("points", [])
-        }
-        for base_point in base_curve.get("points", []):
-            offered = base_point["offered_tps"]
-            tag = f"{label} @ {offered:,.0f} tps"
-            point = current_points.get(offered)
-            if point is None:
-                failures.append(f"{tag}: point missing from current sweep")
-                continue
-            floor = base_point["achieved_tps"] * (1.0 - tolerance)
-            if point["achieved_tps"] < floor:
-                failures.append(
-                    f"{tag}: achieved {point['achieved_tps']:,.0f} tps "
-                    f"< floor {floor:,.0f} "
-                    f"(baseline {base_point['achieved_tps']:,.0f}, "
-                    f"tolerance {tolerance:.0%})"
-                )
-            ceiling = base_point["co_p99_us"] * (1.0 + tolerance)
-            if point["co_p99_us"] > ceiling:
-                failures.append(
-                    f"{tag}: co_p99 {point['co_p99_us']:,.1f}us "
-                    f"> ceiling {ceiling:,.1f}us "
-                    f"(baseline {base_point['co_p99_us']:,.1f}us)"
-                )
-            abort_ceiling = (
-                base_point["abort_rate"] * (1.0 + tolerance) + 0.02
-            )
-            if point["abort_rate"] > abort_ceiling:
-                failures.append(
-                    f"{tag}: abort rate {point['abort_rate']:.4f} "
-                    f"> ceiling {abort_ceiling:.4f} "
-                    f"(baseline {base_point['abort_rate']:.4f})"
-                )
-            if point["commits"] != base_point["commits"]:
-                failures.append(
-                    f"{tag}: commit count changed "
-                    f"{base_point['commits']} -> {point['commits']} "
-                    "(seeded behaviour drift; regenerate the baseline "
-                    "deliberately)"
-                )
-    return failures
 
 
 def format_contention(curves: Sequence[ContentionCurve]) -> str:

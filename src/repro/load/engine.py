@@ -34,6 +34,12 @@ from repro.util.stats import Histogram
 
 __all__ = ["LoadResult", "OpenLoopEngine", "Request"]
 
+#: How long past the horizon queued and in-flight requests may drain
+#: before they are censored, and how long the oracle waits for
+#: in-flight work and recovery to settle.
+DRAIN_GRACE = 20e-3
+QUIESCE_GRACE = 60e-3
+
 
 class LoadResult:
     """Everything measured at one offered-load point."""
@@ -110,8 +116,6 @@ class OpenLoopEngine:
         duration: float,
         arrivals: Optional[ArrivalProcess] = None,
         warmup: float = 2e-3,
-        drain_grace: float = 20e-3,
-        quiesce_grace: float = 60e-3,
         seed: int = 0,
         monitors: Sequence = (),
         slo=None,
@@ -129,8 +133,6 @@ class OpenLoopEngine:
         self.duration = duration
         self.arrivals = arrivals if arrivals is not None else PoissonArrivals()
         self.warmup = warmup
-        self.drain_grace = drain_grace
-        self.quiesce_grace = quiesce_grace
         self.seed = seed
         self.monitors = list(monitors)
         self.slo = slo
@@ -320,7 +322,7 @@ class OpenLoopEngine:
             sim.process(self.slo.ticker(self), name="load-slo")
 
         cluster.run(until=horizon)
-        deadline = horizon + self.drain_grace
+        deadline = horizon + DRAIN_GRACE
         while sim.now < deadline and (self._busy or self._queue):
             cluster.run(until=min(deadline, sim.now + 1e-3))
         self._closed = True
@@ -356,7 +358,7 @@ class OpenLoopEngine:
         """Wait out in-flight work and recovery, then run the oracle."""
         cluster = self.cluster
         sim = self.sim
-        deadline = sim.now + self.quiesce_grace
+        deadline = sim.now + QUIESCE_GRACE
         while sim.now < deadline:
             if not self._busy and not cluster.recovery.recovering():
                 break

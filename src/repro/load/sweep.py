@@ -9,12 +9,10 @@ where achieved throughput falls visibly short of offered) shows up as a
 divergence between the x=y line and each protocol's achieved curve.
 
 ``sweep_payload`` serialises a sweep into the committed
-``BENCH_LOAD.json`` snapshot and ``compare_to_baseline`` gates a fresh
-run against it, mirroring the kernel-perf gate: achieved throughput has
-a tolerance floor, CO-corrected p99 a tolerance ceiling, and the commit
-count must reproduce *exactly* — everything here is virtual time under
-a fixed seed, so a commit-count drift means simulated behaviour
-changed, which needs a deliberate re-baseline, not a shrug.
+``BENCH_LOAD.json`` snapshot (schema ``load/1``), which
+:func:`repro.bench.report.gate` gates a fresh run against: achieved
+throughput has a tolerance floor, CO-corrected p99 a tolerance ceiling,
+and the commit count must reproduce *exactly*.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.bench.harness import default_config, run_steady_state
+from repro.bench.report import DEFAULT_TOLERANCE
 from repro.cluster.builder import Cluster
 from repro.load.arrivals import ArrivalProcess, PoissonArrivals
 from repro.load.engine import LoadResult, OpenLoopEngine
@@ -31,7 +30,6 @@ from repro.obs.metrics import render_rows
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
-    "DEFAULT_TOLERANCE",
     "DEFAULT_PROTOCOLS",
     "DEFAULT_MULTIPLIERS",
     "LoadCurve",
@@ -40,16 +38,11 @@ __all__ = [
     "run_load_point",
     "run_sweep",
     "sweep_payload",
-    "compare_to_baseline",
     "format_curves",
 ]
 
 #: Snapshot format marker (bump on incompatible payload changes).
 SNAPSHOT_SCHEMA = "load/1"
-
-#: Same rationale as the kernel-perf gate: absorbs noise-free-but-
-#: intentional drift discussions; real regressions move numbers more.
-DEFAULT_TOLERANCE = 0.25
 
 DEFAULT_PROTOCOLS = ("pandora", "ford", "tradlog")
 
@@ -222,12 +215,12 @@ def run_sweep(
 
 
 def sweep_payload(
-    curves: Sequence[LoadCurve], tolerance: float = DEFAULT_TOLERANCE
+    curves: Sequence[LoadCurve], tolerance: Optional[float] = None
 ) -> Dict[str, Any]:
     """The ``BENCH_LOAD.json`` payload (see docs/OBSERVABILITY.md)."""
     return {
         "schema": SNAPSHOT_SCHEMA,
-        "tolerance": tolerance,
+        "tolerance": DEFAULT_TOLERANCE if tolerance is None else tolerance,
         "workload": curves[0].workload if curves else "",
         "arrivals": curves[0].arrivals if curves else "",
         "curves": {
@@ -238,61 +231,6 @@ def sweep_payload(
             for curve in curves
         },
     }
-
-
-def compare_to_baseline(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    tolerance: Optional[float] = None,
-) -> List[str]:
-    """Regression check; returns failure messages (empty = pass).
-
-    Per (protocol, offered) point: achieved throughput has a tolerance
-    floor, CO-corrected p99 a tolerance ceiling, and commit counts must
-    match exactly (seeded virtual time — drift means behaviour change).
-    """
-    if tolerance is None:
-        tolerance = float(baseline.get("tolerance", DEFAULT_TOLERANCE))
-    failures: List[str] = []
-    current_curves = current.get("curves", {})
-    for protocol, base_curve in baseline.get("curves", {}).items():
-        curve = current_curves.get(protocol)
-        if curve is None:
-            failures.append(f"{protocol}: missing from current sweep")
-            continue
-        current_points = {
-            point["offered_tps"]: point for point in curve.get("points", [])
-        }
-        for base_point in base_curve.get("points", []):
-            offered = base_point["offered_tps"]
-            label = f"{protocol} @ {offered:,.0f} tps"
-            point = current_points.get(offered)
-            if point is None:
-                failures.append(f"{label}: point missing from current sweep")
-                continue
-            floor = base_point["achieved_tps"] * (1.0 - tolerance)
-            if point["achieved_tps"] < floor:
-                failures.append(
-                    f"{label}: achieved {point['achieved_tps']:,.0f} tps "
-                    f"< floor {floor:,.0f} "
-                    f"(baseline {base_point['achieved_tps']:,.0f}, "
-                    f"tolerance {tolerance:.0%})"
-                )
-            ceiling = base_point["co_p99_us"] * (1.0 + tolerance)
-            if point["co_p99_us"] > ceiling:
-                failures.append(
-                    f"{label}: co_p99 {point['co_p99_us']:,.1f}us "
-                    f"> ceiling {ceiling:,.1f}us "
-                    f"(baseline {base_point['co_p99_us']:,.1f}us)"
-                )
-            if point["commits"] != base_point["commits"]:
-                failures.append(
-                    f"{label}: commit count changed "
-                    f"{base_point['commits']} -> {point['commits']} "
-                    "(seeded behaviour drift; regenerate the baseline "
-                    "deliberately)"
-                )
-    return failures
 
 
 def _bar(value: float, peak: float, width: int = 30) -> str:

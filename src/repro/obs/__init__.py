@@ -176,8 +176,6 @@ class Obs:
 
     ``trace=False`` keeps the labeled counters/histograms but swaps the
     tracer for the no-op :data:`~repro.obs.trace.NULL_TRACER`;
-    ``trace_verbs=True`` additionally records one instant per posted
-    verb (off by default — a steady run posts hundreds of thousands);
     ``flight=True`` attaches a per-transaction
     :class:`~repro.obs.flight.FlightRecorder` (verb-level attempt
     accounting for the report layer); ``max_flights`` bounds its
@@ -190,13 +188,11 @@ class Obs:
     def __init__(
         self,
         trace: bool = True,
-        trace_verbs: bool = False,
         flight: bool = False,
         max_flights: Optional[int] = None,
     ) -> None:
         self.metrics = MetricsRegistry()
         self.tracer: Tracer = Tracer() if trace else NULL_TRACER  # type: ignore[assignment]
-        self.trace_verbs = trace_verbs and trace
         self.flight: FlightRecorder = (  # type: ignore[assignment]
             FlightRecorder(max_flights=max_flights) if flight else NULL_FLIGHT
         )
@@ -237,8 +233,6 @@ class Obs:
             )
         counter.inc()
         self._verb_bytes[key].inc(wire_bytes)
-        if self.trace_verbs:
-            self.tracer.instant("rdma", kind, now, pid=compute_id, tid=node_id)
 
     def on_verb_complete(
         self, kind: str, node_id: int, latency: float, wire_bytes: int, ok: bool
@@ -416,7 +410,6 @@ class NullObs:
 
     metrics = None  # replaced below with a no-op registry
     tracer = NULL_TRACER
-    trace_verbs = False
     flight = NULL_FLIGHT
     profiler = NULL_PROFILER
     run_meta: Dict[str, Any] = {}

@@ -375,8 +375,9 @@ class MetricsRegistry:
 def render_rows(
     headers: Iterable[str], rows: Iterable[Iterable[Any]], title: Optional[str] = None
 ) -> str:
-    """Small fixed-width table helper (kept here to avoid importing
-    repro.bench from the obs layer)."""
+    """The one fixed-width table formatter (it lives in the obs layer so
+    that obs never imports ``repro.bench``, whose ``format_table``
+    delegates here)."""
     headers = [str(header) for header in headers]
     rendered = [[str(cell) for cell in row] for row in rows]
     widths = [len(header) for header in headers]

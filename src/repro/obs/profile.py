@@ -137,10 +137,7 @@ class KernelProfiler:
         # ambient-txn-phase rollup of verb-post frames -> wall ns
         self.phase_ns: Dict[str, int] = {}
         self.phase_counts: Dict[str, int] = {}
-        # events scheduled on the kernel queue, by root-frame label
-        self.scheduled_by: Dict[str, int] = {}
         self.steps = 0
-        self.scheduled = 0
         self.run_wall_ns = 0
         self._phase: Optional[str] = None
         # frame: [site, start_ns, child_ns, phase-or-None]
@@ -232,15 +229,6 @@ class KernelProfiler:
         self._phase = phase
 
     # -- kernel hooks --------------------------------------------------------
-
-    def on_schedule(self, entry: Any) -> None:
-        """Count one queue push, billed to the current innermost frame."""
-        self.scheduled += 1
-        if self._stack:
-            label = self._stack[-1][0][0]
-        else:
-            label = "(outside-step)"
-        self.scheduled_by[label] = self.scheduled_by.get(label, 0) + 1
 
     def begin_step(self, entry: Any) -> None:
         """Open the root frame for one kernel dispatch step."""
@@ -410,12 +398,9 @@ class KernelProfiler:
         )
 
     def summary(self) -> str:
-        """One-paragraph run summary (steps, schedules, rates)."""
+        """One-paragraph run summary (steps, wall time, rates)."""
         wall_s = self.run_wall_ns / 1e9
-        lines = [
-            f"kernel steps: {self.steps}  scheduled: {self.scheduled}  "
-            f"run wall: {wall_s:.3f} s"
-        ]
+        lines = [f"kernel steps: {self.steps}  run wall: {wall_s:.3f} s"]
         if wall_s > 0 and self.steps:
             lines.append(
                 f"events/sec: {self.steps / wall_s:,.0f}  "
@@ -461,9 +446,6 @@ class NullKernelProfiler:
         pass
 
     def set_phase(self, phase: Optional[str]) -> None:
-        pass
-
-    def on_schedule(self, entry: Any) -> None:
         pass
 
     def begin_step(self, entry: Any) -> None:

@@ -45,10 +45,10 @@ __all__ = [
     "lock_event_counts",
     "recovery_timelines",
     "redetection_counts",
+    "report_sections",
     "render_terminal",
     "render_html",
     "render_load_html",
-    "compare_snapshots",
     "print_report",
     "ABORT_CATEGORIES",
 ]
@@ -388,105 +388,84 @@ def _meta_line(run: RunData) -> str:
     return f"run {label}: " + " ".join(parts) if parts else f"run {label}"
 
 
-def _claim_rows(results: List[Dict[str, Any]]) -> List[Tuple[Any, ...]]:
-    rows = []
-    for result in results:
-        rows.append(
+Section = Tuple[str, Sequence[str], Sequence[Sequence[Any]]]
+
+
+def report_sections(run: RunData) -> List[Section]:
+    """The flight report of one run as ``(title, headers, rows)``
+    sections, empty ones left out — the one list both renderers walk."""
+    sections: List[Section] = [
+        (
+            "phase latency (exact percentiles)",
+            ["protocol", "phase", "n", "mean (us)", "p50 (us)", "p90 (us)", "p99 (us)"],
+            phase_latency_rows(run),
+        ),
+        (
+            "round-trip / verb accounting (committed txns)",
+            ["protocol", "phase", "verb", "cat", "total", "per commit",
+             "p50 (us)", "p99 (us)"],
+            verb_accounting_rows(run),
+        ),
+        (
+            "logging claim check (paper §4: f+1 per txn vs per object)",
+            ["protocol", "expected log writes", "txns", "mean writes",
+             "mean log writes", "violations", "status"],
+            [
+                (
+                    claim["protocol"],
+                    claim["formula"],
+                    claim["checked"],
+                    f"{claim['mean_writes']:.2f}",
+                    f"{claim['mean_log_writes']:.2f}",
+                    claim["violations"],
+                    "OK" if claim["ok"] else f"FAIL ({claim['detail']})",
+                )
+                for claim in check_log_write_claim(run)
+            ],
+        ),
+        (
+            "abort attribution",
+            ["protocol", "category", "outcome", "count"],
+            abort_attribution(run),
+        ),
+        ("lock events", ["protocol", "lock event", "count"], lock_event_counts(run)),
+    ]
+    for node_id, steps in recovery_timelines(run):
+        sections.append(
             (
-                result["protocol"],
-                result["formula"],
-                result["checked"],
-                f"{result['mean_writes']:.2f}",
-                f"{result['mean_log_writes']:.2f}",
-                result["violations"],
-                "OK" if result["ok"] else f"FAIL ({result['detail']})",
+                f"recovery timeline: node {node_id}",
+                ["step", "start (ms)", "duration (us)"],
+                [
+                    (name, f"{start * 1e3:.3f}", f"{duration * 1e6:.1f}")
+                    for name, start, duration in steps
+                ],
             )
         )
-    return rows
+    sections += [
+        (
+            "failure re-detections (recovery died mid-flight)",
+            ["node", "kind", "re-detections"],
+            redetection_counts(run),
+        ),
+        (
+            "unattributed verbs (system traffic)",
+            ["verb", "count"],
+            sorted((run.meta.get("unattributed") or {}).items()),
+        ),
+    ]
+    return [section for section in sections if section[2]]
 
 
 def render_terminal(runs: Sequence[RunData]) -> str:
     """Aligned plain-text report over one or more runs."""
-    sections: List[str] = ["transaction flight report", "=" * 25, ""]
+    parts: List[str] = ["transaction flight report", "=" * 25, ""]
     for run in runs:
-        sections.append(_meta_line(run))
-        sections.append("")
-        rows = phase_latency_rows(run)
-        if rows:
-            sections.append(
-                render_rows(
-                    ["protocol", "phase", "n", "mean (us)", "p50 (us)", "p90 (us)", "p99 (us)"],
-                    rows,
-                    title="phase latency (exact percentiles)",
-                )
-            )
-        rows = verb_accounting_rows(run)
-        if rows:
-            sections.append(
-                render_rows(
-                    ["protocol", "phase", "verb", "cat", "total", "per commit",
-                     "p50 (us)", "p99 (us)"],
-                    rows,
-                    title="round-trip / verb accounting (committed txns)",
-                )
-            )
-        claims = check_log_write_claim(run)
-        if claims:
-            sections.append(
-                render_rows(
-                    ["protocol", "expected log writes", "txns", "mean writes",
-                     "mean log writes", "violations", "status"],
-                    _claim_rows(claims),
-                    title="logging claim check (paper §4: f+1 per txn vs per object)",
-                )
-            )
-        rows = abort_attribution(run)
-        if rows:
-            sections.append(
-                render_rows(
-                    ["protocol", "category", "outcome", "count"],
-                    rows,
-                    title="abort attribution",
-                )
-            )
-        rows = lock_event_counts(run)
-        if rows:
-            sections.append(
-                render_rows(
-                    ["protocol", "lock event", "count"], rows, title="lock events"
-                )
-            )
-        timelines = recovery_timelines(run)
-        for node_id, steps in timelines:
-            step_rows = [
-                (name, f"{start * 1e3:.3f}", f"{duration * 1e6:.1f}")
-                for name, start, duration in steps
-            ]
-            sections.append(
-                render_rows(
-                    ["step", "start (ms)", "duration (us)"],
-                    step_rows,
-                    title=f"recovery timeline: node {node_id}",
-                )
-            )
-        redetects = redetection_counts(run)
-        if redetects:
-            sections.append(
-                render_rows(
-                    ["node", "kind", "re-detections"],
-                    redetects,
-                    title="failure re-detections (recovery died mid-flight)",
-                )
-            )
-        unattributed = run.meta.get("unattributed")
-        if unattributed:
-            sections.append(
-                render_rows(
-                    ["verb", "count"], sorted(unattributed.items()),
-                    title="unattributed verbs (system traffic)",
-                )
-            )
-    return "\n".join(sections)
+        parts += [_meta_line(run), ""]
+        parts += [
+            render_rows(headers, rows, title=title)
+            for title, headers, rows in report_sections(run)
+        ]
+    return "\n".join(parts)
 
 
 _HTML_STYLE = """
@@ -560,7 +539,8 @@ def _html_phase_bars(run: RunData) -> str:
 
 
 def render_html(runs: Sequence[RunData], title: str = "Transaction flight report") -> str:
-    """Self-contained single-file HTML report (inline CSS, no deps)."""
+    """Self-contained single-file HTML report (inline CSS, no deps):
+    the terminal report's sections plus the phase-breakdown bars."""
     parts = [
         "<!DOCTYPE html><html><head><meta charset='utf-8'>",
         f"<title>{_html_escape(title)}</title>",
@@ -569,62 +549,11 @@ def render_html(runs: Sequence[RunData], title: str = "Transaction flight report
     ]
     for run in runs:
         parts.append(f'<p class="meta">{_html_escape(_meta_line(run))}</p>')
-        rows = phase_latency_rows(run)
-        if rows:
-            parts.append("<h2>Phase latency (exact percentiles)</h2>")
-            parts.append(
-                _html_table(
-                    ["protocol", "phase", "n", "mean (us)", "p50 (us)", "p90 (us)",
-                     "p99 (us)"],
-                    rows,
-                )
-            )
         parts.append(_html_phase_bars(run))
-        rows = verb_accounting_rows(run)
-        if rows:
-            parts.append("<h2>Round-trip / verb accounting (committed txns)</h2>")
-            parts.append(
-                _html_table(
-                    ["protocol", "phase", "verb", "cat", "total", "per commit",
-                     "p50 (us)", "p99 (us)"],
-                    rows,
-                )
-            )
-        claims = check_log_write_claim(run)
-        if claims:
-            parts.append("<h2>Logging claim check (&sect;4)</h2>")
-            parts.append(
-                _html_table(
-                    ["protocol", "expected log writes", "txns", "mean writes",
-                     "mean log writes", "violations", "status"],
-                    _claim_rows(claims),
-                )
-            )
-        rows = abort_attribution(run)
-        if rows:
-            parts.append("<h2>Abort attribution</h2>")
-            parts.append(_html_table(["protocol", "category", "outcome", "count"], rows))
-        rows = lock_event_counts(run)
-        if rows:
-            parts.append("<h2>Lock events</h2>")
-            parts.append(_html_table(["protocol", "lock event", "count"], rows))
-        for node_id, steps in recovery_timelines(run):
-            parts.append(f"<h2>Recovery timeline: node {node_id}</h2>")
-            parts.append(
-                _html_table(
-                    ["step", "start (ms)", "duration (us)"],
-                    [
-                        (name, f"{start * 1e3:.3f}", f"{duration * 1e6:.1f}")
-                        for name, start, duration in steps
-                    ],
-                )
-            )
-        redetects = redetection_counts(run)
-        if redetects:
-            parts.append("<h2>Failure re-detections</h2>")
-            parts.append(
-                _html_table(["node", "kind", "re-detections"], redetects)
-            )
+        for heading, headers, rows in report_sections(run):
+            heading = heading[0].upper() + heading[1:]
+            parts.append(f"<h2>{_html_escape(heading)}</h2>")
+            parts.append(_html_table(headers, rows))
     parts.append("</body></html>")
     return "".join(parts)
 
@@ -632,113 +561,6 @@ def render_html(runs: Sequence[RunData], title: str = "Transaction flight report
 def print_report(runs: Sequence[RunData]) -> None:
     """Print the terminal report (simlint-allowlisted output site)."""
     print(render_terminal(runs))
-
-
-# -- snapshot deltas (repro obs-report --compare A.json B.json) --------------
-
-
-def _delta_cell(before: Any, after: Any) -> str:
-    try:
-        before_f, after_f = float(before), float(after)
-    except (TypeError, ValueError):
-        return ""
-    if before_f == 0.0:
-        return "n/a" if after_f else "0%"
-    return f"{100.0 * (after_f - before_f) / before_f:+.1f}%"
-
-
-def compare_snapshots(
-    before: Dict[str, Any],
-    after: Dict[str, Any],
-    label_before: str = "A",
-    label_after: str = "B",
-) -> str:
-    """Delta table between two ``BENCH_*.json`` payloads.
-
-    Understands all three snapshot shapes: load sweeps (``curves``
-    keyed by protocol, one row per offered point), kernel-perf sweeps
-    (``fleets`` keyed by fleet name — also served by
-    ``repro perf --compare``), and steady-state payloads (flat
-    ``throughput_tps``/latency keys, one row per metric). The delta
-    column is relative to *before*.
-    """
-    headers = ["metric", label_before, label_after, "delta"]
-    rows: List[Tuple[Any, ...]] = []
-    if "fleets" in before or "fleets" in after:
-        metrics = (
-            ("events_per_sec", "events/sec"),
-            ("wall_us_per_event", "us/event"),
-            ("steps", "steps"),
-        )
-        before_fleets = before.get("fleets", {})
-        after_fleets = after.get("fleets", {})
-        for fleet in sorted(set(before_fleets) | set(after_fleets)):
-            b = before_fleets.get(fleet, {})
-            a = after_fleets.get(fleet, {})
-            for key, label in metrics:
-                rows.append(
-                    (
-                        f"{fleet} {label}",
-                        b.get(key, "-"),
-                        a.get(key, "-"),
-                        _delta_cell(b.get(key), a.get(key)),
-                    )
-                )
-            if b.get("steps") not in (None, a.get("steps")) and a.get("steps") is not None:
-                rows.append((f"{fleet} STEP DRIFT", "", "behaviour changed", ""))
-        return render_rows(headers, rows, title="kernel-perf snapshot delta")
-    if "curves" in before or "curves" in after:
-        metrics = (
-            ("achieved_tps", "achieved"),
-            ("co_p50_us", "co p50 (us)"),
-            ("co_p99_us", "co p99 (us)"),
-            ("abort_rate", "abort rate"),
-            ("commits", "commits"),
-        )
-        before_curves = before.get("curves", {})
-        after_curves = after.get("curves", {})
-        for protocol in sorted(set(before_curves) | set(after_curves)):
-            before_points = {
-                point["offered_tps"]: point
-                for point in before_curves.get(protocol, {}).get("points", [])
-            }
-            after_points = {
-                point["offered_tps"]: point
-                for point in after_curves.get(protocol, {}).get("points", [])
-            }
-            for offered in sorted(set(before_points) | set(after_points)):
-                b = before_points.get(offered, {})
-                a = after_points.get(offered, {})
-                for key, label in metrics:
-                    rows.append(
-                        (
-                            f"{protocol} @ {offered:,.0f} {label}",
-                            b.get(key, "-"),
-                            a.get(key, "-"),
-                            _delta_cell(b.get(key), a.get(key)),
-                        )
-                    )
-        return render_rows(headers, rows, title="load snapshot delta")
-    metrics = (
-        ("throughput_tps", "throughput (tps)"),
-        ("p50_latency_us", "p50 (us)"),
-        ("p99_latency_us", "p99 (us)"),
-        ("abort_rate", "abort rate"),
-        ("commits", "commits"),
-        ("aborts", "aborts"),
-    )
-    for key, label in metrics:
-        if key not in before and key not in after:
-            continue
-        rows.append(
-            (
-                label,
-                before.get(key, "-"),
-                after.get(key, "-"),
-                _delta_cell(before.get(key), after.get(key)),
-            )
-        )
-    return render_rows(headers, rows, title="bench snapshot delta")
 
 
 # -- load-curve rendering (repro load --html) --------------------------------

@@ -57,7 +57,6 @@ class CoordinatorConfig:
         backoff_base: float = 2e-6,
         backoff_cap: float = 100e-6,
         abandon_on_conflict: bool = False,
-        think_time: float = 0.0,
         nvm_flush: bool = False,
         warm_address_cache: bool = True,
     ) -> None:
@@ -68,7 +67,6 @@ class CoordinatorConfig:
         # request (the "abort" option of §6.4); False = retry the same
         # transaction until it commits or attempts run out.
         self.abandon_on_conflict = abandon_on_conflict
-        self.think_time = think_time
         # §7: flush commit writes into NVM before acking the client.
         self.nvm_flush = nvm_flush
         # False models a cold FORD-style address cache: the first
@@ -200,8 +198,6 @@ class Coordinator:
                 # running generator cannot close itself.
                 self.sim.call_soon(self.node.crash)
                 return
-            if self.config.think_time:
-                yield self.sim.timeout(self.config.think_time)
 
     def run_transaction(self, logic) -> Generator[Event, Any, TxnOutcome]:
         """Run one request to completion, retrying aborted attempts."""

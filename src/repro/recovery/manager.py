@@ -37,6 +37,9 @@ from repro.sim import Event, Simulator
 
 __all__ = ["RecoveryManager", "RecoveryRecord"]
 
+#: Memory-failure metadata agreement + drain window before resuming.
+RECONFIG_DELAY = 2e-3
+
 
 @dataclass
 class RecoveryRecord:
@@ -84,8 +87,6 @@ class RecoveryManager:
         id_allocator,
         protocol,
         drain_delay: float = 0.5e-3,
-        reconfig_delay: float = 2e-3,
-        scan_chunk_slots: int = 512,
         restart_hook=None,
         restart_after: Optional[float] = None,
         obs=None,
@@ -101,8 +102,6 @@ class RecoveryManager:
         # The declaration (lock x log x commit) recovery is composed from.
         self.protocol = protocol
         self.drain_delay = drain_delay
-        self.reconfig_delay = reconfig_delay
-        self.scan_chunk_slots = scan_chunk_slots
         self.restart_hook = restart_hook
         self.restart_after = restart_after
         self.obs = obs if obs is not None else NOOP_OBS
@@ -551,7 +550,6 @@ class RecoveryManager:
             self.verbs,
             self.memory_nodes,
             self.alive_memory_ids(),
-            self.scan_chunk_slots,
             chunk_charge,
             release,
             tally,
@@ -733,7 +731,7 @@ class RecoveryManager:
         record.fenced_at = self.sim.now
 
         # Metadata agreement + drain window before resuming.
-        yield self.sim.timeout(self.reconfig_delay)
+        yield self.sim.timeout(RECONFIG_DELAY)
         record.log_recovered_at = self.sim.now
 
         for compute in self.compute_nodes.values():

@@ -42,7 +42,6 @@ class IdRecycler:
         memory_nodes: Dict[int, Any],
         compute_nodes: Dict[int, Any],
         id_allocator,
-        scan_chunk_slots: int = 512,
     ) -> None:
         self.sim = sim
         self.verbs = verbs
@@ -51,7 +50,6 @@ class IdRecycler:
         self.memory_nodes = memory_nodes
         self.compute_nodes = compute_nodes
         self.id_allocator = id_allocator
-        self.scan_chunk_slots = scan_chunk_slots
         self.runs = 0
         self.scanned_slots = 0
         self.locks_released = 0
@@ -74,7 +72,6 @@ class IdRecycler:
             self.verbs,
             self.memory_nodes,
             (nid for nid, memory in self.memory_nodes.items() if memory.alive),
-            self.scan_chunk_slots,
             lambda slots: slots * per_slot_rtt,
             lambda _node, _table, _slot, word: (
                 is_locked(word) and owner_of(word) in candidates

@@ -16,6 +16,9 @@ from repro.sim import Event, Simulator
 
 __all__ = ["scan_locks", "release_word"]
 
+#: Slots read per ``scan_chunk`` verb.
+SCAN_CHUNK_SLOTS = 512
+
 
 def release_word(
     verbs, tally, node_id: int, table_id: int, slot: int, word: int
@@ -35,7 +38,6 @@ def scan_locks(
     verbs,
     memory_nodes: Dict[int, Any],
     node_ids: Iterable[int],
-    chunk_slots: int,
     chunk_charge: Callable[[int], float],
     release: Callable[[int, int, int, int], bool],
     tally,
@@ -53,7 +55,7 @@ def scan_locks(
             position = 0
             total = len(table)
             while position < total:
-                chunk = min(chunk_slots, total - position)
+                chunk = min(SCAN_CHUNK_SLOTS, total - position)
                 yield sim.timeout(chunk_charge(chunk))
                 try:
                     locked, position = yield verbs.scan_chunk(

@@ -410,15 +410,15 @@ class Simulator:
     path, and "time went backwards" is impossible by construction.
 
     *profiler*, when given an enabled
-    :class:`~repro.obs.profile.KernelProfiler`, swaps the dispatch and
-    scheduling methods for instrumented twins at construction time — so
-    the default (unprofiled) loop pays literally zero extra work: no
-    flag test, no no-op call, not even an attribute load per entry
-    (``run`` tests the flag once per call and then loops with the
-    ``step`` body written out in place). The twins share the
-    selection/dispatch body (``entry()``), so they cannot drift
-    behaviourally; the profiler only reads the wall clock and
-    virtual-time behaviour is bit-identical either way.
+    :class:`~repro.obs.profile.KernelProfiler`, swaps ``step`` for its
+    instrumented twin at construction time — so the default
+    (unprofiled) loop pays literally zero extra work: no flag test, no
+    no-op call, not even an attribute load per entry (``run`` tests the
+    flag once per call and then loops with the ``step`` body written
+    out in place). The twin shares the selection/dispatch body
+    (``entry()``), so it cannot drift behaviourally; the profiler only
+    reads the wall clock and virtual-time behaviour is bit-identical
+    either way.
     """
 
     def __init__(self, profiler: Optional[Any] = None) -> None:
@@ -433,13 +433,9 @@ class Simulator:
             profiler = NULL_PROFILER
         self.profiler = profiler
         if profiler.enabled:
-            # Instance-attribute shadowing: these bindings win over the
-            # class methods for this instance only.
+            # Instance-attribute shadowing: this binding wins over the
+            # class method for this instance only.
             self.step = self._profiled_step
-            self._post = self._profiled_post
-            self.call_soon = self._profiled_call_soon
-            self.call_at = self._profiled_call_at
-            self._schedule_at = self._profiled_schedule_at
 
     # -- scheduling --------------------------------------------------------
 
@@ -529,24 +525,6 @@ class Simulator:
         finally:
             profiler.end_step()
         self._processed_events += 1
-
-    # -- profiled scheduling twins (count queue pushes per source site) ----
-
-    def _profiled_post(self, event: Event) -> None:
-        self.profiler.on_schedule(event)
-        self._ring.append(event)
-
-    def _profiled_call_soon(self, func: Callable[[], None]) -> None:
-        self.profiler.on_schedule(func)
-        self._ring.append(func)
-
-    def _profiled_call_at(self, when: float, func: Callable[[], None]) -> None:
-        self.profiler.on_schedule(func)
-        Simulator.call_at(self, when, func)
-
-    def _profiled_schedule_at(self, when: float, event: Event) -> None:
-        self.profiler.on_schedule(event)
-        Simulator._schedule_at(self, when, event)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queues drain or virtual time reaches *until*.

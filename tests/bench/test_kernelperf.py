@@ -4,15 +4,14 @@ import pytest
 
 from repro.bench.kernelperf import (
     DEFAULT_FLEETS,
-    DEFAULT_TOLERANCE,
     SNAPSHOT_SCHEMA,
     FleetSpec,
     KernelPerfResult,
-    compare_to_baseline,
     format_suite,
     run_fleet,
     suite_payload,
 )
+from repro.bench.report import gate
 from repro.obs.profile import KernelProfiler
 
 TINY = FleetSpec("tiny", compute_nodes=1, coordinators_per_node=2, keys=200,
@@ -76,38 +75,38 @@ class TestBaselineGate:
 
     def test_within_tolerance_passes(self):
         current, baseline = self._payloads(current_eps=80, base_eps=100)
-        assert compare_to_baseline(current, baseline, tolerance=0.25) == []
+        assert gate(current, baseline, tolerance=0.25) == []
 
     def test_regression_below_floor_fails(self):
         current, baseline = self._payloads(current_eps=70, base_eps=100)
-        failures = compare_to_baseline(current, baseline, tolerance=0.25)
+        failures = gate(current, baseline, tolerance=0.25)
         assert len(failures) == 1
         assert "events/sec" in failures[0]
 
     def test_faster_run_never_fails(self):
         current, baseline = self._payloads(current_eps=500, base_eps=100)
-        assert compare_to_baseline(current, baseline, tolerance=0.25) == []
+        assert gate(current, baseline, tolerance=0.25) == []
 
     def test_missing_fleet_fails(self):
         current = suite_payload([])
         baseline = suite_payload([_result()])
-        failures = compare_to_baseline(current, baseline)
-        assert failures == ["fleet 'tiny': missing from current run"]
+        failures = gate(current, baseline)
+        assert failures == ["tiny: missing from current run"]
 
     def test_step_drift_reported_separately(self):
         current, baseline = self._payloads(
             current_eps=100, base_eps=100, current_steps=101, base_steps=100
         )
-        failures = compare_to_baseline(current, baseline, tolerance=0.25)
+        failures = gate(current, baseline, tolerance=0.25)
         assert len(failures) == 1
-        assert "step count changed" in failures[0]
+        assert "steps changed" in failures[0]
 
     def test_tolerance_defaults_from_baseline_payload(self):
         current, baseline = self._payloads(current_eps=97, base_eps=100)
         baseline["tolerance"] = 0.05
-        assert compare_to_baseline(current, baseline) == []
+        assert gate(current, baseline) == []
         baseline["tolerance"] = 0.01
-        assert len(compare_to_baseline(current, baseline)) == 1
+        assert len(gate(current, baseline)) == 1
 
 
 class TestRunFleet:
@@ -141,4 +140,4 @@ class TestRunFleet:
         assert "events/sec" in table
 
     def test_default_tolerance_is_documented_value(self):
-        assert DEFAULT_TOLERANCE == 0.25
+        assert suite_payload([])["tolerance"] == 0.25

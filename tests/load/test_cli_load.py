@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.report import compare_snapshots
+from repro.bench.report import delta
 
 
 def _run_load(tmp_path, *extra):
@@ -110,8 +110,8 @@ class TestObsReportCompare:
     def test_compare_steady_state_payloads(self, capsys):
         before = {"throughput_tps": 100.0, "p99_latency_us": 50.0, "commits": 10}
         after = {"throughput_tps": 80.0, "p99_latency_us": 60.0, "commits": 10}
-        text = compare_snapshots(before, after)
-        assert "bench snapshot delta" in text
+        text = delta(before, after)
+        assert "steady snapshot delta" in text
         assert "-20.0%" in text
         assert "+20.0%" in text
         assert "+0.0%" in text

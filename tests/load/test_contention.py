@@ -9,11 +9,11 @@ sweep point per zoo newcomer.
 
 import pytest
 
+from repro.bench.report import gate
 from repro.load import (
     CONTENTION_PROTOCOLS,
     CONTENTION_SCHEMA,
     CONTENTION_THETAS,
-    compare_contention_to_baseline,
     contention_payload,
     contention_workload,
     format_contention,
@@ -73,7 +73,7 @@ class TestSweep:
 
     def test_identical_payloads_pass_the_gate(self, curves):
         payload = contention_payload(curves)
-        assert compare_contention_to_baseline(payload, payload) == []
+        assert gate(payload, payload) == []
 
     def test_regressions_are_flagged(self, curves):
         payload = contention_payload(curves)
@@ -85,11 +85,11 @@ class TestSweep:
                 point["achieved_tps"] *= 0.5  # below the 25% floor
                 point["co_p99_us"] *= 2.0  # above the 25% ceiling
                 point["commits"] += 1  # exact-match gate
-        failures = compare_contention_to_baseline(worse, payload)
+        failures = gate(worse, payload)
         text = "\n".join(failures)
         assert "achieved" in text
-        assert "co_p99" in text
-        assert "commit count changed" in text
+        assert "co p99" in text
+        assert "commits changed" in text
 
     def test_format_mentions_every_curve(self, curves):
         text = format_contention(curves)

@@ -4,11 +4,10 @@ import copy
 
 import pytest
 
+from repro.bench.report import DEFAULT_TOLERANCE, gate
 from repro.load import (
-    DEFAULT_TOLERANCE,
     LoadCurve,
     LoadResult,
-    compare_to_baseline,
     default_offered_grid,
     format_curves,
     sweep_payload,
@@ -70,46 +69,46 @@ class TestPayloadAndGate:
 
     def test_identical_payloads_pass_the_gate(self):
         payload = self._payload()
-        assert compare_to_baseline(payload, copy.deepcopy(payload)) == []
+        assert gate(payload, copy.deepcopy(payload)) == []
 
     def test_throughput_floor_failure(self):
         current, baseline = self._payload(), self._payload()
         point = current["curves"]["pandora"]["points"][0]
         point["achieved_tps"] = point["achieved_tps"] * 0.5
-        failures = compare_to_baseline(current, baseline)
+        failures = gate(current, baseline)
         assert any("achieved" in failure for failure in failures)
 
     def test_latency_ceiling_failure(self):
         current, baseline = self._payload(), self._payload()
         point = current["curves"]["pandora"]["points"][0]
         point["co_p99_us"] = point["co_p99_us"] * 10
-        failures = compare_to_baseline(current, baseline)
-        assert any("co_p99" in failure for failure in failures)
+        failures = gate(current, baseline)
+        assert any("co p99" in failure for failure in failures)
 
     def test_commit_drift_is_flagged_even_within_tolerance(self):
         # A 1-commit delta is nowhere near the throughput floor, but
         # seeded virtual time means it still signals behaviour change.
         current, baseline = self._payload(), self._payload()
         current["curves"]["pandora"]["points"][0]["commits"] += 1
-        failures = compare_to_baseline(current, baseline)
+        failures = gate(current, baseline)
         assert any("seeded behaviour drift" in failure for failure in failures)
 
     def test_missing_protocol_and_point_are_flagged(self):
         baseline = self._payload()
-        assert compare_to_baseline({"curves": {}}, baseline) == [
-            "pandora: missing from current sweep"
+        assert gate({"curves": {}}, baseline) == [
+            "pandora: missing from current run"
         ]
         current = self._payload()
         current["curves"]["pandora"]["points"].pop()
-        failures = compare_to_baseline(current, baseline)
-        assert any("point missing" in failure for failure in failures)
+        failures = gate(current, baseline)
+        assert failures == ["pandora @ 300 tps: missing from current run"]
 
     def test_tolerance_override_beats_baseline_field(self):
         current, baseline = self._payload(), self._payload()
         point = current["curves"]["pandora"]["points"][0]
         point["achieved_tps"] = point["achieved_tps"] * 0.9
-        assert compare_to_baseline(current, baseline) == []
-        assert compare_to_baseline(current, baseline, tolerance=0.05)
+        assert gate(current, baseline) == []
+        assert gate(current, baseline, tolerance=0.05)
 
 
 class TestRendering:

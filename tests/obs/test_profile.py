@@ -93,16 +93,6 @@ class TestFrameAccounting:
         assert list(profiler.phase_ns) == ["lock"]
         assert profiler.phase_counts == {"lock": 1}
 
-    def test_on_schedule_bills_innermost_frame(self):
-        profiler = KernelProfiler()
-        profiler.on_schedule(object())
-        profiler.push_site("root", "kernel")
-        profiler.on_schedule(object())
-        profiler.on_schedule(object())
-        profiler.pop()
-        assert profiler.scheduled == 3
-        assert profiler.scheduled_by == {"(outside-step)": 1, "root": 2}
-
     def test_subsystem_rollup_sums_sites(self):
         profiler = KernelProfiler()
         for _ in range(2):
@@ -223,7 +213,6 @@ class TestNullProfiler:
         NULL_PROFILER.run_begin()
         NULL_PROFILER.push("event", "x")
         NULL_PROFILER.push_site("a", "kernel")
-        NULL_PROFILER.on_schedule(object())
         NULL_PROFILER.begin_step(object())
         NULL_PROFILER.end_step()
         NULL_PROFILER.pop()

@@ -161,3 +161,30 @@ class TestRenderers:
             assert marker in html, marker
         # Self-contained: no external fetches.
         assert "http://" not in html and "https://" not in html
+
+
+def test_html_and_terminal_list_the_same_sections():
+    """Both renderers walk one section list — so the HTML report cannot
+    lose a section the terminal report prints (it had lost "unattributed
+    verbs"), nor the other way round."""
+    obs, _result = _run("pandora")
+    run = from_obs(obs)
+    run.meta["unattributed"] = {"read_log": 3, "write_log": 1}
+    run.events += [
+        {"ph": "X", "cat": "recovery", "name": "link-revoke", "pid": 1,
+         "ts": 1e-3, "dur": 2e-6},
+        {"ph": "i", "cat": "recovery", "name": "redetect", "pid": 1, "ts": 2e-3},
+    ]
+    text = render_terminal([run]).splitlines()
+    titles = [
+        line
+        for line, below in zip(text[1:], text[2:])
+        if line and below == "=" * len(line)
+    ]
+    assert len(titles) == len(set(titles)) == 8
+    assert "unattributed verbs (system traffic)" in titles
+    html = render_html([run])
+    for title in titles:
+        assert f"<h2>{title[0].upper()}{title[1:]}</h2>" in html, title
+    # Phase bars are the one HTML extra.
+    assert html.count("<h2>") == len(titles) + 1
