@@ -27,11 +27,11 @@ __all__ = ["NOOP_SANITIZER", "NoopSanitizer"]
 class NoopSanitizer:
     """Disabled-sanitizer twin of ``repro.obs.NullObs``.
 
-    Instrumented hot paths (``QueuePair.post``, ``MemoryNode.apply``)
-    call these hooks unconditionally; the slotted no-op singleton keeps
-    the disabled path at one attribute lookup plus one empty call, and
-    a disabled run is bit-identical to an uninstrumented one (the
-    sanitizer never schedules simulation events).
+    The default of every sanitizer slot. The per-verb hot paths do not
+    even call it — ``MemoryNode.apply`` tests for this singleton and
+    ``QueuePair`` treats a disabled sanitizer as absent — so a disabled
+    run is bit-identical to an uninstrumented one (the sanitizer never
+    schedules simulation events).
     """
 
     __slots__ = ()

@@ -40,11 +40,18 @@ It mirrors the ``NOOP_OBS`` pattern: disabled runs use the slotted
 (the sanitizer is passive — it never schedules events or touches RNG
 state). Violations carry the recent verb timeline and, when an ``Obs``
 tracer is attached, also drop an instant event into the trace.
+
+Cost model (docs/ANALYSIS.md): the sanitizer *records*, it does not
+render. A verb costs two appends of a raw tuple to the timeline ring
+(post and exec) plus one lookup per hook in that hook's per-kind rule
+table; a kind with no rule — every read — costs the dict miss. Timeline
+text is formatted only when a violation is built.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.protocol.locks import (
@@ -130,6 +137,30 @@ class _TrackedRecord:
         self.record_id: Optional[int] = None
 
 
+class _StoppedClock:
+    """Time source of a sanitizer wired to no simulator (raw-verb tests)."""
+
+    now = 0.0
+
+
+def _render(entry: Tuple) -> str:
+    """One timeline line from the raw tuple :meth:`PillSanitizer._trace` kept."""
+    now, layer, compute, node, kind, args = entry
+    if kind == "write_log":
+        # The record is the one argument that changes after it is
+        # traced: show it as it was then.
+        record, valid, record_id, charged_bytes = args
+        args = (
+            replace(
+                record, valid=valid, record_id=record_id, charged_bytes=charged_bytes
+            ),
+        )
+    brief = repr(args)
+    if len(brief) > 96:
+        brief = brief[:93] + "..."
+    return f"{now * 1e6:10.3f}us {layer:5s} c{compute}->m{node} {kind} {brief}"
+
+
 class PillSanitizer:
     """Shadow lock table + undo-record tracker asserting PILL online.
 
@@ -157,9 +188,12 @@ class PillSanitizer:
         self.failed_ids = failed_ids
         self.recovery_id = recovery_id
         self.sim = sim
+        self._clock = sim if sim is not None else _StoppedClock
         self.obs = obs
         self.strict = strict
         self.violations: List[SanitizerViolation] = []
+        # Raw ``(now, layer, compute, node, kind, args)`` tuples; see
+        # :func:`_render` for the text a violation shows.
         self._timeline: deque = deque(maxlen=timeline_depth)
         # Shadow lockset: (table, slot) -> (holder compute id, lock word).
         self._locks: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -168,15 +202,19 @@ class PillSanitizer:
         # word) with event in {"grant", "steal", "release",
         # "overwrite"}. Append-only, never read by the sanitizer.
         self.lock_events: List[Tuple[float, int, int, str, int, int]] = []
-        # Posted-record tracking for the compute-side ordering check.
+        # Posted-record tracking for the compute-side ordering check:
+        # every tracked record is in _records_by_coord and, once per
+        # covered object, in _records_by_address, both in post order.
         self._records_by_obj: Dict[int, _TrackedRecord] = {}
         self._records_by_id: Dict[Tuple[int, int, int], _TrackedRecord] = {}
         self._records_by_coord: Dict[int, List[_TrackedRecord]] = {}
+        self._records_by_address: Dict[Tuple[int, int], List[_TrackedRecord]] = {}
         # Logical records (coord, txn) with at least one invalidation
         # posted: the decision reached the log before any unlock.
         self._decided: set = set()
-        # dict-as-ordered-set: insertion order keeps reports deterministic
-        self._coords_on_compute: Dict[int, Dict[int, bool]] = {}
+        # compute -> {coordinator: rank}, ranked by first posted record;
+        # the order PILL-DECIDE names a coordinator in.
+        self._coords_on_compute: Dict[int, Dict[int, int]] = {}
         # Highest version posted via write_object, per compute per object.
         self._written: Dict[Tuple[int, Tuple[int, int]], int] = {}
         # LOTUS: slots under ticket-queue management (the lock server
@@ -189,75 +227,79 @@ class PillSanitizer:
 
     # -- helpers -------------------------------------------------------------
 
-    def _now(self) -> float:
-        return self.sim.now if self.sim is not None else 0.0
-
-    def _trace(self, layer: str, compute: int, node: int, kind: str, args: Tuple) -> None:
-        brief = repr(args)
-        if len(brief) > 96:
-            brief = brief[:93] + "..."
-        self._timeline.append(
-            f"{self._now() * 1e6:10.3f}us {layer:5s} c{compute}->m{node} {kind} {brief}"
-        )
+    def _trace(
+        self, now: float, layer: str, compute: int, node: int, kind: str, args: Tuple
+    ) -> None:
+        if kind == "write_log":
+            # The memory node assigns record_id / charged_bytes on
+            # append and an invalidation flips valid: pin all three.
+            record = args[0]
+            args = (record, record.valid, record.record_id, record.charged_bytes)
+        self._timeline.append((now, layer, compute, node, kind, args))
 
     def _violate(
-        self, code: str, message: str, compute: int, node: int, verb: str
+        self,
+        code: str,
+        message: str,
+        compute: int,
+        node: int,
+        verb: str,
+        now: Optional[float] = None,
     ) -> None:
+        if now is None:
+            now = self._clock.now
         violation = SanitizerViolation(
             code,
             message,
-            time=self._now(),
+            time=now,
             compute=compute,
             node=node,
             verb=verb,
-            timeline=self._timeline,
+            # Rendered here, not when read: the ring moves on.
+            timeline=map(_render, self._timeline),
         )
         self.violations.append(violation)
         if self.obs is not None:
-            self.obs.tracer.instant(
-                "sanitizer", code, self._now(), args={"message": message}
-            )
+            self.obs.tracer.instant("sanitizer", code, now, args={"message": message})
         if self.strict:
             raise violation
 
     def _is_failed(self, coord_id: int) -> bool:
         return coord_id in self.failed_ids
 
-    def _txn_entries(self, record) -> List[Tuple[int, int, int]]:
-        """(table, slot, new_version) triples of a txn undo record."""
-        triples = []
-        for entry in record.entries:
-            if len(entry) >= 5:
-                triples.append((entry[0], entry[1], entry[4]))
-        return triples
-
     def _has_landed_record(
         self, lock_word: int, table_id: int, slot: int, version: int
     ) -> bool:
         """A valid undo record covering (table, slot) at >= *version*
         exists in some alive log region — i.e. the write-set was
-        durably logged before this in-place update (§3.1.5)."""
+        durably logged before this in-place update (§3.1.5).
+
+        Read from the memory nodes' log regions (ground truth), entries
+        by index, newest record first — never from the tracked records
+        above, which shadow what the engine *posted*."""
         owner = owner_of(lock_word) if is_locked(lock_word) else ANONYMOUS_OWNER
         for memory in self.memory_nodes.values():
             if not memory.alive:
                 continue
             if owner != ANONYMOUS_OWNER:
-                regions = [memory.log_regions.get(owner)]
+                region = memory.log_regions.get(owner)
+                regions: Iterable = () if region is None else (region,)
             else:
                 # Anonymous lock words (FORD/tradlog) cannot be
                 # attributed; accept a covering record from any region.
-                regions = list(memory.log_regions.values())
+                regions = memory.log_regions.values()
             for region in regions:
-                if region is None or not region.header_valid:
+                if not region.header_valid:
                     continue
                 for record in reversed(region.records):
                     if not record.valid or record.txn_id == _LOCK_INTENT_TXN:
                         continue
-                    for entry_table, entry_slot, new_version in self._txn_entries(record):
+                    for entry in record.entries:
                         if (
-                            entry_table == table_id
-                            and entry_slot == slot
-                            and new_version >= version
+                            len(entry) >= 5
+                            and entry[0] == table_id
+                            and entry[1] == slot
+                            and entry[4] >= version
                         ):
                             return True
         return False
@@ -265,91 +307,113 @@ class PillSanitizer:
     # -- compute-side hook (queue-pair post order) ---------------------------
 
     def on_post(self, compute_id: int, node_id: int, kind: str, args: Tuple, now: float) -> None:
-        self._trace("post", compute_id, node_id, kind, args)
-        if kind == "write_log":
-            record = args[0]
-            if record.txn_id == _LOCK_INTENT_TXN:
-                return
-            covers: Dict[Tuple[int, int], int] = {}
-            for entry in record.entries:
-                if len(entry) < 9:
-                    continue
-                # Changeless entries (read_for_update never followed by
-                # a write: new_value None, not a delete) commit without
-                # any write_object, so they cannot demand one.
-                if entry[6] is None and entry[8]:
-                    continue
-                covers[(entry[0], entry[1])] = entry[4]
-            tracked = _TrackedRecord(record, node_id, covers)
-            self._records_by_obj[id(record)] = tracked
-            self._records_by_coord.setdefault(record.coord_id, []).append(tracked)
-            self._coords_on_compute.setdefault(compute_id, {})[record.coord_id] = True
-        elif kind == "invalidate_log":
-            coord_id, record_id = args
-            tracked = self._records_by_id.get((node_id, coord_id, record_id))
-            if tracked is not None:
+        self._trace(now, "post", compute_id, node_id, kind, args)
+        rule = self._POST_RULES.get(kind)
+        if rule is not None:
+            rule(self, compute_id, node_id, args, now)
+
+    def _post_write_log(self, compute_id: int, node_id: int, args: Tuple, _now: float) -> None:
+        record = args[0]
+        if record.txn_id == _LOCK_INTENT_TXN:
+            return
+        covers: Dict[Tuple[int, int], int] = {}
+        for entry in record.entries:
+            if len(entry) < 9:
+                continue
+            # Changeless entries (read_for_update never followed by
+            # a write: new_value None, not a delete) commit without
+            # any write_object, so they cannot demand one.
+            if entry[6] is None and entry[8]:
+                continue
+            covers[(entry[0], entry[1])] = entry[4]
+        tracked = _TrackedRecord(record, node_id, covers)
+        self._records_by_obj[id(record)] = tracked
+        self._records_by_coord.setdefault(record.coord_id, []).append(tracked)
+        for address in covers:
+            self._records_by_address.setdefault(address, []).append(tracked)
+        coords = self._coords_on_compute.setdefault(compute_id, {})
+        coords.setdefault(record.coord_id, len(coords))
+
+    def _post_invalidate_log(
+        self, _compute_id: int, node_id: int, args: Tuple, _now: float
+    ) -> None:
+        coord_id, record_id = args
+        tracked = self._records_by_id.get((node_id, coord_id, record_id))
+        if tracked is not None:
+            self._decided.add((coord_id, tracked.record.txn_id))
+            self._drop_record(tracked)
+
+    def _post_truncate(self, _compute_id: int, node_id: int, args: Tuple, _now: float) -> None:
+        (coord_id,) = args
+        for tracked in list(self._records_by_coord.get(coord_id, ())):
+            if tracked.node_id == node_id:
                 self._decided.add((coord_id, tracked.record.txn_id))
                 self._drop_record(tracked)
-        elif kind == "truncate_log_region":
-            (coord_id,) = args
-            for tracked in list(self._records_by_coord.get(coord_id, ())):
-                if tracked.node_id == node_id:
-                    self._decided.add((coord_id, tracked.record.txn_id))
-                    self._drop_record(tracked)
-        elif kind in ("write_object", "vote_write"):
-            table_id, slot, version = args[0], args[1], args[2]
-            key = (compute_id, (table_id, slot))
-            if version > self._written.get(key, -1):
-                self._written[key] = version
-        elif kind == "write_lock":
-            table_id, slot, word = args
-            if word == 0 and compute_id != self.recovery_id:
-                self._check_unlock_order(compute_id, node_id, table_id, slot)
+
+    def _post_write(self, compute_id: int, _node_id: int, args: Tuple, _now: float) -> None:
+        key = (compute_id, (args[0], args[1]))
+        version = args[2]
+        if version > self._written.get(key, -1):
+            self._written[key] = version
+
+    def _post_write_lock(self, compute_id: int, node_id: int, args: Tuple, now: float) -> None:
+        table_id, slot, word = args
+        if word == 0 and compute_id != self.recovery_id:
+            self._check_unlock_order(compute_id, node_id, table_id, slot, now)
 
     def _check_unlock_order(
-        self, compute_id: int, node_id: int, table_id: int, slot: int
+        self, compute_id: int, node_id: int, table_id: int, slot: int, now: float
     ) -> None:
         """PILL-DECIDE: at unlock-post time, every still-valid record of
         this compute covering the object must either have had its
         invalidation posted first (abort decided) or be justified by a
         posted commit write at the logged version (commit decided)."""
         address = (table_id, slot)
+        covering = self._records_by_address.get(address)
+        coords = self._coords_on_compute.get(compute_id)
+        if not covering or coords is None:
+            return
         applied = self._written.get((compute_id, address), -1)
-        for coord_id in self._coords_on_compute.get(compute_id, ()):
-            for tracked in list(self._records_by_coord.get(coord_id, ())):
-                needed = tracked.covers.get(address)
-                if needed is None or applied >= needed:
-                    continue
-                if (coord_id, tracked.record.txn_id) in self._decided:
-                    # A sibling copy's invalidation was already posted:
-                    # the abort decision reached the log first. The
-                    # engine cannot invalidate copies it was never
-                    # acked (dead log node / ack in flight at a crash,
-                    # §3.2.5), so one posted invalidation is proof.
-                    continue
-                host = self.memory_nodes.get(tracked.node_id)
-                if host is None or not host.alive:
-                    # The copy died with its log node; the engine can
-                    # neither invalidate it nor is recovery misled by
-                    # it. Forget it (a restore resets the region).
-                    self._drop_record(tracked)
-                    continue
-                if tracked.record_id is None:
-                    # Still in flight: its ack cannot have reached the
-                    # compute, so the engine does not know this copy
-                    # exists (interrupted-attempt cleanup, §3.2.5).
-                    continue
-                self._violate(
-                    UNLOCK_BEFORE_TRUNCATE,
-                    f"unlock of table {table_id} slot {slot} posted while undo "
-                    f"record (coord {coord_id}, txn {tracked.record.txn_id}) is "
-                    f"still valid and no commit write at version {needed} was "
-                    "posted — the abort decision was lost (§3.1.5)",
-                    compute=compute_id,
-                    node=node_id,
-                    verb="write_lock",
-                )
-                return
+        # This compute's coordinators in rank order, each one's records
+        # in post order (the sort is stable): the first hit is reported.
+        mine = [tracked for tracked in covering if tracked.coord_id in coords]
+        mine.sort(key=lambda tracked: coords[tracked.coord_id])
+        for tracked in mine:
+            needed = tracked.covers[address]
+            if applied >= needed:
+                continue
+            coord_id = tracked.coord_id
+            if (coord_id, tracked.record.txn_id) in self._decided:
+                # A sibling copy's invalidation was already posted:
+                # the abort decision reached the log first. The
+                # engine cannot invalidate copies it was never
+                # acked (dead log node / ack in flight at a crash,
+                # §3.2.5), so one posted invalidation is proof.
+                continue
+            host = self.memory_nodes.get(tracked.node_id)
+            if host is None or not host.alive:
+                # The copy died with its log node; the engine can
+                # neither invalidate it nor is recovery misled by
+                # it. Forget it (a restore resets the region).
+                self._drop_record(tracked)
+                continue
+            if tracked.record_id is None:
+                # Still in flight: its ack cannot have reached the
+                # compute, so the engine does not know this copy
+                # exists (interrupted-attempt cleanup, §3.2.5).
+                continue
+            self._violate(
+                UNLOCK_BEFORE_TRUNCATE,
+                f"unlock of table {table_id} slot {slot} posted while undo "
+                f"record (coord {coord_id}, txn {tracked.record.txn_id}) is "
+                f"still valid and no commit write at version {needed} was "
+                "posted — the abort decision was lost (§3.1.5)",
+                compute=compute_id,
+                node=node_id,
+                verb="write_lock",
+                now=now,
+            )
+            return
 
     def _drop_record(self, tracked: _TrackedRecord) -> None:
         self._records_by_obj.pop(id(tracked.record), None)
@@ -357,83 +421,70 @@ class PillSanitizer:
             self._records_by_id.pop(
                 (tracked.node_id, tracked.coord_id, tracked.record_id), None
             )
-        siblings = self._records_by_coord.get(tracked.coord_id)
-        if siblings is not None:
-            try:
-                siblings.remove(tracked)
-            except ValueError:
-                pass
+        self._records_by_coord[tracked.coord_id].remove(tracked)
+        for address in tracked.covers:
+            covering = self._records_by_address[address]
+            covering.remove(tracked)
+            if not covering:
+                del self._records_by_address[address]
 
     # -- memory-side hooks (atomic execution point) --------------------------
 
     def before_verb(self, node, src: int, kind: str, args: Tuple) -> None:
-        self._trace("exec", src, node.node_id, kind, args)
-        if kind == "cas_lock":
-            self._before_cas(node, src, args)
-        elif kind == "write_lock":
-            self._before_write_lock(node, src, args)
-        elif kind == "write_object":
-            self._before_write_object(node, src, args)
-        elif kind == "vote_write":
-            self._before_vote_write(node, src, args)
-        elif kind == "write_log":
-            self._before_write_log(node, src, args)
-        elif kind == "truncate_log_region":
-            if src != self.recovery_id:
-                self._violate(
-                    NONRECOVERY_TRUNCATE,
-                    f"log-region truncation issued by compute {src}; only the "
-                    "recovery server truncates whole regions (§3.2.3)",
-                    compute=src,
-                    node=node.node_id,
-                    verb=kind,
-                )
+        self._trace(self._clock.now, "exec", src, node.node_id, kind, args)
+        rule = self._BEFORE_RULES.get(kind)
+        if rule is not None:
+            rule(self, node, src, args)
 
     def after_verb(self, node, src: int, kind: str, args: Tuple, result: Any) -> None:
-        if kind == "cas_lock":
-            table_id, slot, expected, desired = args
-            if result == expected:  # the CAS succeeded
-                if desired == 0:
-                    self._locks.pop((table_id, slot), None)
-                    event = "release"
-                else:
-                    self._locks[(table_id, slot)] = (src, desired)
-                    event = "grant" if expected == 0 else "steal"
-                self.lock_events.append(
-                    (self._now(), table_id, slot, event, src, desired)
-                )
-                if desired == 0 and (table_id, slot) in self._ticket_slots:
-                    self._resync_ticket_slot(node, table_id, slot)
-        elif kind == "write_lock":
-            table_id, slot, word = args
-            if word == 0:
-                self._locks.pop((table_id, slot), None)
-                event = "release"
-            else:
-                self._locks[(table_id, slot)] = (src, word)
-                event = "overwrite"
-            self.lock_events.append(
-                (self._now(), table_id, slot, event, src, word)
+        rule = self._AFTER_RULES.get(kind)
+        if rule is not None:
+            rule(self, node, src, args, result)
+
+    def _after_cas(self, node, src: int, args: Tuple, result: Any) -> None:
+        table_id, slot, expected, desired = args
+        if result == expected:  # the CAS succeeded
+            self._lock_word_written(
+                node, src, table_id, slot, desired, "grant" if expected == 0 else "steal"
             )
-            if word == 0 and (table_id, slot) in self._ticket_slots:
-                self._resync_ticket_slot(node, table_id, slot)
-        elif kind == "faa_ticket":
-            table_id, slot, coord_id = args
-            self._coord_compute[coord_id] = src
-            ticket, _word = result
-            if ticket >= 0:
-                self._ticket_slots.add((table_id, slot))
-                self._resync_ticket_slot(node, table_id, slot)
-        elif kind == "cancel_ticket":
-            table_id, slot = args[0], args[1]
-            if (table_id, slot) in self._ticket_slots:
-                self._resync_ticket_slot(node, table_id, slot)
-        elif kind == "write_log":
-            record = args[0]
-            tracked = self._records_by_obj.get(id(record))
-            if tracked is not None and tracked.record_id is None:
-                tracked.record_id = result
-                self._records_by_id[(node.node_id, record.coord_id, result)] = tracked
+
+    def _after_write_lock(self, node, src: int, args: Tuple, _result: Any) -> None:
+        table_id, slot, word = args
+        self._lock_word_written(node, src, table_id, slot, word, "overwrite")
+
+    def _lock_word_written(
+        self, node, src: int, table_id: int, slot: int, word: int, acquired_as: str
+    ) -> None:
+        key = (table_id, slot)
+        if word == 0:
+            self._locks.pop(key, None)
+            event = "release"
+        else:
+            self._locks[key] = (src, word)
+            event = acquired_as
+        self.lock_events.append((self._clock.now, table_id, slot, event, src, word))
+        if word == 0 and key in self._ticket_slots:
+            self._resync_ticket_slot(node, table_id, slot)
+
+    def _after_faa_ticket(self, node, src: int, args: Tuple, result: Any) -> None:
+        table_id, slot, coord_id = args
+        self._coord_compute[coord_id] = src
+        ticket, _word = result
+        if ticket >= 0:
+            self._ticket_slots.add((table_id, slot))
+            self._resync_ticket_slot(node, table_id, slot)
+
+    def _after_cancel_ticket(self, node, _src: int, args: Tuple, _result: Any) -> None:
+        table_id, slot = args[0], args[1]
+        if (table_id, slot) in self._ticket_slots:
+            self._resync_ticket_slot(node, table_id, slot)
+
+    def _after_write_log(self, node, _src: int, args: Tuple, result: Any) -> None:
+        record = args[0]
+        tracked = self._records_by_obj.get(id(record))
+        if tracked is not None and tracked.record_id is None:
+            tracked.record_id = result
+            self._records_by_id[(node.node_id, record.coord_id, result)] = tracked
 
     def _resync_ticket_slot(self, node, table_id: int, slot: int) -> None:
         """Re-read a queue-managed slot's ground-truth word.
@@ -456,7 +507,18 @@ class PillSanitizer:
         self._locks[key] = (holder, word)
         if previous is None or previous[1] != word:
             self.lock_events.append(
-                (self._now(), table_id, slot, "grant", holder, word)
+                (self._clock.now, table_id, slot, "grant", holder, word)
+            )
+
+    def _before_truncate(self, node, src: int, _args: Tuple) -> None:
+        if src != self.recovery_id:
+            self._violate(
+                NONRECOVERY_TRUNCATE,
+                f"log-region truncation issued by compute {src}; only the "
+                "recovery server truncates whole regions (§3.2.3)",
+                compute=src,
+                node=node.node_id,
+                verb="truncate_log_region",
             )
 
     def _before_vote_write(self, node, src: int, args: Tuple) -> None:
@@ -569,7 +631,10 @@ class PillSanitizer:
         record = args[0]
         if record.txn_id == _LOCK_INTENT_TXN:
             return  # tradlog lock-intent records precede the CAS by design
-        for table_id, slot, _new_version in self._txn_entries(record):
+        for entry in record.entries:
+            if len(entry) < 5:
+                continue
+            table_id, slot = entry[0], entry[1]
             held = self._locks.get((table_id, slot))
             if held is None or held[0] != src:
                 holder = "nobody" if held is None else f"compute {held[0]}"
@@ -583,3 +648,30 @@ class PillSanitizer:
                     verb="write_log",
                 )
                 return
+
+    # -- per-kind rule tables: a verb kind absent from a hook's table
+    # has no rule there (every read; most kinds on the post side) ------------
+
+    _POST_RULES = {
+        "write_log": _post_write_log,
+        "invalidate_log": _post_invalidate_log,
+        "truncate_log_region": _post_truncate,
+        "write_object": _post_write,
+        "vote_write": _post_write,
+        "write_lock": _post_write_lock,
+    }
+    _BEFORE_RULES = {
+        "cas_lock": _before_cas,
+        "write_lock": _before_write_lock,
+        "write_object": _before_write_object,
+        "vote_write": _before_vote_write,
+        "write_log": _before_write_log,
+        "truncate_log_region": _before_truncate,
+    }
+    _AFTER_RULES = {
+        "cas_lock": _after_cas,
+        "write_lock": _after_write_lock,
+        "faa_ticket": _after_faa_ticket,
+        "cancel_ticket": _after_cancel_ticket,
+        "write_log": _after_write_log,
+    }

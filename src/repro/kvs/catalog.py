@@ -47,6 +47,8 @@ class Catalog:
         self.placement = placement
         self.tables: Dict[int, TableSpec] = {}
         self.tables_by_name: Dict[str, TableSpec] = {}
+        # table id -> value size: what sizing a log record needs.
+        self.value_sizes: Dict[int, int] = {}
         self._key_slots: Dict[int, Dict[Hashable, int]] = {}
         self._next_slot: Dict[int, int] = {}
 
@@ -58,6 +60,7 @@ class Catalog:
             raise ValueError(f"duplicate table name {spec.name!r}")
         self.tables[spec.table_id] = spec
         self.tables_by_name[spec.name] = spec
+        self.value_sizes[spec.table_id] = spec.value_size
         self._key_slots[spec.table_id] = {}
         self._next_slot[spec.table_id] = 0
         return spec

@@ -16,7 +16,7 @@ compute servers apply after a memory failure.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 __all__ = ["ConsistentHashRing", "Placement"]
 
@@ -103,14 +103,18 @@ class Placement:
             for index in range(partitions)
         ]
         self._down: Set[int] = set()
+        # coord id -> log_nodes() answer; valid until _down changes.
+        self._log_nodes: Dict[int, Tuple[int, ...]] = {}
 
     def mark_down(self, node_id: int) -> None:
         """Record a memory-server failure (affects primaries)."""
         self._down.add(node_id)
+        self._log_nodes.clear()
 
     def mark_up(self, node_id: int) -> None:
         """Record a memory-server rejoin."""
         self._down.discard(node_id)
+        self._log_nodes.clear()
 
     @property
     def down_nodes(self) -> Set[int]:
@@ -159,6 +163,12 @@ class Placement:
         next live ring successor takes its place — the same
         deterministic promotion rule as for data primaries.
         """
+        nodes = self._log_nodes.get(coord_id)
+        if nodes is None:
+            nodes = self._log_nodes[coord_id] = self._derive_log_nodes(coord_id)
+        return nodes
+
+    def _derive_log_nodes(self, coord_id: int) -> Tuple[int, ...]:
         candidates = self._ring.successors(
             f"coord-log-{coord_id}", len(self.memory_node_ids)
         )

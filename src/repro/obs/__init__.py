@@ -218,9 +218,7 @@ class Obs:
 
     # -- RDMA verb hooks (hot path: called once per posted verb) -------------
 
-    def on_verb_post(
-        self, kind: str, compute_id: int, node_id: int, wire_bytes: int, now: float
-    ) -> None:
+    def on_verb_post(self, kind: str, node_id: int, wire_bytes: int) -> None:
         """One verb posted on a QP (request direction)."""
         key = (kind, node_id)
         counter = self._verb_counters.get(key)
@@ -417,7 +415,7 @@ class NullObs:
     def set_run_meta(self, **meta) -> None:
         pass
 
-    def on_verb_post(self, kind, compute_id, node_id, wire_bytes, now) -> None:
+    def on_verb_post(self, kind, node_id, wire_bytes) -> None:
         pass
 
     def on_verb_complete(self, kind, node_id, latency, wire_bytes, ok) -> None:

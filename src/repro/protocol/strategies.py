@@ -611,10 +611,7 @@ class CoalescedLogStrategy(LogStrategy):
         )
         if not entries:
             return
-        value_sizes = {
-            spec.table_id: spec.value_size
-            for spec in engine.catalog.tables.values()
-        }
+        value_sizes = engine.catalog.value_sizes
         for node in engine.catalog.log_nodes(engine.coord_id):
             record = LogRecord(
                 coord_id=engine.coord_id, txn_id=tx.txn_id, entries=entries

@@ -31,8 +31,6 @@ from __future__ import annotations
 from types import MethodType
 from typing import Any, Callable, Optional, Tuple
 
-from repro.analysis import NOOP_SANITIZER
-from repro.obs import NOOP_OBS
 from repro.rdma.errors import LinkRevokedError, RemoteNodeDownError
 from repro.rdma.network import Network
 from repro.sim import Event, Simulator
@@ -53,7 +51,8 @@ class WorkRequest(Event):
     share one kernel entry (see :class:`_Channel`); only the head of a
     chain is ever on the kernel queue.
 
-    ``posted_at`` and ``flight_token`` are set on observed QPs only.
+    ``posted_at`` is set only on a QP with an ``Obs`` (which reads it
+    for the verb latency), ``flight_token`` only with a flight recorder.
     """
 
     __slots__ = ("qp", "kind", "args", "signaled", "_next", "posted_at", "flight_token")
@@ -91,7 +90,7 @@ class WorkRequest(Event):
         qp = self.qp
         memory_node = qp.memory_node
         compute_id = qp.compute_id
-        respond = qp._observed_respond if qp.observed else qp._responses.send
+        respond = qp._respond
         verb: Optional[WorkRequest] = self
         while verb is not None:
             # The response leg reuses the link, so detach first.
@@ -172,19 +171,31 @@ class _Channel:
         return arrival
 
 
+def _present(observer: Optional[Any]) -> Optional[Any]:
+    """*observer* if it is a real one; None if absent or a no-op twin."""
+    return observer if observer is not None and observer.enabled else None
+
+
 class QueuePair:
-    """One compute-to-memory reliable connection."""
+    """One compute-to-memory reliable connection.
+
+    ``profiler``, ``obs``, ``flight`` and ``sanitizer`` are the
+    observers this QP has; an absent one is None and is never called.
+    """
 
     __slots__ = (
         "sim",
         "compute_id",
         "memory_node",
         "posted_verbs",
+        "profiler",
         "obs",
+        "flight",
         "sanitizer",
         "observed",
         "_requests",
         "_responses",
+        "_respond",
     )
 
     def __init__(
@@ -200,19 +211,23 @@ class QueuePair:
         self.compute_id = compute_id
         self.memory_node = memory_node
         self.posted_verbs = 0
-        self.obs = obs if obs is not None else NOOP_OBS
-        self.sanitizer = sanitizer if sanitizer is not None else NOOP_SANITIZER
         # Hooks are fixed at construction (the cluster builder wires
-        # obs/sanitizer/profiler before any traffic), so whether anyone
-        # is watching is decided once. The hooks only wrap the one
-        # scheduling path below; they never choose another.
-        self.observed = (
-            sim.profiler.enabled
-            or self.obs is not NOOP_OBS
-            or self.sanitizer is not NOOP_SANITIZER
-        )
+        # obs/sanitizer/profiler before any traffic), so who is
+        # watching is decided once, per observer. The hooks only wrap
+        # the one scheduling path below; they never choose another.
+        self.profiler = _present(sim.profiler)
+        self.obs = _present(obs)
+        self.flight = _present(self.obs.flight) if self.obs is not None else None
+        self.sanitizer = _present(sanitizer)
         self._requests = _Channel(sim, network, WorkRequest._arrive)
         self._responses = _Channel(sim, network, WorkRequest._deliver)
+        # The sanitizer watches posts (and the memory node), never
+        # completions: only a profiler or an Obs wraps the response leg.
+        completions_observed = self.profiler is not None or self.obs is not None
+        self.observed = completions_observed or self.sanitizer is not None
+        self._respond = (
+            self._observed_respond if completions_observed else self._responses.send
+        )
 
     def post(
         self,
@@ -244,47 +259,63 @@ class QueuePair:
         return verb
 
     def _observed_post(self, verb: WorkRequest, request_size: int) -> None:
-        """The request send, wrapped in profiler / obs / sanitizer hooks."""
+        """The request send, wrapped in the hooks of the observers present."""
         kind, args, node_id = verb.kind, verb.args, self.memory_node.node_id
-        verb.posted_at = posted_at = self.sim.now
-        profiler = self.sim.profiler
+        now = self.sim.now
+        profiler = self.profiler
         # The rdma.post frame also carries the ambient txn-phase tag
         # (asserted by TxnTrace.focus), feeding the per-phase wall-time
         # rollup in `repro perf`.
-        profiler.push("rdma.post", kind)
-        try:
+        if profiler is not None:
+            profiler.push("rdma.post", kind)
             profiler.push("shim", "verb-post")
+        try:
             try:
-                self.obs.on_verb_post(
-                    kind, self.compute_id, node_id, request_size + VERB_HEADER_BYTES, posted_at
-                )
-                # Flight-recorder attribution: a token the completion
-                # fills with the measured latency (None when disabled or
-                # the verb is system traffic with no focused attempt).
-                verb.flight_token = self.obs.flight.on_post(
-                    kind, self.compute_id, node_id, posted_at, args
-                )
-                self.sanitizer.on_post(self.compute_id, node_id, kind, args, posted_at)
+                obs = self.obs
+                if obs is not None:
+                    verb.posted_at = now
+                    obs.on_verb_post(kind, node_id, request_size + VERB_HEADER_BYTES)
+                    flight = self.flight
+                    if flight is not None:
+                        # Flight-recorder attribution: a token the
+                        # completion fills with the measured latency
+                        # (None when the verb is system traffic with no
+                        # focused attempt).
+                        verb.flight_token = flight.on_post(
+                            kind, self.compute_id, node_id, now, args
+                        )
+                sanitizer = self.sanitizer
+                if sanitizer is not None:
+                    sanitizer.on_post(self.compute_id, node_id, kind, args, now)
             finally:
-                profiler.pop()
+                if profiler is not None:
+                    profiler.pop()
             self._requests.send(verb, request_size)
         finally:
-            profiler.pop()
+            if profiler is not None:
+                profiler.pop()
 
     def _observed_respond(self, verb: WorkRequest, response_size: int) -> None:
         """The response send, wrapped in profiler / obs / flight hooks."""
-        profiler = self.sim.profiler
-        profiler.push("rdma.complete", verb.kind)
+        profiler = self.profiler
+        if profiler is not None:
+            profiler.push("rdma.complete", verb.kind)
         try:
-            latency = self._responses.send(verb, response_size) - verb.posted_at
-            ok = verb._exception is None
-            self.obs.on_verb_complete(
-                verb.kind,
-                self.memory_node.node_id,
-                latency,
-                response_size + VERB_HEADER_BYTES,
-                ok,
-            )
-            self.obs.flight.on_complete(verb.flight_token, latency, ok)
+            arrival = self._responses.send(verb, response_size)
+            obs = self.obs
+            if obs is not None:
+                latency = arrival - verb.posted_at
+                ok = verb._exception is None
+                obs.on_verb_complete(
+                    verb.kind,
+                    self.memory_node.node_id,
+                    latency,
+                    response_size + VERB_HEADER_BYTES,
+                    ok,
+                )
+                flight = self.flight
+                if flight is not None:
+                    flight.on_complete(verb.flight_token, latency, ok)
         finally:
-            profiler.pop()
+            if profiler is not None:
+                profiler.pop()

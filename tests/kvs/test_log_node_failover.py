@@ -1,6 +1,8 @@
 """Log-server placement under memory failures (§3.1.4 + §3.2.5)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kvs.placement import Placement
 
@@ -46,3 +48,40 @@ class TestLogNodeFailover:
         primaries = {placement.log_nodes(coord)[0] for coord in range(64)}
         # Consistent hashing spreads coordinators' log primaries.
         assert len(primaries) >= 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 3)), min_size=1, max_size=12
+        )
+    )
+    def test_memoised_answer_tracks_every_mark_down_and_mark_up(self, steps):
+        """log_nodes() is memoised per coordinator and dropped whenever
+        the down-set changes: after any history it answers like a
+        Placement that has never been asked before."""
+
+        def answers(placement):
+            out = []
+            for coord_id in range(6):
+                try:
+                    out.append(placement.log_nodes(coord_id))
+                except RuntimeError:
+                    out.append("no live log server")
+            return out
+
+        nodes = [0, 1, 2, 3]
+        placement = Placement(nodes, replication_degree=2)
+        answers(placement)  # fill the memo before the first change
+        down = set()
+        for up, node_id in steps:
+            if up:
+                placement.mark_up(node_id)
+                down.discard(node_id)
+            else:
+                placement.mark_down(node_id)
+                down.add(node_id)
+            fresh = Placement(nodes, replication_degree=2)
+            for dead in sorted(down):
+                fresh.mark_down(dead)
+            assert answers(placement) == answers(fresh)
+            assert answers(placement) == answers(fresh)  # and once memoised

@@ -1,6 +1,8 @@
 """Tests for the simulated RDMA fabric: network, QPs, verbs."""
 
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -329,10 +331,18 @@ class TestChainedWorkRequests:
 
     # -- observed and unobserved QPs schedule identically -------------------
 
+    # What _script posts: 3 rounds of 4 reads + 1 unsignaled write +
+    # 1 CAS, 3 doomed reads and 1 read to the dead node. Every signaled
+    # verb gets a response, refusals included.
+    POSTED, SIGNALED = 22, 19
+
     @staticmethod
     def _script(profiler=None, obs=None, sanitize=False):
         """Pipelined bursts, an unsignaled write, a revocation mid-flight
-        and a node crash, on a jittery fabric (so RNG draw order counts)."""
+        and a node crash, on a jittery fabric (so RNG draw order counts).
+
+        *sanitize* is True for a real ``PillSanitizer``, or a stand-in's
+        class."""
         from repro.analysis.sanitizer import PillSanitizer
 
         sim = Simulator(profiler=profiler)
@@ -341,8 +351,11 @@ class TestChainedWorkRequests:
         memory = MemoryNode(0)
         memory.create_table(0, 64, value_size=8)
         sanitizer = None
-        if sanitize:
+        if sanitize is True:
             sanitizer = PillSanitizer({0: memory}, sim=sim, strict=False)
+        elif sanitize:
+            sanitizer = sanitize()
+        if sanitizer is not None:
             memory.sanitizer = sanitizer
         verbs = Verbs(sim, 7, network, {0: memory}, obs=obs, sanitizer=sanitizer)
         completions = []
@@ -379,9 +392,93 @@ class TestChainedWorkRequests:
         plain = self._script()
         assert [name for _when, name in plain[0]].count("LinkRevokedError") == 3
         assert plain[0][-1][1] == "RemoteNodeDownError"
-        assert self._script(sanitize=True) == plain
-        assert self._script(obs=Obs(trace=True, flight=True)) == plain
-        profiler = KernelProfiler()
-        assert self._script(profiler=profiler) == plain
-        # Chains are compensated in the profiler's step counter too.
-        assert profiler.steps == plain[1]
+        assert len(plain[0]) == self.SIGNALED
+        # Who watches is decided per observer: every subset, not one flag.
+        observers = ("sanitizer", "obs", "profiler")
+        for size in (1, 2, 3):
+            for present in combinations(observers, size):
+                profiler = KernelProfiler() if "profiler" in present else None
+                observed = self._script(
+                    profiler=profiler,
+                    obs=Obs(trace=True, flight=True) if "obs" in present else None,
+                    sanitize="sanitizer" in present,
+                )
+                assert observed == plain, present
+                if profiler is not None:
+                    # Chains are compensated in the profiler's step counter too.
+                    assert profiler.steps == plain[1]
+
+    def test_a_qp_calls_the_observers_it_has_and_no_others(self, monkeypatch):
+        from repro.analysis import NoopSanitizer
+        from repro.obs import KernelProfiler, NullObs, Obs
+        from repro.obs.flight import FlightRecorder, NullFlightRecorder
+        from repro.obs.profile import NullKernelProfiler
+
+        calls = Counter()
+
+        def counted(who, hook, inner=lambda *args: None):
+            def method(self, *args):
+                calls[who, hook] += 1
+                return inner(self, *args)
+
+            return method
+
+        class Profiler(KernelProfiler):
+            def push(self, category, detail=None):
+                if category in ("rdma.post", "shim", "rdma.complete"):  # the QP's frames
+                    calls["profiler", category] += 1
+                super().push(category, detail)
+
+        class Flight(FlightRecorder):
+            on_post = counted("flight", "post", FlightRecorder.on_post)
+            on_complete = counted("flight", "complete", FlightRecorder.on_complete)
+
+        class Watcher(Obs):
+            on_verb_post = counted("obs", "post", Obs.on_verb_post)
+            on_verb_complete = counted("obs", "complete", Obs.on_verb_complete)
+
+        class Sanitizer(NoopSanitizer):
+            enabled = True
+            on_post = counted("sanitizer", "post")
+
+        def watcher():
+            obs = Watcher(trace=False)
+            obs.flight = Flight()
+            return obs
+
+        # An absent observer's no-op twin must not be called in its place.
+        for twin, hooks in (
+            (NullKernelProfiler, ("push", "pop")),
+            (NullObs, ("on_verb_post", "on_verb_complete")),
+            (NullFlightRecorder, ("on_post", "on_complete")),
+            (NoopSanitizer, ("on_post",)),
+        ):
+            for hook in hooks:
+                monkeypatch.setattr(twin, hook, counted(twin.__name__, hook))
+
+        expected = {
+            "sanitizer": {("sanitizer", "post"): self.POSTED},
+            "obs": {
+                ("obs", "post"): self.POSTED,
+                ("obs", "complete"): self.SIGNALED,
+                ("flight", "post"): self.POSTED,
+                ("flight", "complete"): self.SIGNALED,
+            },
+            "profiler": {
+                ("profiler", "rdma.post"): self.POSTED,
+                ("profiler", "shim"): self.POSTED,
+                ("profiler", "rdma.complete"): self.SIGNALED,
+            },
+        }
+        for size in range(len(expected) + 1):
+            for present in combinations(expected, size):
+                calls.clear()
+                self._script(
+                    profiler=Profiler() if "profiler" in present else None,
+                    obs=watcher() if "obs" in present else None,
+                    sanitize="sanitizer" in present and Sanitizer,
+                )
+                wanted = {}
+                for name in present:
+                    wanted.update(expected[name])
+                assert calls == wanted, present
