@@ -38,9 +38,6 @@ class NoopSanitizer:
 
     enabled = False
 
-    def on_post(self, compute_id, node_id, kind, args, now) -> None:
-        """Compute-side hook: a verb was posted on a queue pair."""
-
     def before_verb(self, node, src, kind, args) -> None:
         """Memory-side hook: a verb is about to execute at *node*."""
 

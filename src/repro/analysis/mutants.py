@@ -2,15 +2,16 @@
 
 Two kinds of mutants prove the checkers actually check:
 
-**Dynamic mutants** — deliberately broken Pandora engines (or
-re-enabled FORD bug flags) run through a small hand-wired rig with the
+**Dynamic mutants** — the pandora declaration with one strategy
+swapped for a broken subclass (or one FORD bug flag re-enabled), run
+through a small hand-wired rig with the
 PILL sanitizer in collect mode and a flight recorder attached. The
 harness asserts, per mutant:
 
 * the sanitizer reports the expected violation code,
 * where a race signature is expected, the lockset detector
   (:mod:`repro.analysis.races`) finds it in the recorded flight, and
-* the *same scenario* under the unmutated engine reports nothing —
+* the *same scenario* under the unmutated declaration reports nothing —
   so a detection is evidence of the mutation, not of a trigger-happy
   checker.
 
@@ -30,7 +31,8 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, List, Optional
 
 from repro.analysis.protolint import _repo_root, run_protolint
@@ -46,13 +48,12 @@ from repro.analysis.sanitizer import (
 from repro.cluster.node import ComputeNode
 from repro.kvs.catalog import Catalog, TableSpec
 from repro.kvs.placement import Placement
-from repro.memory.node import LogRecord, MemoryNode
-from repro.protocol.base import ProtocolEngine
+from repro.memory.node import MemoryNode
 from repro.protocol.coordinator import Coordinator, CoordinatorConfig
 from repro.protocol.locks import is_locked
-from repro.protocol.strategies import UndoEntry
+from repro.protocol.strategies import CoalescedLogStrategy, PillCasLockStrategy
 from repro.protocol.types import BugFlags
-from repro.protocol.zoo import ZOO
+from repro.protocol.zoo import ZOO, Protocol
 from repro.obs import Obs
 from repro.rdma.network import Network, NetworkConfig
 from repro.rdma.verbs import Verbs
@@ -167,22 +168,22 @@ class MutantRig:
 PANDORA = ZOO["pandora"]
 
 
-class StealAnyLockEngine(ProtocolEngine):
+class StealAnyLock(PillCasLockStrategy):
     """MUTANT: treats *every* held lock as stray (skips the failed-ids
     check), so the second CAS steals locks from live coordinators."""
 
-    def _is_stray(self, word: int) -> bool:
+    def is_stray(self, word: int) -> bool:
         return is_locked(word)
 
 
-class WriteWithoutLockEngine(ProtocolEngine):
+class NeverLocks(PillCasLockStrategy):
     """MUTANT: the acquire path only *reads* the object and pretends
     the lock was taken — commits then update replicas lock-free."""
 
-    def _acquire_inner(self, tx, intent):
+    def acquire(self, tx, intent):
         table_id, slot = intent.table_id, intent.slot
-        primary = self.placement.primary(table_id, slot)
-        _lock, version, present, value = yield self.verbs.read_object(
+        primary = self.engine.placement.primary(table_id, slot)
+        _lock, version, present, value = yield self.engine.verbs.read_object(
             primary, table_id, slot
         )
         intent.locked = True
@@ -193,34 +194,15 @@ class WriteWithoutLockEngine(ProtocolEngine):
         intent.lock_result = (True, "")
 
 
-class EagerLogEngine(ProtocolEngine):
-    """MUTANT: posts the coalesced undo record *before* the lock
-    barrier (log-before-lock/validate), covering intents whose CAS has
-    not succeeded — or never will."""
+class EagerLog(CoalescedLogStrategy):
+    """MUTANT: logs a blind write as soon as its value is buffered —
+    ahead of the lock barrier (log-before-lock/validate), covering
+    intents whose CAS has not succeeded, or never will."""
 
-    def _lock_barrier(self, tx):
-        self._post_eager_log(tx)
-        yield from super()._lock_barrier(tx)
-
-    def _post_eager_log(self, tx) -> None:
-        # _lock_barrier runs exactly once per attempt, so no reentry
-        # guard is needed (Txn is slotted — no ad-hoc attributes).
-        if not tx.write_set:
-            return
-        entries = tuple(UndoEntry.of(intent) for intent in tx.write_set.values())
-        value_sizes = {
-            spec.table_id: spec.value_size for spec in self.catalog.tables.values()
-        }
-        for node in self.catalog.log_nodes(self.coord_id):
-            record = LogRecord(
-                coord_id=self.coord_id, txn_id=tx.txn_id, entries=entries
-            )
-            ack = self.verbs.write_log(node, record, record.size_bytes(value_sizes))
-            tx.log_acks.append(ack)
-            self._remember_log_copy(tx, node, ack)
-
-    def _post_coalesced_log(self, tx) -> None:
-        return  # superseded by the eager post
+    def post_speculative(self, tx, intent) -> bool:
+        if intent.new_value is not None:
+            self._post(tx, tx.write_set.values())
+        return False
 
 
 # -- scenarios -----------------------------------------------------------------
@@ -307,12 +289,10 @@ class MutantSpec:
 
     name: str
     description: str
-    engine_factory: Callable
+    # The broken declaration; the unmutated pandora row is the control.
+    protocol: Protocol
     scenario: Callable[[Callable], MutantRig]
     expected_code: str
-    # Bug-flag mutants reuse the stock engine, so their control factory
-    # is the same engine with the flag off.
-    control_factory: Callable = field(default_factory=PANDORA.engine_factory)
     # When set, the lockset detector must also find this race code in
     # the mutant run's flight records (and none in the control's) —
     # the dynamic cross-check of the same discipline.
@@ -323,7 +303,7 @@ MUTANTS: List[MutantSpec] = [
     MutantSpec(
         name="steal-without-failed-check",
         description="second CAS steals a live coordinator's lock",
-        engine_factory=PANDORA.engine_factory(engine_class=StealAnyLockEngine),
+        protocol=replace(PANDORA, lock=StealAnyLock),
         scenario=_scenario_contended_write,
         expected_code=STEAL_LIVE_OWNER,
         expected_race="RACE-DOUBLE-GRANT",
@@ -331,7 +311,7 @@ MUTANTS: List[MutantSpec] = [
     MutantSpec(
         name="write-without-lock",
         description="commit writes replicas without ever locking",
-        engine_factory=PANDORA.engine_factory(engine_class=WriteWithoutLockEngine),
+        protocol=replace(PANDORA, lock=NeverLocks),
         scenario=_scenario_single_write,
         expected_code=WRITE_WITHOUT_LOCK,
         expected_race="RACE-UNLOCKED-WRITE",
@@ -339,21 +319,21 @@ MUTANTS: List[MutantSpec] = [
     MutantSpec(
         name="log-before-lock",
         description="coalesced undo record posted before the lock barrier",
-        engine_factory=PANDORA.engine_factory(engine_class=EagerLogEngine),
+        protocol=replace(PANDORA, log=EagerLog),
         scenario=_scenario_contended_write,
         expected_code=LOG_WITHOUT_LOCK,
     ),
     MutantSpec(
         name="lost-abort-decision",
         description="abort unlocks without truncating its undo records",
-        engine_factory=PANDORA.engine_factory(BugFlags(lost_decision=True)),
+        protocol=replace(PANDORA, bugs=partial(BugFlags, lost_decision=True)),
         scenario=_scenario_validation_abort,
         expected_code=UNLOCK_BEFORE_TRUNCATE,
     ),
     MutantSpec(
         name="complicit-abort",
         description="abort releases write-set locks it never acquired",
-        engine_factory=PANDORA.engine_factory(BugFlags(complicit_abort=True)),
+        protocol=replace(PANDORA, bugs=partial(BugFlags, complicit_abort=True)),
         scenario=_scenario_conflict_abort,
         expected_code=UNLOCK_BY_NON_OWNER,
     ),
@@ -394,13 +374,13 @@ def run_mutation_harness(only: Optional[List[str]] = None) -> List[MutantResult]
     for spec in MUTANTS:
         if only and spec.name not in only:
             continue
-        mutant_rig = spec.scenario(spec.engine_factory)
+        mutant_rig = spec.scenario(spec.protocol.engine_factory())
         codes = [violation.code for violation in mutant_rig.sanitizer.violations]
         race_codes = [
             race.code
             for race in analyze_attempts(mutant_rig.obs.flight.attempts).races
         ]
-        control_rig = spec.scenario(spec.control_factory)
+        control_rig = spec.scenario(PANDORA.engine_factory())
         control_codes = [
             violation.code for violation in control_rig.sanitizer.violations
         ]
@@ -517,18 +497,19 @@ STATIC_MUTANTS: List[StaticMutantSpec] = [
     StaticMutantSpec(
         name="unguarded-acquire",
         description=(
-            "the strategy-layer acquire loses its RdmaError guard, so a "
-            "yield between the lock CAS and the log post can escape the "
-            "method with no in-module handler"
+            "the strategy-layer acquire narrows its RdmaError guard to the "
+            "fencing error, so a yield between the lock CAS and the log "
+            "post can escape the lock subprocess with no in-module handler"
         ),
         path="src/repro/protocol/strategies.py",
         old=(
-            "        try:\n"
-            "            yield from self._acquire_flow(tx, intent)\n"
             "        except RdmaError:\n"
-            "            raise\n"
+            "            intent.lock_result = (False, AbortReason.LINK_REVOKED)\n"
         ),
-        new="        yield from self._acquire_flow(tx, intent)\n",
+        new=(
+            "        except LinkRevokedError:\n"
+            "            intent.lock_result = (False, AbortReason.LINK_REVOKED)\n"
+        ),
         expected_rule="PROTO005",
     ),
     StaticMutantSpec(

@@ -55,12 +55,13 @@ The analysis is intra-procedural with bottom-up function summaries for
 intra-class ``self._x()`` calls; entry states come from an explicit
 contract table (``CONTRACTS``) mirroring the engine's documented
 preconditions (e.g. ``_commit`` runs after the decision point drained
-the log acks; ``_abort`` owns draining them itself). ``_acquire`` /
-``_acquire_inner`` transfer lock ownership to the caller's write-set
-(``intent.locked``), whose release discipline is checked at the entry
-points — so they are not themselves PROTO001 subjects (they are the
-PROTO005 subjects instead). ``AssertionError`` is excluded from
-summaries: engine asserts are oracle checks, not protocol edges.
+the log acks; ``_abort`` owns draining them itself). A lock
+strategy's ``acquire`` / ``_take`` transfer lock ownership to the
+caller's write-set (``intent.locked``), whose release discipline is
+checked at the entry points — so they are not themselves PROTO001
+subjects (they are the PROTO005 subjects instead). ``AssertionError``
+is excluded from summaries: engine asserts are oracle checks, not
+protocol edges.
 Cross-method OBJU propagation on exception edges is out of scope (the
 apply/interrupt race is resolved by ``recover_interrupted``'s
 ``apply_done`` protocol, covered dynamically by the PILL sanitizer).
@@ -507,8 +508,6 @@ class MethodModel:
                     eff.clears_casp = True
                 if name.endswith(".write_object"):
                     eff.posts_obj = True
-                if ".sim.process" in name or name == "self.sim.process":
-                    pass
                 if "._in_progress.add" in name:
                     eff.adds_claim = True
                 if (
@@ -848,27 +847,58 @@ def _anchor(path: List[Tuple[CFGNode, str]]) -> Tuple[CFGNode, str]:
 # ---------------------------------------------------------------------------
 
 class ModuleAnalysis:
-    """Analyze one source file: every method of every class, plus
-    module-level functions (as methods of a pseudo-class)."""
+    """Analyze one source file: one scope per class — its own methods
+    plus the ones it inherits from classes of the same file, so a
+    ``self._x()`` call resolves to the override that class would run —
+    and one for the module-level functions."""
 
     def __init__(self, path: str, source: str) -> None:
         self.path = path
-        self.source = source
         self.tree = ast.parse(source, filename=path)
-        self.models: Dict[str, MethodModel] = {}
+        classes = {
+            node.name: node
+            for node in self.tree.body
+            if isinstance(node, ast.ClassDef)
+        }
+
+        def methods(cls: ast.ClassDef) -> Dict[str, MethodModel]:
+            table: Dict[str, MethodModel] = {}
+            for base in reversed(cls.bases):
+                if isinstance(base, ast.Name) and base.id in classes:
+                    table.update(methods(classes[base.id]))
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    table[item.name] = MethodModel(item, cls.name)
+            return table
+
+        functions = {
+            node.name: MethodModel(node, "<module>")
+            for node in self.tree.body
+            if isinstance(node, ast.FunctionDef)
+        }
+        self.scopes = [
+            ScopeAnalysis(path, models)
+            for models in [*map(methods, classes.values()), functions]
+        ]
+
+    def analyze(self) -> None:
+        for scope in self.scopes:
+            scope.analyze()
+
+    def findings(self) -> List[Finding]:
+        # An inherited method is analyzed once per class that runs it.
+        return list(dict.fromkeys(f for s in self.scopes for f in s.findings()))
+
+
+class ScopeAnalysis:
+    """The methods one class runs (or a file's plain functions)."""
+
+    def __init__(self, path: str, models: Dict[str, MethodModel]) -> None:
+        self.path = path
+        self.models = models
         self.summaries: Dict[str, Summary] = {}
         self.states: Dict[str, Dict[int, State]] = {}
         self.cfgs: Dict[str, CFG] = {}
-        self._collect()
-
-    def _collect(self) -> None:
-        for node in self.tree.body:
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef):
-                        self.models[item.name] = MethodModel(item, node.name)
-            elif isinstance(node, ast.FunctionDef):
-                self.models[node.name] = MethodModel(node, "<module>")
 
     def _topo_order(self) -> List[str]:
         """Callees before callers over the intra-module call graph."""
@@ -1038,7 +1068,7 @@ class ModuleAnalysis:
 
     def _callers_guard(self, name: str) -> bool:
         """Every intra-module caller wraps the call in try/except
-        RdmaError (the _acquire pattern). False when no caller exists."""
+        RdmaError (the ``acquire`` pattern). False when no caller exists."""
         callers = []
         for other, model in self.models.items():
             if other == name:

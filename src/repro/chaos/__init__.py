@@ -15,6 +15,7 @@ from repro.chaos.oracle import OracleViolation, check_cluster
 from repro.chaos.schedule import (
     ALL_CRASH_POINTS,
     FAMILIES,
+    FAULT_KINDS,
     Fault,
     Schedule,
     generate_schedule,
@@ -24,6 +25,7 @@ from repro.chaos.shrink import shrink_schedule
 __all__ = [
     "ALL_CRASH_POINTS",
     "FAMILIES",
+    "FAULT_KINDS",
     "Fault",
     "Schedule",
     "generate_schedule",

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional
 
 from repro.litmus.runner import CRASH_POINTS
+from repro.protocol.zoo import ZOO
 
 __all__ = [
     "ALL_CRASH_POINTS",
     "FAMILIES",
+    "FAULT_KINDS",
     "COMPUTE_NODES",
     "MEMORY_NODES",
     "Fault",
@@ -55,6 +57,18 @@ FAMILIES = (
     "overlap",  # overlapping compute + memory failures
     "logserver",  # log-server loss around the logging window
     "fd_false_positive",  # heartbeat partition + loss spike
+)
+
+# Every ``Fault.kind``; ``ChaosRunner`` has one ``_arm_<kind>`` each.
+FAULT_KINDS = (
+    "crash_compute",
+    "crash_memory",
+    "restore_memory",
+    "crash_point",
+    "net_degrade",
+    "fd_blackhole",
+    "crash_recovery",
+    "crash_memory_during_recovery",
 )
 
 _SCHEDULE_VERSION = 1
@@ -150,26 +164,63 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
-        version = data.get("version", _SCHEDULE_VERSION)
+        """Rebuild a schedule from its JSON form. Artifacts are edited
+        by hand and passed around, so whatever is wrong with one is
+        named in a single ValueError."""
+        data = dict(_json_object("schedule", data))
+        version = data.pop("version", _SCHEDULE_VERSION)
         if version != _SCHEDULE_VERSION:
-            raise ValueError(f"unsupported schedule version {version}")
-        return cls(
-            seed=data["seed"],
-            family=data["family"],
-            protocol=data.get("protocol", "pandora"),
-            duration=data.get("duration", 12e-3),
-            keys=data.get("keys", 24),
-            # Artifacts predating the field replay with re-detection on
-            # (the campaign default they were minimized under... almost:
-            # pre-redetect artifacts reproduce bugs whose fixes hold
-            # with or without it, see tests/chaos/test_regressions.py).
-            fd_redetect=data.get("fd_redetect", True),
-            faults=[Fault(**fault) for fault in data.get("faults", [])],
-        )
+            raise ValueError(
+                f"unsupported schedule version {version!r} "
+                f"(this build reads version {_SCHEDULE_VERSION})"
+            )
+        _keywords("schedule", cls, data, required=("seed", "family"))
+        faults = []
+        for index, fault in enumerate(data.pop("faults", [])):
+            fault = _keywords(f"fault {index}", Fault, fault, required=("kind",))
+            if fault["kind"] not in FAULT_KINDS:
+                raise ValueError(
+                    f"fault {index}: unknown kind {fault['kind']!r}; "
+                    f"expected one of {', '.join(FAULT_KINDS)}"
+                )
+            faults.append(Fault(**fault))
+        # Artifacts predating ``fd_redetect`` replay with its default,
+        # re-detection on (the campaign default they were minimized
+        # under... almost: pre-redetect artifacts reproduce bugs whose
+        # fixes hold with or without it, see
+        # tests/chaos/test_regressions.py).
+        schedule = cls(faults=faults, **data)
+        if schedule.protocol not in ZOO:
+            raise ValueError(
+                f"unknown protocol {schedule.protocol!r}; "
+                f"expected one of {', '.join(ZOO)}"
+            )
+        return schedule
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
         return cls.from_dict(json.loads(text))
+
+
+def _json_object(what: str, data) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _keywords(what: str, cls, data, required) -> dict:
+    """*data* as keyword arguments for dataclass *cls*, or a ValueError
+    naming the offending key."""
+    known = [f.name for f in fields(cls)]
+    for key in _json_object(what, data):
+        if key not in known:
+            raise ValueError(
+                f"{what}: unknown key {key!r}; expected some of {', '.join(known)}"
+            )
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what}: missing key {key!r}")
+    return data
 
 
 # -- generation ---------------------------------------------------------------

@@ -86,12 +86,18 @@ def _add_snapshot_flags(parser, html: bool = True) -> None:
         )
 
 
+def _bad_input(message: str):
+    """Exit 2: the input is wrong (1 means the run itself found something)."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _read_json(path: str, what: str):
     try:
         with open(path) as handle:
             return json.load(handle)
     except (OSError, ValueError) as error:
-        raise SystemExit(f"cannot read {what} {path!r}: {error}")
+        _bad_input(f"cannot read {what} {path!r}: {error}")
 
 
 def _write_text(path: str, text: str, what: str) -> None:
@@ -566,8 +572,10 @@ def _cmd_chaos(args) -> int:
     )
 
     if args.replay:
-        with open(args.replay) as handle:
-            schedules = [Schedule.from_json(handle.read())]
+        try:
+            schedules = [Schedule.from_dict(_read_json(args.replay, "schedule"))]
+        except ValueError as error:
+            _bad_input(f"bad schedule {args.replay!r}: {error}")
     else:
         schedules = [
             replace(generate_schedule(seed), protocol=args.protocol)

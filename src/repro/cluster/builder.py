@@ -208,7 +208,6 @@ class Cluster:
             backoff_cap=config.backoff_cap,
             abandon_on_conflict=config.abandon_on_conflict,
             nvm_flush=(config.persistence == "nvm-flush"),
-            warm_address_cache=config.warm_address_cache,
         )
 
     def _spawn_coordinators(self, node: ComputeNode) -> None:

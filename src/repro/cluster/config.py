@@ -66,12 +66,6 @@ class ClusterConfig:
     backoff_cap: float = 100e-6
     abandon_on_conflict: bool = False
 
-    # FORD-style compute-side address cache. True (default) models the
-    # measured steady state (warm cache, exact addresses known); False
-    # charges an extra hash-index probe read on each coordinator's
-    # first access to an object.
-    warm_address_cache: bool = True
-
     # First coordinator id the allocator hands out (ids below count as
     # consumed). Default 0; boundary tests raise it to place the
     # initial wave hard against MAX_COORD_ID = 0xFFFE and prove the

@@ -415,12 +415,6 @@ class NullObs:
     def set_run_meta(self, **meta) -> None:
         pass
 
-    def on_verb_post(self, kind, node_id, wire_bytes) -> None:
-        pass
-
-    def on_verb_complete(self, kind, node_id, latency, wire_bytes, ok) -> None:
-        pass
-
     def phase_histogram(self, protocol, phase):
         return NULL_HISTOGRAM
 

@@ -346,12 +346,6 @@ class NullFlightRecorder:
     def on_lock(self, record, event, table_id, slot, now) -> None:
         pass
 
-    def on_post(self, kind, compute_id, node_id, now, args=()):
-        return None
-
-    def on_complete(self, token, latency, ok) -> None:
-        pass
-
     def __len__(self) -> int:
         return 0
 

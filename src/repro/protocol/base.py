@@ -103,7 +103,10 @@ class Txn:
         cached = self.read_set.get(address)
         if cached is not None:
             return cached.value if cached.present else None
-        entry = yield from engine._execute_read(self, table_id, key, slot)
+        primary = engine.placement.primary(table_id, slot)
+        self.trace.focus("execute")
+        image = yield engine.verbs.read_object(primary, table_id, slot)
+        entry = engine._record_read(self, table_id, key, slot, primary, image)
         return entry.value if entry.present else None
 
     def read_many(
@@ -163,9 +166,8 @@ class Txn:
         intent = self.write_set.get(address)
         if intent is None:
             intent = self._new_intent(table_id, key, slot, OP_UPDATE)
-        proc = self._lock_proc_for(intent)
-        if not proc.triggered:
-            yield proc
+        if not intent.lock_proc.triggered:
+            yield intent.lock_proc
         success, reason = intent.lock_result
         if not success:
             raise TxnAbort(reason, f"{table}[{key!r}]")
@@ -255,17 +257,11 @@ class Txn:
             expected_version=expected_version,
         )
         self.write_set[(table_id, slot)] = intent
-        proc = self.engine.sim.process(
-            self.engine._acquire(self, intent), name=f"lock-{table_id}:{slot}"
+        intent.lock_proc = self.engine.sim.process(
+            self.engine.lock.acquire(self, intent), name=f"lock-{table_id}:{slot}"
         )
-        intent_proc_index = len(self.lock_procs)
-        self.lock_procs.append(proc)
-        # Remember which proc belongs to this intent for read_for_update.
-        intent._proc_index = intent_proc_index  # type: ignore[attr-defined]
+        self.lock_procs.append(intent.lock_proc)
         return intent
-
-    def _lock_proc_for(self, intent: WriteIntent) -> Event:
-        return self.lock_procs[intent._proc_index]  # type: ignore[attr-defined]
 
 
 class ProtocolEngine:
@@ -285,27 +281,11 @@ class ProtocolEngine:
         self.lock = protocol.lock(self)
         self.log = protocol.log(self)
         self.commit = protocol.commit(self)
-        self._lock_tag = 0
         # The attempt currently in flight (used by interrupt recovery).
         self.current_tx: Optional[Txn] = None
         # §7 persistence: chase commit writes with a small read per
         # touched node to flush the RNIC cache into NVM before acking.
         self.nvm_flush = getattr(coordinator.config, "nvm_flush", False)
-        # FORD-style compute-side address cache: when cold, the first
-        # access to an object traverses the memory-side hash index (an
-        # extra one-sided read); afterwards the exact address is known.
-        self._warm_addresses = getattr(coordinator.config, "warm_address_cache", True)
-        self._address_cache: set = set()
-
-    # -- variant hooks (delegating to the strategy triple) -------------------
-
-    def _lock_word(self) -> int:
-        self._lock_tag = (self._lock_tag + 1) & 0xFFFFFFFF
-        return self.lock.lock_word(self._lock_tag)
-
-    def _is_stray(self, word: int) -> bool:
-        """PILL check: is this lock owned by a recovered-failed coordinator?"""
-        return self.lock.is_stray(word)
 
     # -- fault hooks -----------------------------------------------------------
 
@@ -353,14 +333,14 @@ class ProtocolEngine:
                 validation_groups = self._post_validation_reads(tx)
                 yield from self._lock_barrier(tx)
                 trace.phase("lock", self.sim.now)
-                self._post_coalesced_log(tx)
+                self.log.post_barrier(tx)
             else:
                 yield from self._lock_barrier(tx)
                 trace.phase("lock", self.sim.now)
                 checkpoint = self._cp("locks_held")
                 if checkpoint is not None:
                     yield checkpoint
-                self._post_coalesced_log(tx)
+                self.log.post_barrier(tx)
                 validation_groups = self._post_validation_reads(tx)
             checkpoint = self._cp("log_posted")
             if checkpoint is not None:
@@ -448,43 +428,6 @@ class ProtocolEngine:
 
     # -- execution phase -----------------------------------------------------------
 
-    def _resolve_address(
-        self, table_id: int, slot: int, node: int
-    ) -> Generator[Event, Any, None]:
-        """Hash-index probe for a not-yet-cached object address."""
-        if self._warm_addresses or (table_id, slot) in self._address_cache:
-            return
-        # One bucket read resolves the exact object address.
-        yield self.verbs.read_header(node, table_id, slot)
-        self._address_cache.add((table_id, slot))
-
-    def _execute_read(
-        self, tx: Txn, table_id: int, key: Hashable, slot: int
-    ) -> Generator[Event, Any, ReadEntry]:
-        primary = self.placement.primary(table_id, slot)
-        tx.trace.focus("execute")
-        yield from self._resolve_address(table_id, slot, primary)
-        tx.trace.focus()
-        lock, version, present, value = yield self.verbs.read_object(
-            primary, table_id, slot
-        )
-        if is_locked(lock) and not self._is_stray(lock):
-            # The execution phase fails if an accessed object is
-            # already locked (§2.3); PILL lets reads pass stray locks.
-            tx.trace.lock_event("read_locked", table_id, slot, self.sim.now)
-            raise TxnAbort(AbortReason.READ_LOCKED, f"table {table_id} slot {slot}")
-        entry = ReadEntry(
-            table_id=table_id,
-            key=key,
-            slot=slot,
-            version=version,
-            present=present,
-            value=value,
-            node=primary,
-        )
-        tx.read_set[(table_id, slot)] = entry
-        return entry
-
     def _execute_read_batch(
         self, tx: Txn, table_id: int, to_fetch
     ) -> Generator[Event, Any, List]:
@@ -498,40 +441,30 @@ class ProtocolEngine:
             )
         results = []
         for index, key, slot, primary, event in posted:
-            lock, version, present, value = yield event
-            if is_locked(lock) and not self._is_stray(lock):
-                tx.trace.lock_event("read_locked", table_id, slot, self.sim.now)
-                raise TxnAbort(
-                    AbortReason.READ_LOCKED, f"table {table_id} slot {slot}"
-                )
-            tx.read_set[(table_id, slot)] = ReadEntry(
-                table_id=table_id,
-                key=key,
-                slot=slot,
-                version=version,
-                present=present,
-                value=value,
-                node=primary,
-            )
-            results.append((index, value if present else None))
+            entry = self._record_read(tx, table_id, key, slot, primary, (yield event))
+            results.append((index, entry.value if entry.present else None))
         return results
 
-    def _acquire(self, tx: Txn, intent: WriteIntent) -> Generator[Event, Any, None]:
-        """Lock + read one write-set object (runs as a subprocess).
-
-        Never raises: the outcome lands in ``intent.lock_result`` and
-        the execution barrier converts failures into aborts.
-        """
-        try:
-            yield from self._acquire_inner(tx, intent)
-        except RdmaError as error:
-            intent.lock_result = (False, AbortReason.LINK_REVOKED)
-            intent.lock_error = error  # type: ignore[attr-defined]
-
-    def _acquire_inner(self, tx: Txn, intent: WriteIntent) -> Generator[Event, Any, None]:
-        # The flow itself lives on the lock strategy (CAS word vs
-        # ticket queue); mutation-harness engines override this hook.
-        yield from self.lock.acquire(tx, intent)
+    def _record_read(
+        self, tx: Txn, table_id: int, key: Hashable, slot: int, node: int, image
+    ) -> ReadEntry:
+        """Judge one ``read_object`` answer; enter it in the read-set."""
+        lock, version, present, value = image
+        if is_locked(lock) and not self.lock.is_stray(lock):
+            # The execution phase fails if an accessed object is
+            # already locked (§2.3); PILL lets reads pass stray locks.
+            tx.trace.lock_event("read_locked", table_id, slot, self.sim.now)
+            raise TxnAbort(AbortReason.READ_LOCKED, f"table {table_id} slot {slot}")
+        entry = tx.read_set[(table_id, slot)] = ReadEntry(
+            table_id=table_id,
+            key=key,
+            slot=slot,
+            version=version,
+            present=present,
+            value=value,
+            node=node,
+        )
+        return entry
 
     def _lock_barrier(self, tx: Txn) -> Generator[Event, Any, None]:
         """Wait for every lock subprocess; abort on any failure."""
@@ -547,16 +480,6 @@ class ProtocolEngine:
                 raise TxnAbort(reason, f"table {intent.table_id} slot {intent.slot}")
 
     # -- logging ---------------------------------------------------------------------
-
-    def _log_value_size(self, table_id: int) -> int:
-        return self.catalog.tables[table_id].value_size
-
-    def _post_coalesced_log(self, tx: Txn) -> None:
-        """Write-set-wide log barrier (coalesced record when the log
-        strategy posts one; a no-op otherwise). Runs after all locks
-        are held (lock-to-log order, §3.1.4); the decision point waits
-        for the acks. Mutation-harness engines override this hook."""
-        self.log.post_barrier(tx)
 
     def _remember_log_copy(self, tx: Txn, node: int, ack: Event) -> None:
         def on_ack(event: Event) -> None:
@@ -602,7 +525,7 @@ class ProtocolEngine:
                     # BUG (Table 1, "Covert Locks"): only versions are
                     # compared; a concurrently locked object slips by.
                     continue
-                if is_locked(lock) and not self._is_stray(lock):
+                if is_locked(lock) and not self.lock.is_stray(lock):
                     raise TxnAbort(
                         AbortReason.VALIDATION_LOCKED,
                         f"table {entry.table_id} slot {entry.slot}",
@@ -638,7 +561,7 @@ class ProtocolEngine:
                 continue
             has_change = intent.new_value is not None or intent.kind == OP_DELETE
             if has_change:
-                value_size = self._log_value_size(intent.table_id)
+                value_size = self.catalog.value_sizes[intent.table_id]
                 for node in self.placement.live_replicas(intent.table_id, intent.slot):
                     # The commit strategy decides what the apply write
                     # carries (plain write_object vs vote1pc's
@@ -674,13 +597,7 @@ class ProtocolEngine:
         self.coordinator.on_commit_ack(tx)
 
         trace.focus("unlock")
-        for intent in tx.write_set.values():
-            if intent.locked:
-                self.verbs.write_lock(intent.lock_node, intent.table_id, intent.slot, 0)
-                tx.trace.lock_event(
-                    "released", intent.table_id, intent.slot, self.sim.now
-                )
-            self.log.release_intent(intent)
+        self._unlock_write_set(tx)
         checkpoint = self._cp("unlocked")
         if checkpoint is not None:
             yield checkpoint
@@ -730,14 +647,22 @@ class ProtocolEngine:
                     continue
 
         tx.trace.focus("abort")
+        self._unlock_write_set(tx, complicit=self.bugs.complicit_abort)
+        checkpoint = self._cp("abort_unlocked")
+        if checkpoint is not None:
+            yield checkpoint
+        self.coordinator.on_abort(tx, reason)
+
+    def _unlock_write_set(self, tx: Txn, complicit: bool = False) -> None:
+        """Post the unlock of every held write-set lock — the one
+        release loop of commit, abort and interrupt alike. Nothing
+        waits; each caller orders its own record invalidations around
+        this call."""
         for intent in tx.write_set.values():
-            release = intent.locked
-            if self.bugs.complicit_abort:
-                # BUG (Table 1, "Complicit Aborts"): FORD releases every
-                # write-set lock, including ones it never acquired —
-                # potentially freeing a lock held by another txn.
-                release = True
-            if release:
+            # BUG (Table 1, "Complicit Aborts"): FORD's abort releases
+            # every write-set lock, including ones it never acquired —
+            # potentially freeing a lock held by another txn.
+            if intent.locked or complicit:
                 node = intent.lock_node
                 if node is None:
                     node = self.placement.primary(intent.table_id, intent.slot)
@@ -748,10 +673,6 @@ class ProtocolEngine:
             # Held or not: an intent whose lock CAS lost may still have
             # left something behind (tradlog's lock-intent record).
             self.log.release_intent(intent)
-        checkpoint = self._cp("abort_unlocked")
-        if checkpoint is not None:
-            yield checkpoint
-        self.coordinator.on_abort(tx, reason)
 
     # -- interrupted attempts (memory reconfiguration, §3.2.5) ---------------
 
@@ -829,7 +750,7 @@ class ProtocolEngine:
         undo_acks = []
         for intent in tx.write_set.values():
             if intent.applied:
-                value_size = self._log_value_size(intent.table_id)
+                value_size = self.catalog.value_sizes[intent.table_id]
                 for node in self.placement.live_replicas(intent.table_id, intent.slot):
                     undo_acks.append(
                         self.verbs.write_object(
@@ -877,10 +798,4 @@ class ProtocolEngine:
         """
         for node, record_id in tx.logged_records:
             self.verbs.invalidate_log(node, self.coord_id, record_id, signaled=False)
-        for intent in tx.write_set.values():
-            if intent.locked:
-                self.verbs.write_lock(intent.lock_node, intent.table_id, intent.slot, 0)
-                tx.trace.lock_event(
-                    "released", intent.table_id, intent.slot, self.sim.now
-                )
-            self.log.release_intent(intent)
+        self._unlock_write_set(tx)

@@ -58,7 +58,6 @@ class CoordinatorConfig:
         backoff_cap: float = 100e-6,
         abandon_on_conflict: bool = False,
         nvm_flush: bool = False,
-        warm_address_cache: bool = True,
     ) -> None:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
@@ -69,9 +68,6 @@ class CoordinatorConfig:
         self.abandon_on_conflict = abandon_on_conflict
         # §7: flush commit writes into NVM before acking the client.
         self.nvm_flush = nvm_flush
-        # False models a cold FORD-style address cache: the first
-        # access to each object pays an extra hash-index probe read.
-        self.warm_address_cache = warm_address_cache
 
 
 class Coordinator:

@@ -31,11 +31,9 @@ in a given protocol's implementation, not protocol design points. The
 two per-object logging bugs ride inside :class:`PerObjectLogStrategy`
 because they only exist on that axis.
 
-Forward-half strategies hold a back-reference to their engine and call
-through ``engine._is_stray`` / ``engine._post_coalesced_log``-style
-hooks where one exists, so engine subclasses that override those hooks
-(the mutation harness's seeded-bug engines do) still intercept strategy
-behaviour.
+A variant — the mutation harness's seeded bugs included — is a
+subclass of one of these and a :class:`~repro.protocol.zoo.Protocol`
+row naming it; the engine has no hook of its own to override.
 """
 
 from __future__ import annotations
@@ -217,10 +215,6 @@ class LockStrategy:
     def __init__(self, engine) -> None:
         self.engine = engine
 
-    def lock_word(self, tag: int) -> int:
-        """The word a CAS-acquire installs (tag from the engine counter)."""
-        raise NotImplementedError
-
     @classmethod
     def owned_by(cls, word: int, owners) -> bool:
         """Is *word* a lock one of *owners* holds? Anonymous words
@@ -232,24 +226,148 @@ class LockStrategy:
         """Is this lock owned by a recovered-failed coordinator?"""
         return self.owned_by(word, self.engine.coordinator.node.failed_ids)
 
-    def acquire(
-        self, tx, intent: WriteIntent
-    ) -> Generator[Event, Any, None]:
-        """Lock + read one write-set object (runs inside ``_acquire``).
+    def mint(self) -> Optional[int]:
+        """The word this acquisition installs — None when the lock
+        server mints it (ticket queues)."""
+        return None
 
-        An RdmaError escaping here is converted to a LINK_REVOKED
-        ``lock_result`` by the engine's ``_acquire`` guard; the
-        try/except keeps that hand-off explicit for the path analyzer.
+    def acquire(self, tx, intent: WriteIntent) -> Generator[Event, Any, None]:
+        """Lock + read one write-set object (runs as a subprocess).
+
+        Never raises: the outcome lands in ``intent.lock_result`` and
+        the execution barrier converts failures into aborts.
         """
+        engine = self.engine
+        primary = engine.placement.primary(intent.table_id, intent.slot)
         try:
-            yield from self._acquire_flow(tx, intent)
-        except RdmaError:
-            raise
+            word = self.mint()
+            yield from engine.log.pre_lock(tx, intent, word)
+            posted_speculatively = engine.log.post_speculative(tx, intent)
+            image = yield from self._take(tx, intent, primary, word)
+            if image is None:
+                intent.lock_result = (False, AbortReason.LOCK_CONFLICT)
+                return
+            version, present, value = image
+            intent.locked = True
+            intent.lock_node = primary
+            intent.old_version = version
+            intent.old_value = value
+            intent.old_present = present
+            tx.trace.lock_event(
+                "acquired", intent.table_id, intent.slot, engine.sim.now
+            )
+            checkpoint = engine._cp("locked")
+            if checkpoint is not None:
+                yield checkpoint
 
-    def _acquire_flow(
-        self, tx, intent: WriteIntent
-    ) -> Generator[Event, Any, None]:
+            if (
+                intent.expected_version is not None
+                and version != intent.expected_version
+                and not engine.commit.late_upgrade
+            ):
+                # Read-then-write upgrade raced with another writer. FORD
+                # defers this abort to validation (after logging).
+                intent.lock_result = (False, AbortReason.UPGRADE_VERSION)
+            elif intent.kind == OP_INSERT and present:
+                intent.lock_result = (False, AbortReason.DUPLICATE_KEY)
+            elif intent.kind == OP_DELETE and not present:
+                intent.lock_result = (False, AbortReason.NOT_FOUND)
+            else:
+                engine.log.post_locked(tx, intent, posted_speculatively)
+                intent.lock_result = (True, "")
+        except RdmaError:
+            intent.lock_result = (False, AbortReason.LINK_REVOKED)
+
+    def _take(
+        self, tx, intent: WriteIntent, primary: int, word: Optional[int]
+    ) -> Generator[Event, Any, Optional[Tuple[int, bool, Any]]]:
+        """Take the lock word at *primary*, pipelined with the object
+        read. Returns the ``(version, present, value)`` image read
+        under the lock, or None on a conflict (which it has traced)."""
         raise NotImplementedError
+
+
+class CasLockStrategy(LockStrategy):
+    """CAS words: one CAS pipelined with the read; the subclasses say
+    what the word carries."""
+
+    def __init__(self, engine) -> None:
+        super().__init__(engine)
+        self._tag = 0
+
+    def mint(self) -> int:
+        self._tag = (self._tag + 1) & 0xFFFFFFFF
+        return self.lock_word(self._tag)
+
+    def lock_word(self, tag: int) -> int:
+        """The word a CAS-acquire installs."""
+        raise NotImplementedError
+
+    def _take(self, tx, intent: WriteIntent, primary: int, desired: int):
+        engine = self.engine
+        table_id, slot = intent.table_id, intent.slot
+        tx.trace.focus("lock")
+        cas_event = engine.verbs.cas_lock(primary, table_id, slot, 0, desired)
+        read_event = engine.verbs.read_object(primary, table_id, slot)
+        checkpoint = engine._cp("lock_posted")
+        if checkpoint is not None:
+            yield checkpoint
+        old_word = yield cas_event
+        image = (yield read_event)[1:]  # the lock word came with the CAS
+        if old_word == 0:
+            return image
+        if not self.is_stray(old_word):
+            tx.trace.lock_event("conflict", table_id, slot, engine.sim.now)
+            return None
+
+        # PILL steal: the owner is a recovered-failed coordinator; a
+        # second CAS takes the lock over (§3.1.2).
+        tx.trace.lock_event("steal", table_id, slot, engine.sim.now)
+        tx.trace.focus("lock")
+        second = yield engine.verbs.cas_lock(
+            primary, table_id, slot, old_word, desired
+        )
+        retries = 0
+        while (
+            second != old_word
+            and self.is_stray(second)
+            and retries < STEAL_RETRY_LIMIT
+        ):
+            # Stray-to-stray race (mass failover): the word we lost to
+            # belongs to *another* dead coordinator — aborting here
+            # would leave the lock stranded until some later txn
+            # retries the whole attempt. Retry the steal against the
+            # new stray word instead.
+            retries += 1
+            engine.coordinator.stats.steal_retries += 1
+            tx.trace.lock_event("steal_retry", table_id, slot, engine.sim.now)
+            tx.trace.focus("lock")
+            old_word = second
+            second = yield engine.verbs.cas_lock(
+                primary, table_id, slot, old_word, desired
+            )
+        if second != old_word:
+            tx.trace.lock_event("steal_lost", table_id, slot, engine.sim.now)
+            return None
+        engine.coordinator.stats.locks_stolen += 1
+        tx.trace.focus("lock")
+        return (yield engine.verbs.read_object(primary, table_id, slot))[1:]
+
+
+class PillCasLockStrategy(CasLockStrategy):
+    """PILL: owner-id-embedded words, strays stolen via a second CAS."""
+
+    pill = True
+
+    def lock_word(self, tag: int) -> int:
+        return encode_lock(self.engine.coord_id, tag)
+
+
+class AnonymousCasLockStrategy(CasLockStrategy):
+    """FORD-style: no owner identity; conflicts always abort."""
+
+    def lock_word(self, tag: int) -> int:
+        return encode_anonymous_lock(tag)
 
 
 class TicketLockStrategy(LockStrategy):
@@ -262,31 +380,13 @@ class TicketLockStrategy(LockStrategy):
     holder posts a CAS-to-0 conditioned on the full word, which the
     lock server executes as a queue advance (the queue-aware analogue
     of a PILL steal).
-
-    Defined before :class:`CasLockStrategy` on purpose: the protocol
-    linter keys method models by bare name (last definition wins), and
-    the CAS flow is the one that must stay visible as the PROTO005
-    subject.
     """
 
     pill = True
 
-    def lock_word(self, tag: int) -> int:
-        raise NotImplementedError(
-            "ticket words are minted server-side by faa_ticket"
-        )
-
-    def _acquire_flow(
-        self, tx, intent: WriteIntent
-    ) -> Generator[Event, Any, None]:
+    def _take(self, tx, intent: WriteIntent, primary: int, _word: None):
         engine = self.engine
         table_id, slot = intent.table_id, intent.slot
-        primary = engine.placement.primary(table_id, slot)
-        tx.trace.focus("lock")
-        yield from engine._resolve_address(table_id, slot, primary)
-
-        posted_speculatively = engine.log.post_speculative(tx, intent)
-
         tx.trace.focus("lock")
         faa_event = engine.verbs.faa_ticket(primary, table_id, slot, engine.coord_id)
         read_event = engine.verbs.read_object(primary, table_id, slot)
@@ -294,13 +394,12 @@ class TicketLockStrategy(LockStrategy):
         if checkpoint is not None:
             yield checkpoint
         ticket, word = yield faa_event
-        lock, version, present, value = yield read_event
+        image = (yield read_event)[1:]
         if ticket < 0:
             # The slot carries a non-ticket word (foreign lock format):
             # the server refused the enqueue.
             tx.trace.lock_event("conflict", table_id, slot, engine.sim.now)
-            intent.lock_result = (False, AbortReason.LOCK_CONFLICT)
-            return
+            return None
         ticket &= 0xFFFF
 
         polls = 0
@@ -309,8 +408,7 @@ class TicketLockStrategy(LockStrategy):
                 # The queue vanished under us (e.g. a memory restore
                 # reset the word): our ticket is gone; retry the txn.
                 tx.trace.lock_event("conflict", table_id, slot, engine.sim.now)
-                intent.lock_result = (False, AbortReason.LOCK_CONFLICT)
-                return
+                return None
             polls += 1
             if polls > TICKET_POLL_LIMIT:
                 # Bounded wait (deadlock mitigation): cancel the ticket
@@ -318,8 +416,7 @@ class TicketLockStrategy(LockStrategy):
                 tx.trace.focus("lock")
                 yield engine.verbs.cancel_ticket(primary, table_id, slot, ticket)
                 tx.trace.lock_event("conflict", table_id, slot, engine.sim.now)
-                intent.lock_result = (False, AbortReason.LOCK_CONFLICT)
-                return
+                return None
             if self.is_stray(word):
                 # Queue-aware steal: the holder died. A CAS conditioned
                 # on the observed word asks the server to advance past
@@ -344,154 +441,8 @@ class TicketLockStrategy(LockStrategy):
             # The pipelined read raced the queue wait; re-read the
             # image now that we hold the lock.
             tx.trace.focus("lock")
-            lock, version, present, value = yield engine.verbs.read_object(
-                primary, table_id, slot
-            )
-
-        intent.locked = True
-        intent.lock_node = primary
-        intent.old_version = version
-        intent.old_value = value
-        intent.old_present = present
-        tx.trace.lock_event("acquired", table_id, slot, engine.sim.now)
-        checkpoint = engine._cp("locked")
-        if checkpoint is not None:
-            yield checkpoint
-
-        if (
-            intent.expected_version is not None
-            and version != intent.expected_version
-            and not engine.commit.late_upgrade
-        ):
-            intent.lock_result = (False, AbortReason.UPGRADE_VERSION)
-            return
-        if intent.kind == OP_INSERT and present:
-            intent.lock_result = (False, AbortReason.DUPLICATE_KEY)
-            return
-        if intent.kind == OP_DELETE and not present:
-            intent.lock_result = (False, AbortReason.NOT_FOUND)
-            return
-
-        engine.log.post_locked(tx, intent, posted_speculatively)
-        intent.lock_result = (True, "")
-
-
-class CasLockStrategy(LockStrategy):
-    """Shared CAS-word acquisition: one CAS pipelined with the read."""
-
-    def _acquire_flow(
-        self, tx, intent: WriteIntent
-    ) -> Generator[Event, Any, None]:
-        engine = self.engine
-        table_id, slot = intent.table_id, intent.slot
-        primary = engine.placement.primary(table_id, slot)
-        tx.trace.focus("lock")
-        yield from engine._resolve_address(table_id, slot, primary)
-        desired = engine._lock_word()
-
-        yield from engine.log.pre_lock(tx, intent, desired)
-
-        posted_speculatively = engine.log.post_speculative(tx, intent)
-
-        tx.trace.focus("lock")
-        cas_event = engine.verbs.cas_lock(primary, table_id, slot, 0, desired)
-        read_event = engine.verbs.read_object(primary, table_id, slot)
-        checkpoint = engine._cp("lock_posted")
-        if checkpoint is not None:
-            yield checkpoint
-        old_word = yield cas_event
-        lock, version, present, value = yield read_event
-
-        if old_word != 0:
-            if engine._is_stray(old_word):
-                # PILL steal: the owner is a recovered-failed
-                # coordinator; a second CAS takes the lock over (§3.1.2).
-                tx.trace.lock_event("steal", table_id, slot, engine.sim.now)
-                tx.trace.focus("lock")
-                second = yield engine.verbs.cas_lock(
-                    primary, table_id, slot, old_word, desired
-                )
-                retries = 0
-                while (
-                    second != old_word
-                    and engine._is_stray(second)
-                    and retries < STEAL_RETRY_LIMIT
-                ):
-                    # Stray-to-stray race (mass failover): the word we
-                    # lost to belongs to *another* dead coordinator —
-                    # aborting here would leave the lock stranded until
-                    # some later txn retries the whole attempt. Retry
-                    # the steal against the new stray word instead.
-                    retries += 1
-                    engine.coordinator.stats.steal_retries += 1
-                    tx.trace.lock_event(
-                        "steal_retry", table_id, slot, engine.sim.now
-                    )
-                    tx.trace.focus("lock")
-                    old_word = second
-                    second = yield engine.verbs.cas_lock(
-                        primary, table_id, slot, old_word, desired
-                    )
-                if second != old_word:
-                    tx.trace.lock_event(
-                        "steal_lost", table_id, slot, engine.sim.now
-                    )
-                    intent.lock_result = (False, AbortReason.LOCK_CONFLICT)
-                    return
-                engine.coordinator.stats.locks_stolen += 1
-                tx.trace.focus("lock")
-                lock, version, present, value = yield engine.verbs.read_object(
-                    primary, table_id, slot
-                )
-            else:
-                tx.trace.lock_event("conflict", table_id, slot, engine.sim.now)
-                intent.lock_result = (False, AbortReason.LOCK_CONFLICT)
-                return
-
-        intent.locked = True
-        intent.lock_node = primary
-        intent.old_version = version
-        intent.old_value = value
-        intent.old_present = present
-        tx.trace.lock_event("acquired", table_id, slot, engine.sim.now)
-        checkpoint = engine._cp("locked")
-        if checkpoint is not None:
-            yield checkpoint
-
-        if (
-            intent.expected_version is not None
-            and version != intent.expected_version
-            and not engine.commit.late_upgrade
-        ):
-            # Read-then-write upgrade raced with another writer. FORD
-            # defers this abort to validation (after logging).
-            intent.lock_result = (False, AbortReason.UPGRADE_VERSION)
-            return
-        if intent.kind == OP_INSERT and present:
-            intent.lock_result = (False, AbortReason.DUPLICATE_KEY)
-            return
-        if intent.kind == OP_DELETE and not present:
-            intent.lock_result = (False, AbortReason.NOT_FOUND)
-            return
-
-        engine.log.post_locked(tx, intent, posted_speculatively)
-        intent.lock_result = (True, "")
-
-
-class PillCasLockStrategy(CasLockStrategy):
-    """PILL: owner-id-embedded words, strays stolen via a second CAS."""
-
-    pill = True
-
-    def lock_word(self, tag: int) -> int:
-        return encode_lock(self.engine.coord_id, tag)
-
-
-class AnonymousCasLockStrategy(CasLockStrategy):
-    """FORD-style: no owner identity; conflicts always abort."""
-
-    def lock_word(self, tag: int) -> int:
-        return encode_anonymous_lock(tag)
+            image = (yield engine.verbs.read_object(primary, table_id, slot))[1:]
+        return image
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +481,21 @@ class LogStrategy:
         """Per-object hook as the engine lets go of *intent* — on
         commit, abort and interrupt alike, whether or not its lock was
         ever held."""
+
+    def _write(self, tx, nodes, entries: Tuple[UndoEntry, ...]) -> None:
+        """Post one undo record of *entries* to each of *nodes*; the
+        decision point waits for the acks (``tx.log_acks``)."""
+        engine = self.engine
+        tx.trace.focus("log")
+        value_sizes = engine.catalog.value_sizes
+        for node in nodes:
+            record = LogRecord(
+                coord_id=engine.coord_id, txn_id=tx.txn_id, entries=entries
+            )
+            size = record.size_bytes(value_sizes)
+            ack = engine.verbs.write_log(node, record, size)
+            tx.log_acks.append(ack)
+            engine._remember_log_copy(tx, node, ack)
 
     # -- recovery half ------------------------------------------------------
 
@@ -600,26 +566,14 @@ class CoalescedLogStrategy(LogStrategy):
         ]
 
     def post_barrier(self, tx) -> None:
-        engine = self.engine
-        if not tx.write_set:
-            return
-        tx.trace.focus("log")
-        entries = tuple(
-            UndoEntry.of(intent)
-            for intent in tx.write_set.values()
-            if intent.locked
-        )
-        if not entries:
-            return
-        value_sizes = engine.catalog.value_sizes
-        for node in engine.catalog.log_nodes(engine.coord_id):
-            record = LogRecord(
-                coord_id=engine.coord_id, txn_id=tx.txn_id, entries=entries
-            )
-            size = record.size_bytes(value_sizes)
-            ack = engine.verbs.write_log(node, record, size)
-            tx.log_acks.append(ack)
-            engine._remember_log_copy(tx, node, ack)
+        self._post(tx, (i for i in tx.write_set.values() if i.locked))
+
+    def _post(self, tx, intents) -> None:
+        """One record covering *intents*, to each fixed log server."""
+        entries = tuple(UndoEntry.of(intent) for intent in intents)
+        if entries:
+            engine = self.engine
+            self._write(tx, engine.catalog.log_nodes(engine.coord_id), entries)
 
 
 class PerObjectLogStrategy(LogStrategy):
@@ -672,18 +626,8 @@ class PerObjectLogStrategy(LogStrategy):
 
     def _post(self, tx, intent: WriteIntent, entry: UndoEntry) -> None:
         """Undo-log one object to each of its replicas."""
-        engine = self.engine
-        tx.trace.focus("log")
-        for node in engine.placement.replicas(intent.table_id, intent.slot):
-            record = LogRecord(
-                coord_id=engine.coord_id, txn_id=tx.txn_id, entries=(entry,)
-            )
-            size = record.size_bytes(
-                {intent.table_id: engine._log_value_size(intent.table_id)}
-            )
-            ack = engine.verbs.write_log(node, record, size)
-            tx.log_acks.append(ack)
-            engine._remember_log_copy(tx, node, ack)
+        replicas = self.engine.placement.replicas(intent.table_id, intent.slot)
+        self._write(tx, replicas, (entry,))
 
 
 class LockIntentLogStrategy(CoalescedLogStrategy):
@@ -719,7 +663,7 @@ class LockIntentLogStrategy(CoalescedLogStrategy):
             for node in nodes
         ]
         results = yield engine.sim.all_of(events)
-        intent._locklog_copies = list(zip(nodes, results))  # type: ignore[attr-defined]
+        intent.intent_records = tuple(zip(nodes, results))
 
     def release_intent(self, intent: WriteIntent) -> None:
         # The record precedes the CAS, so it exists even when the CAS
@@ -727,7 +671,7 @@ class LockIntentLogStrategy(CoalescedLogStrategy):
         # later dies — and an anonymous word is only LOCKED|tag, so a
         # stale one can equal another coordinator's live lock.
         engine = self.engine
-        for node, record_id in getattr(intent, "_locklog_copies", ()):
+        for node, record_id in intent.intent_records:
             engine.verbs.invalidate_log(
                 node, engine.coord_id, record_id, signaled=False
             )

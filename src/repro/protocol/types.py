@@ -98,8 +98,13 @@ class WriteIntent:
     expected_version: Optional[int] = None
     # Replicas this intent's commit-phase updates were posted to.
     applied: bool = False
-    # The lock-acquisition subprocess (set while in flight).
+    # The lock-acquisition subprocess and the (success, abort reason)
+    # it leaves behind.
+    lock_proc: Any = None
     lock_result: Optional[Tuple[bool, str]] = None
+    # (log node, record id) of every lock-intent record copy written
+    # ahead of the lock CAS (tradlog only).
+    intent_records: Tuple[Tuple[int, int], ...] = ()
 
     @property
     def new_version(self) -> int:

@@ -66,17 +66,13 @@ class Protocol:
         lock-intent log says where they are (§3.1.1)."""
         return not self.lock.pill and not self.log.pre_lock_intent
 
-    def engine_factory(
-        self,
-        bugs: Optional[BugFlags] = None,
-        engine_class: Type[ProtocolEngine] = ProtocolEngine,
-    ) -> Callable:
+    def engine_factory(self, bugs: Optional[BugFlags] = None) -> Callable:
         """Engine factory for :class:`~repro.protocol.coordinator.Coordinator`."""
         if bugs is None:
             bugs = self.bugs()
 
         def factory(coordinator):
-            return engine_class(coordinator, self, bugs)
+            return ProtocolEngine(coordinator, self, bugs)
 
         return factory
 

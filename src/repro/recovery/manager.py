@@ -167,12 +167,18 @@ class RecoveryManager:
     def alive_memory_ids(self) -> List[int]:
         return [nid for nid, node in self.memory_nodes.items() if node.alive]
 
-    def _alive_compute_nodes(self, excluding: int) -> List[Any]:
-        return [
-            node
-            for node in self.compute_nodes.values()
-            if node.alive and node.node_id != excluding
-        ]
+    def _tell_compute_nodes(
+        self, method: str, *args: Any, excluding: Optional[int] = None
+    ) -> None:
+        """Send a control message to every live compute server (but
+        *excluding*): ``node.<method>(*args)`` runs there one network
+        delay from now."""
+        for node in self.compute_nodes.values():
+            if node.alive and node.node_id != excluding:
+                delay = self.network.delay(128)
+                self.sim.call_at(
+                    self.sim.now + delay, lambda n=node: getattr(n, method)(*args)
+                )
 
     def _recover_compute(self, node) -> Generator[Event, Any, None]:
         key = ("compute", node.node_id)
@@ -228,12 +234,9 @@ class RecoveryManager:
         # (Cor4) — only NotLogged-Stray-Tx locks remain stealable.
         for coord_id in coord_ids:
             self.id_allocator.mark_failed(coord_id)
-        for compute in self._alive_compute_nodes(excluding=node.node_id):
-            delay = self.network.delay(128)
-            self.sim.call_at(
-                self.sim.now + delay,
-                lambda n=compute, ids=tuple(coord_ids): n.add_failed_ids(ids),
-            )
+        self._tell_compute_nodes(
+            "add_failed_ids", tuple(coord_ids), excluding=node.node_id
+        )
         record.notified_at = self.sim.now
         record.finished_at = self.sim.now
         tracer.span(
@@ -561,9 +564,7 @@ class RecoveryManager:
         quiesced first; afterwards every remaining lock belongs to the
         failed node (§3.1.1)."""
         started = self.sim.now
-        for compute in self._alive_compute_nodes(excluding=pid):
-            delay = self.network.delay(128)
-            self.sim.call_at(self.sim.now + delay, compute.pause)
+        self._tell_compute_nodes("pause", excluding=pid)
         yield self.sim.timeout(self.drain_delay)
         self.obs.tracer.span("recovery", "drain", started, self.sim.now, pid=pid)
 
@@ -589,9 +590,7 @@ class RecoveryManager:
             pid=pid,
             args={"scanned_slots": record.scanned_slots},
         )
-        for compute in self._alive_compute_nodes(excluding=pid):
-            delay = self.network.delay(128)
-            self.sim.call_at(self.sim.now + delay, compute.resume)
+        self._tell_compute_nodes("resume", excluding=pid)
 
     # -- memory re-replication (§3.2.5, ">f failures" path) -----------------------
 
@@ -626,10 +625,7 @@ class RecoveryManager:
             node_id=node.node_id, kind="memory-restore", detected_at=self.sim.now
         )
         self.records.append(record)
-        for compute in self.compute_nodes.values():
-            if compute.alive:
-                delay = self.network.delay(128)
-                self.sim.call_at(self.sim.now + delay, compute.pause)
+        self._tell_compute_nodes("pause")
         yield self.sim.timeout(self.drain_delay)
         record.fenced_at = self.sim.now
 
@@ -690,10 +686,7 @@ class RecoveryManager:
         record.log_recovered_at = self.sim.now
 
         self.placement.mark_up(node.node_id)
-        for compute in self.compute_nodes.values():
-            if compute.alive:
-                delay = self.network.delay(128)
-                self.sim.call_at(self.sim.now + delay, compute.resume)
+        self._tell_compute_nodes("resume")
         record.notified_at = self.sim.now
         record.finished_at = self.sim.now
         self.obs.tracer.span(
@@ -724,20 +717,14 @@ class RecoveryManager:
         # transactions (they self-decide commit/abort against the live
         # replica set), and recomputes primaries deterministically.
         self.placement.mark_down(node.node_id)
-        for compute in self.compute_nodes.values():
-            if compute.alive:
-                delay = self.network.delay(128)
-                self.sim.call_at(self.sim.now + delay, compute.begin_memory_reconfig)
+        self._tell_compute_nodes("begin_memory_reconfig")
         record.fenced_at = self.sim.now
 
         # Metadata agreement + drain window before resuming.
         yield self.sim.timeout(RECONFIG_DELAY)
         record.log_recovered_at = self.sim.now
 
-        for compute in self.compute_nodes.values():
-            if compute.alive:
-                delay = self.network.delay(128)
-                self.sim.call_at(self.sim.now + delay, compute.end_memory_reconfig)
+        self._tell_compute_nodes("end_memory_reconfig")
         record.notified_at = self.sim.now
         record.finished_at = self.sim.now
         self.obs.tracer.span(

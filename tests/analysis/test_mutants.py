@@ -33,6 +33,29 @@ def test_mutant_detected_with_clean_control(results, name):
     assert result.passed
 
 
+def test_dynamic_mutants_are_declarations():
+    """A mutant is the pandora row with one strategy swapped or only
+    its bug flags changed — never a second engine."""
+    from repro.analysis.mutants import PANDORA
+    from repro.protocol.types import BugFlags
+    from repro.protocol.zoo import Protocol
+
+    for spec in MUTANTS:
+        protocol = spec.protocol
+        assert isinstance(protocol, Protocol) and protocol.name == PANDORA.name
+        swapped = [
+            axis
+            for axis in ("lock", "log", "commit")
+            if getattr(protocol, axis) is not getattr(PANDORA, axis)
+        ]
+        assert len(swapped) <= 1, (spec.name, swapped)
+        if swapped:
+            assert issubclass(getattr(protocol, swapped[0]), getattr(PANDORA, swapped[0]))
+            assert protocol.bugs() == BugFlags.fixed(), spec.name
+        else:
+            assert protocol.bugs() != BugFlags.fixed(), spec.name
+
+
 def test_expected_codes_are_distinct_enough(results):
     """The harness exercises at least three distinct violation codes."""
     assert len({r.expected_code for r in results}) >= 3
@@ -85,6 +108,15 @@ def test_pr4_lock_leak_is_flagged_statically(static_results):
 def test_render_includes_static_section(results, static_results):
     text = render_results(results, static_results)
     assert "static mutants flagged by protolint" in text
+
+
+def test_verdicts_match_the_committed_golden(results, static_results):
+    """``python -m repro.analysis mutants`` prints exactly the golden
+    CI diffs against — every ``got=`` list included."""
+    import pathlib
+
+    golden = pathlib.Path(__file__).parent / "golden" / "mutants.txt"
+    assert render_results(results, static_results) + "\n" == golden.read_text()
 
 
 def test_cli_mutants_exit_zero():

@@ -140,6 +140,48 @@ class TestBaseline:
         assert load_baseline(str(path)) == set()
 
 
+class TestOverridesAcrossClasses:
+    """Same-named methods of sibling classes are each analyzed under
+    the class that runs them — whichever is defined last."""
+
+    BASE = """
+class Lock:
+    def acquire(self, tx):
+        yield from self._take(tx)  # no RdmaError guard around the step
+"""
+    CAS = """
+class Cas(Lock):
+    def _take(self, tx):
+        event = self.verbs.cas_lock(0, 0, 0, 0, 7)
+        yield event
+"""
+    TICKET = """
+class Ticket(Lock):
+    def _take(self, tx):
+        yield self.verbs.faa_ticket(0, 0, 0, 1)
+"""
+
+    def _lint(self, tmp_path, source):
+        path = tmp_path / "locks.py"
+        path.write_text(source)
+        return run_protolint(paths=[str(path)], root=str(tmp_path))
+
+    def test_the_cas_override_is_checked_in_either_definition_order(self, tmp_path):
+        for siblings in (self.CAS + self.TICKET, self.TICKET + self.CAS):
+            found = self._lint(tmp_path, self.BASE + siblings)
+            assert [(f.rule, f.line) for f in found] == [("PROTO005", found[0].line)]
+            assert "`_take`" in found[0].message
+
+    def test_a_guard_in_the_inherited_caller_covers_the_override(self, tmp_path):
+        guarded = self.BASE.replace(
+            "        yield from self._take(tx)  # no RdmaError guard around the step\n",
+            "        try:\n            yield from self._take(tx)\n"
+            "        except RdmaError:\n            pass\n",
+        )
+        assert "try:" in guarded
+        assert self._lint(tmp_path, guarded + self.CAS + self.TICKET) == []
+
+
 class TestShippedTree:
     def test_shipped_engines_lint_clean(self):
         """Acceptance criterion: zero unsuppressed violations on the

@@ -1,5 +1,9 @@
 """Tests for chaos schedules: generation, JSON round trip, coverage."""
 
+import pathlib
+
+import pytest
+
 from repro.chaos import (
     ALL_CRASH_POINTS,
     FAMILIES,
@@ -42,8 +46,6 @@ class TestJsonRoundTrip:
             assert Schedule.from_json(schedule.to_json()).to_dict() == schedule.to_dict()
 
     def test_unknown_version_rejected(self):
-        import pytest
-
         data = generate_schedule(0).to_dict()
         data["version"] = 999
         with pytest.raises(ValueError):
@@ -63,3 +65,54 @@ class TestJsonRoundTrip:
             Schedule(seed=0, family="cascade", faults=[fault]).to_dict()
         )
         assert restored.faults[0] == fault
+
+
+class TestLoadValidation:
+    """A hand-edited artifact that is wrong says where, in one
+    ValueError, when it is loaded — not three frames into the run."""
+
+    @staticmethod
+    def _data(**changes):
+        fault = {"kind": "crash_compute", "node": 1, "at": 2e-3}
+        return {"version": 1, "seed": 3, "family": "cascade", "faults": [fault], **changes}
+
+    @pytest.mark.parametrize(
+        "changes, names",
+        [
+            ({"faults": [{"kind": "crash_compute", "att": 0.001}]}, ["fault 0", "'att'"]),
+            (
+                {"faults": [{"kind": "crash_compute"}, {"kind": "crash_computer"}]},
+                ["fault 1", "'crash_computer'", "crash_compute,"],
+            ),
+            ({"faults": [{"node": 1}]}, ["fault 0", "missing", "'kind'"]),
+            ({"faults": ["crash_compute"]}, ["fault 0", "JSON object"]),
+            ({"protocol": "pandoro"}, ["'pandoro'", "pandora"]),
+            ({"version": 9}, ["version 9"]),
+            ({"sead": 3}, ["schedule", "'sead'"]),
+        ],
+    )
+    def test_the_error_names_the_problem(self, changes, names):
+        with pytest.raises(ValueError) as error:
+            Schedule.from_dict(self._data(**changes))
+        for name in names:
+            assert name in str(error.value)
+
+    def test_missing_seed_is_named(self):
+        data = self._data()
+        del data["seed"]
+        with pytest.raises(ValueError, match="missing key 'seed'"):
+            Schedule.from_dict(data)
+
+    def test_fault_kinds_are_the_runner_s_appliers(self):
+        from repro.chaos import FAULT_KINDS
+        from repro.chaos.campaign import ChaosRunner
+
+        appliers = {name[len("_arm_"):] for name in vars(ChaosRunner) if name.startswith("_arm_")}
+        assert set(FAULT_KINDS) == appliers
+
+    def test_every_committed_artifact_still_loads(self):
+        artifacts = sorted((pathlib.Path(__file__).parent / "schedules").glob("*.json"))
+        assert artifacts
+        for path in artifacts:
+            schedule = Schedule.from_json(path.read_text())
+            assert schedule.faults, path.name

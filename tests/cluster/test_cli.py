@@ -74,6 +74,33 @@ class TestChaosCommand:
         assert main(["chaos", "--replay", str(artifact)]) == 0
         assert "1/1 schedule(s) clean" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "artifact, names",
+        [
+            (None, ["cannot read schedule", "missing.json"]),
+            ({"faults": [{"kind": "crash_compute", "att": 0.001}]}, ["fault 0", "'att'"]),
+            ({"faults": [{"kind": "crash_computer"}]}, ["fault 0", "'crash_computer'"]),
+            ({"protocol": "pandoro"}, ["unknown protocol 'pandoro'"]),
+        ],
+    )
+    def test_chaos_replay_of_a_bad_artifact_exits_2_in_one_line(
+        self, capsys, tmp_path, artifact, names
+    ):
+        import json
+
+        path = tmp_path / "missing.json"
+        if artifact is not None:
+            path = tmp_path / "artifact.json"
+            path.write_text(json.dumps({"seed": 3, "family": "cascade", **artifact}))
+        with pytest.raises(SystemExit) as exit_:
+            main(["chaos", "--replay", str(path)])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        for name in names:
+            assert name in captured.err
+
     def test_chaos_failure_exits_nonzero_and_writes_artifact(self, capsys, tmp_path):
         """A protocol with the published FORD bugs fails the oracle;
         the failing schedule lands in --out as replayable JSON."""

@@ -77,7 +77,6 @@ class TestRecorderUnit:
     def test_null_recorder_is_inert(self):
         null = NullFlightRecorder()
         assert null.begin("pandora", 2, 7, 42, 1, 0.0) is None
-        assert null.on_post("read_object", 2, 5, 0.0) is None
         assert len(null) == 0 and null.closed() == [] and null.committed() == []
 
 

@@ -57,7 +57,9 @@ class ProtocolRig:
         self.catalog.provision(self.memory.values())
         self.catalog.load(self.memory, 0, ((k, 0) for k in range(keys)))
 
-        factory = ZOO[protocol].engine_factory(bugs)
+        # A zoo name, or a Protocol declaration of the test's own.
+        declaration = ZOO[protocol] if isinstance(protocol, str) else protocol
+        factory = declaration.engine_factory(bugs)
 
         self.nodes = []
         self.coordinators = []

@@ -435,3 +435,126 @@ class TestTradLogSpecifics:
         fast_outcome = fast.run_txn(fast.coordinators[0], write_txn(1, 5))
         slow_outcome = slow.run_txn(slow.coordinators[0], write_txn(1, 5))
         assert slow_outcome.latency > fast_outcome.latency
+
+
+# ---------------------------------------------------------------------------
+# Every way an attempt ends lets go of its write-set exactly once
+# ---------------------------------------------------------------------------
+
+HELD, LOST = 3, 9  # the key the attempt locks, and the one it loses
+
+
+def _counting(name):
+    """The *name* row with a log strategy that counts release_intent."""
+    from collections import Counter
+    from dataclasses import replace
+
+    from repro.protocol.zoo import ZOO
+
+    released = Counter()
+
+    class CountingLog(ZOO[name].log):
+        def release_intent(self, intent):
+            released[self.engine.coord_id, intent.key] += 1
+            super().release_intent(intent)
+
+    return replace(ZOO[name], log=CountingLog), released
+
+
+def _unlocks_of(coordinator):
+    """Record every ``write_lock`` *coordinator*'s compute node posts."""
+    posted = []
+    verbs = coordinator.verbs
+    write_lock = verbs.write_lock
+
+    def recording(node, table_id, slot, word, **kwargs):
+        posted.append((table_id, slot, word))
+        return write_lock(node, table_id, slot, word, **kwargs)
+
+    verbs.write_lock = recording
+    return posted
+
+
+@pytest.mark.parametrize("protocol", ["pandora", "tradlog", "lotus"])
+@pytest.mark.parametrize(
+    "ending", ["commit", "abort", "interrupted-after-apply", "interrupted-before-apply"]
+)
+class TestAttemptEndings:
+    """The commit tail, ``_abort`` and both branches of
+    ``recover_interrupted`` share one unlock loop: one ``write_lock 0``
+    per held lock, one ``release_intent`` per intent — held or not."""
+
+    def test_write_set_is_let_go_exactly_once(self, rig_factory, protocol, ending):
+        from repro.protocol.strategies import LOCK_INTENT_TXN
+
+        declaration, released = _counting(protocol)
+        rig = rig_factory(protocol=declaration)
+        sim = rig.sim
+        coordinator, rival = rig.coordinators
+        unlocks = _unlocks_of(coordinator)
+        intents = [HELD]
+
+        if ending == "abort":
+            # The rival sits on LOST, so that intent's lock is never
+            # held — and must still be let go (tradlog logged it).
+            def squat(tx):
+                yield from tx.read_for_update("kv", LOST)
+                yield sim.timeout(1.0)
+
+            rig.submit(rival, squat)
+            sim.run(until=50e-6)
+            intents.append(LOST)
+
+        def body(tx):
+            yield from tx.read_for_update("kv", HELD)
+            tx.write("kv", HELD, 1)
+            if ending == "abort":
+                tx.write("kv", LOST, 2)
+            if ending.startswith("interrupted"):
+                yield sim.timeout(1.0)  # parked, holding its lock
+
+        process = rig.submit(coordinator, body)
+        if ending.startswith("interrupted"):
+            # A memory reconfiguration cut the attempt short (§3.2.5):
+            # the coordinator resolves it from what the attempt knew.
+            sim.run(until=sim.now + 100e-6)
+            tx = coordinator.engine.current_tx
+            process.kill()
+            tx.apply_done = ending == "interrupted-after-apply"
+            process = sim.process(coordinator.engine.recover_interrupted(tx))
+        sim.run()
+
+        assert process.value.committed == (ending in ("commit", "interrupted-after-apply"))
+        mine = {key: n for (coord_id, key), n in released.items() if coord_id == coordinator.coord_id}
+        assert mine == {key: 1 for key in intents}
+        assert unlocks == [(0, rig.catalog.slot_for(0, HELD), 0)]
+        assert rig.slot_state(HELD).lock == 0
+        if protocol == "tradlog":
+            records = [
+                record
+                for node in rig.memory.values()
+                for record in node.log_regions[coordinator.coord_id].records
+                if record.txn_id == LOCK_INTENT_TXN
+            ]
+            assert len(records) == 2 * len(intents)  # f+1 copies each
+            assert not any(record.valid for record in records)
+
+
+def test_a_lock_subprocess_parked_on_its_cas_is_two_frames_deep(rig_factory):
+    """The subprocess *is* the strategy's acquire flow, parked inside
+    its take-the-word step — no engine trampolines in between (four
+    generator frames before the engine-subclass hooks were retired)."""
+    rig = rig_factory(protocol="pandora")
+    coordinator = rig.coordinators[0]
+    rig.submit(coordinator, write_txn(3, 42))
+    node = rig.memory[rig.placement.primary(0, rig.catalog.slot_for(0, 3))]
+    while not node.verb_counts.get("cas_lock"):
+        rig.sim.step()  # ... until the CAS has landed; its answer has not
+    (proc,) = coordinator.engine.current_tx.lock_procs
+    assert proc.is_alive
+    frames = []
+    generator = proc.generator
+    while generator is not None:
+        frames.append(generator.gi_code.co_name)
+        generator = generator.gi_yieldfrom
+    assert frames == ["acquire", "_take"]

@@ -20,7 +20,7 @@ from repro.protocol.locks import (
     owner_of,
     serving_of,
 )
-from repro.protocol.types import OP_UPDATE, AbortReason, WriteIntent
+from repro.protocol.types import OP_INSERT, OP_UPDATE, AbortReason, WriteIntent
 
 
 class TestTicketWord:
@@ -93,6 +93,9 @@ class _StubVerbs:
     def cas_lock(self, node, table_id, slot, expected, desired):
         return _Token("cas_lock", (node, table_id, slot, expected, desired))
 
+    def faa_ticket(self, node, table_id, slot, coord_id):
+        return _Token("faa_ticket", (node, table_id, slot, coord_id))
+
     def read_object(self, node, table_id, slot):
         return _Token("read_object", (node, table_id, slot))
 
@@ -117,11 +120,12 @@ class _StubTx:
 
 
 class _StubEngine:
-    """The minimal engine surface the CAS acquisition flow touches."""
+    """The minimal engine surface the acquisition flow touches; the
+    strategy under test answers ``is_stray`` and mints its own word."""
 
     coord_id = 3
 
-    def __init__(self, failed_ids):
+    def __init__(self, failed_ids=()):
         from types import SimpleNamespace
 
         self.verbs = _StubVerbs()
@@ -132,27 +136,15 @@ class _StubEngine:
             node=SimpleNamespace(failed_ids=failed_ids),
         )
         self.commit = SimpleNamespace(late_upgrade=False)
+        self.posted = []  # intents handed to the log strategy's post_locked
         self.log = SimpleNamespace(
             pre_lock=lambda tx, intent, word: iter(()),
             post_speculative=lambda tx, intent: False,
-            post_locked=lambda tx, intent, speculative: None,
+            post_locked=lambda tx, intent, speculative: self.posted.append(intent),
         )
-
-    def _resolve_address(self, table_id, slot, node):
-        return iter(())
 
     def _cp(self, name):
         return None
-
-    def _lock_word(self):
-        return encode_lock(self.coord_id, tag=7)
-
-    def _is_stray(self, word):
-        return (
-            is_locked(word)
-            and owner_of(word) != ANONYMOUS_OWNER
-            and owner_of(word) in self.coordinator.node.failed_ids
-        )
 
 
 def _drive(flow, responses):
@@ -173,11 +165,11 @@ def _drive(flow, responses):
 def _make_flow(engine, tx, intent):
     from repro.protocol.strategies import PillCasLockStrategy
 
-    return PillCasLockStrategy(engine)._acquire_flow(tx, intent)
+    return PillCasLockStrategy(engine).acquire(tx, intent)
 
 
-def _intent():
-    return WriteIntent(table_id=0, key=5, slot=5, kind=OP_UPDATE, new_value=1)
+def _intent(kind=OP_UPDATE):
+    return WriteIntent(table_id=0, key=5, slot=5, kind=kind, new_value=1)
 
 
 DEAD_A, DEAD_B = 100, 101
@@ -203,7 +195,7 @@ class TestStealRetry:
                 ("read_object", (STRAY_A, 1, True, 10)),
                 ("cas_lock", STRAY_B),           # steal CAS loses to stray B
                 ("cas_lock", STRAY_B),           # retry against B: wins
-                ("read_object", (engine._lock_word(), 1, True, 10)),
+                ("read_object", (encode_lock(engine.coord_id, tag=1), 1, True, 10)),
             ],
         )
         assert intent.lock_result == (True, "")
@@ -250,3 +242,119 @@ class TestStealRetry:
         assert intent.lock_result == (False, AbortReason.LOCK_CONFLICT)
         assert engine.coordinator.stats.steal_retries == STEAL_RETRY_LIMIT
         assert engine.coordinator.stats.locks_stolen == 0
+
+
+# ---------------------------------------------------------------------------
+# One acquire flow: the ticket queue and the CAS word share head and tail
+# ---------------------------------------------------------------------------
+
+
+def _ticket_flow(engine, tx, intent):
+    from repro.protocol.strategies import TicketLockStrategy
+
+    return TicketLockStrategy(engine).acquire(tx, intent)
+
+
+HOLDER = 8
+
+
+class TestTicketFlow:
+    def test_head_of_queue_is_granted_by_the_faa_alone(self):
+        engine = _StubEngine()
+        tx, intent = _StubTx(), _intent()
+        granted = encode_ticket_word(engine.coord_id, serving=4, next_ticket=5)
+        _drive(
+            _ticket_flow(engine, tx, intent),
+            [("faa_ticket", (4, granted)), ("read_object", (granted, 6, True, 10))],
+        )
+        assert intent.lock_result == (True, "")
+        assert (intent.locked, intent.lock_node) == (True, 0)
+        assert (intent.old_version, intent.old_present, intent.old_value) == (6, True, 10)
+        assert tx.trace.lock_events == ["acquired"]
+        assert engine.posted == [intent]
+
+    def test_waiter_polls_then_rereads_the_image_under_the_lock(self):
+        engine = _StubEngine()
+        tx, intent = _StubTx(), _intent()
+        waiting = encode_ticket_word(HOLDER, serving=4, next_ticket=6)
+        granted = encode_ticket_word(engine.coord_id, serving=5, next_ticket=6)
+        _drive(
+            _ticket_flow(engine, tx, intent),
+            [
+                ("faa_ticket", (5, waiting)),
+                ("read_object", (waiting, 6, True, 10)),  # raced the holder
+                ("read_header", (waiting, 6, True)),
+                ("read_header", (granted, 7, True)),
+                ("read_object", (granted, 7, True, 11)),
+            ],
+        )
+        assert intent.lock_result == (True, "")
+        assert (intent.old_version, intent.old_value) == (7, 11)
+
+    def test_dead_holder_is_advanced_past(self):
+        engine = _StubEngine(failed_ids={HOLDER})
+        tx, intent = _StubTx(), _intent()
+        stray = encode_ticket_word(HOLDER, serving=4, next_ticket=6)
+        granted = encode_ticket_word(engine.coord_id, serving=5, next_ticket=6)
+        _drive(
+            _ticket_flow(engine, tx, intent),
+            [
+                ("faa_ticket", (5, stray)),
+                ("read_object", (stray, 6, True, 10)),
+                ("cas_lock", stray),  # the queue advance wins
+                ("read_header", (granted, 6, True)),
+                ("read_object", (granted, 6, True, 10)),
+            ],
+        )
+        assert intent.lock_result == (True, "")
+        assert engine.coordinator.stats.locks_stolen == 1
+        assert tx.trace.lock_events == ["steal", "acquired"]
+
+    def test_refused_enqueue_is_a_conflict(self):
+        engine = _StubEngine()
+        tx, intent = _StubTx(), _intent()
+        foreign = encode_lock(HOLDER, tag=1)
+        _drive(
+            _ticket_flow(engine, tx, intent),
+            [("faa_ticket", (-1, foreign)), ("read_object", (foreign, 6, True, 10))],
+        )
+        assert intent.lock_result == (False, AbortReason.LOCK_CONFLICT)
+        assert not intent.locked
+        assert tx.trace.lock_events == ["conflict"]
+
+
+@pytest.mark.parametrize("flow", [_make_flow, _ticket_flow])
+class TestSharedTail:
+    """Whichever way the word was taken, the same checks run under it."""
+
+    GRANT = {
+        _make_flow: ("cas_lock", 0),
+        _ticket_flow: ("faa_ticket", (0, encode_ticket_word(3, 0, 1))),
+    }
+
+    def test_insert_over_a_present_key_fails_holding_the_lock(self, flow):
+        engine = _StubEngine()
+        tx, intent = _StubTx(), _intent(OP_INSERT)
+        _drive(flow(engine, tx, intent), [self.GRANT[flow], ("read_object", (0, 2, True, 9))])
+        assert intent.lock_result == (False, AbortReason.DUPLICATE_KEY)
+        # The lock is held: the abort path must release it.
+        assert intent.locked and tx.trace.lock_events == ["acquired"]
+        assert engine.posted == []
+
+    def test_upgrade_sees_a_newer_version(self, flow):
+        engine = _StubEngine()
+        tx, intent = _StubTx(), _intent()
+        intent.expected_version = 1
+        _drive(flow(engine, tx, intent), [self.GRANT[flow], ("read_object", (0, 2, True, 9))])
+        assert intent.lock_result == (False, AbortReason.UPGRADE_VERSION)
+
+    def test_a_dead_replica_is_a_link_revoked_result_not_a_raise(self, flow):
+        from repro.rdma.errors import RdmaError
+
+        engine = _StubEngine()
+        tx, intent = _StubTx(), _intent()
+        generator = flow(engine, tx, intent)
+        next(generator)
+        with pytest.raises(StopIteration):
+            generator.throw(RdmaError("replica down"))
+        assert intent.lock_result == (False, AbortReason.LINK_REVOKED)
