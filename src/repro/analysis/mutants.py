@@ -4,9 +4,11 @@ Two kinds of mutants prove the checkers actually check:
 
 **Dynamic mutants** — the pandora declaration with one strategy
 swapped for a broken subclass (or one FORD bug flag re-enabled), run
-through a small hand-wired rig with the
-PILL sanitizer in collect mode and a flight recorder attached. The
-harness asserts, per mutant:
+on an unstarted :class:`~repro.cluster.builder.Cluster` (no heartbeats,
+detector or recycler, so ``sim.run()`` drains) with the PILL sanitizer
+in collect mode and a flight recorder attached. A scenario enters its
+transactions with ``Coordinator.submit``. The harness asserts, per
+mutant:
 
 * the sanitizer reports the expected violation code,
 * where a race signature is expected, the lockset detector
@@ -30,10 +32,9 @@ unless every mutant is caught and every control run is clean.
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.analysis.protolint import _repo_root, run_protolint
 from repro.analysis.races import analyze_attempts
@@ -43,25 +44,18 @@ from repro.analysis.sanitizer import (
     UNLOCK_BEFORE_TRUNCATE,
     UNLOCK_BY_NON_OWNER,
     WRITE_WITHOUT_LOCK,
-    PillSanitizer,
 )
-from repro.cluster.node import ComputeNode
-from repro.kvs.catalog import Catalog, TableSpec
-from repro.kvs.placement import Placement
-from repro.memory.node import MemoryNode
-from repro.protocol.coordinator import Coordinator, CoordinatorConfig
+from repro.cluster.builder import Cluster
+from repro.cluster.config import ClusterConfig
 from repro.protocol.locks import is_locked
 from repro.protocol.strategies import CoalescedLogStrategy, PillCasLockStrategy
 from repro.protocol.types import BugFlags
 from repro.protocol.zoo import ZOO, Protocol
 from repro.obs import Obs
-from repro.rdma.network import Network, NetworkConfig
-from repro.rdma.verbs import Verbs
-from repro.sim import Simulator
+from repro.workloads.keyvalue import KeyValueTable
 
 __all__ = [
     "MutantResult",
-    "MutantRig",
     "MUTANTS",
     "STATIC_MUTANTS",
     "StaticMutantResult",
@@ -70,96 +64,6 @@ __all__ = [
     "run_static_mutants",
     "render_results",
 ]
-
-
-class _NoWorkload:
-    """Rig coordinators are driven manually; this is never called."""
-
-    def next_transaction(self, rng):  # pragma: no cover
-        raise RuntimeError("mutant rig transactions are submitted directly")
-
-
-class MutantRig:
-    """ProtocolRig twin with a collect-mode sanitizer wired in.
-
-    (``tests/protocol/conftest.py`` holds the original; the harness
-    ships inside the package so CI can run it without pytest.)
-    """
-
-    def __init__(
-        self,
-        engine_factory: Callable,
-        memory_nodes: int = 2,
-        compute_nodes: int = 2,
-        replication: int = 2,
-        keys: int = 64,
-    ) -> None:
-        self.sim = Simulator()
-        self.network = Network(NetworkConfig(jitter=0.0), random.Random(11))
-        self.memory = {i: MemoryNode(i) for i in range(memory_nodes)}
-        self.placement = Placement(
-            list(self.memory), replication_degree=replication, partitions=16
-        )
-        self.catalog = Catalog(self.placement)
-        self.catalog.add_table(TableSpec(0, "kv", max_keys=keys + 16, value_size=8))
-        self.catalog.provision(self.memory.values())
-        self.catalog.load(self.memory, 0, ((k, 0) for k in range(keys)))
-
-        self.sanitizer = PillSanitizer(
-            self.memory, failed_ids=frozenset(), sim=self.sim, strict=False
-        )
-        for node in self.memory.values():
-            node.sanitizer = self.sanitizer
-
-        # Flight recorder for the dynamic race detector (tracer off —
-        # only the per-attempt verb/lock records matter here). Obs's
-        # hot-path metric caches live behind set_run_meta.
-        self.obs = Obs(trace=False, flight=True)
-        self.obs.set_run_meta(harness="mutants")
-
-        self.nodes = []
-        self.coordinators = []
-        for node_id in range(compute_nodes):
-            verbs = Verbs(
-                self.sim,
-                node_id,
-                self.network,
-                self.memory,
-                obs=self.obs,
-                sanitizer=self.sanitizer,
-            )
-            node = ComputeNode(self.sim, node_id, verbs, self.catalog)
-            self.nodes.append(node)
-            coordinator = Coordinator(
-                node,
-                node_id,
-                engine_factory,
-                _NoWorkload(),
-                random.Random(1000 + node_id),
-                CoordinatorConfig(max_attempts=1),
-            )
-            node.add_coordinator(coordinator)
-            self.coordinators.append(coordinator)
-
-    def submit(self, coordinator, logic, delay: float = 0.0):
-        """Start one transaction (optionally after *delay*); its Process."""
-        if delay <= 0.0:
-            return self.sim.process(
-                coordinator.run_transaction(logic),
-                name=f"txn-c{coordinator.coord_id}",
-            )
-        started: List = []
-
-        def kick() -> None:
-            started.append(
-                self.sim.process(
-                    coordinator.run_transaction(logic),
-                    name=f"txn-c{coordinator.coord_id}",
-                )
-            )
-
-        self.sim.call_at(delay, kick)
-        return started
 
 
 # -- the mutants ---------------------------------------------------------------
@@ -207,80 +111,104 @@ class EagerLog(CoalescedLogStrategy):
 
 # -- scenarios -----------------------------------------------------------------
 #
-# Each scenario drives a fixed interleaving through a rig built with
-# *engine_factory* and returns the rig (whose sanitizer holds whatever
-# violations were observed). The same scenario doubles as its own
-# control when run with the unmutated pandora factory.
+# Each scenario drives a fixed interleaving through a cluster built for
+# *protocol* and returns it (its sanitizer holds whatever violations
+# were observed, its obs the flight records). The same scenario doubles
+# as its own control when run with the unmutated pandora row.
+
+KEYS = 64
 
 
-def _scenario_contended_write(engine_factory: Callable) -> MutantRig:
+def _cluster(protocol: Protocol) -> Cluster:
+    """Two one-coordinator nodes over 64 zeroed keys; never started."""
+    config = ClusterConfig(
+        coordinators_per_node=1,
+        partitions=16,
+        protocol=protocol,
+        max_attempts=1,
+        sanitize=True,
+    )
+    config.network.jitter = 0.0
+    # Tracer off: only the per-attempt verb/lock records matter to the
+    # dynamic race detector.
+    return Cluster(
+        config,
+        KeyValueTable("kv", ((k, 0) for k in range(KEYS)), max_keys=KEYS + 16),
+        obs=Obs(trace=False, flight=True),
+    )
+
+
+def _scenario_contended_write(protocol: Protocol) -> Cluster:
     """c0 holds key 3 for 80us mid-transaction; c1 blind-writes it."""
-    rig = MutantRig(engine_factory)
+    cluster = _cluster(protocol)
+    c0, c1 = cluster.all_coordinators()
 
     def holder(tx):
         yield from tx.read_for_update("kv", 3)
-        yield rig.sim.timeout(80e-6)
+        yield cluster.sim.timeout(80e-6)
         tx.write("kv", 3, 99)
 
     def writer(tx):
         tx.write("kv", 3, 7)
 
-    rig.submit(rig.coordinators[0], holder)
-    rig.submit(rig.coordinators[1], writer, delay=10e-6)
-    rig.sim.run()
-    return rig
+    c0.submit(holder)
+    c1.submit(writer, delay=10e-6)
+    cluster.sim.run()
+    return cluster
 
 
-def _scenario_single_write(engine_factory: Callable) -> MutantRig:
+def _scenario_single_write(protocol: Protocol) -> Cluster:
     """One uncontended read-modify-write transaction."""
-    rig = MutantRig(engine_factory)
+    cluster = _cluster(protocol)
 
     def rmw(tx):
         value = yield from tx.read("kv", 5)
         tx.write("kv", 5, (value or 0) + 1)
 
-    rig.submit(rig.coordinators[0], rmw)
-    rig.sim.run()
-    return rig
+    cluster.all_coordinators()[0].submit(rmw)
+    cluster.sim.run()
+    return cluster
 
 
-def _scenario_validation_abort(engine_factory: Callable) -> MutantRig:
+def _scenario_validation_abort(protocol: Protocol) -> Cluster:
     """c0 reads key 2, stalls, writes key 9; c1 bumps key 2 meanwhile —
     c0's validation fails and it must abort *after* logging."""
-    rig = MutantRig(engine_factory)
+    cluster = _cluster(protocol)
+    c0, c1 = cluster.all_coordinators()
 
     def stalled(tx):
         yield from tx.read("kv", 2)
-        yield rig.sim.timeout(40e-6)
+        yield cluster.sim.timeout(40e-6)
         tx.write("kv", 9, 42)
 
     def bumper(tx):
         tx.write("kv", 2, 1)
 
-    rig.submit(rig.coordinators[0], stalled)
-    rig.submit(rig.coordinators[1], bumper, delay=5e-6)
-    rig.sim.run()
-    return rig
+    c0.submit(stalled)
+    c1.submit(bumper, delay=5e-6)
+    cluster.sim.run()
+    return cluster
 
 
-def _scenario_conflict_abort(engine_factory: Callable) -> MutantRig:
+def _scenario_conflict_abort(protocol: Protocol) -> Cluster:
     """c0 holds key 3; c1 tries keys 3 and 11 — key 3 conflicts, so c1
     aborts while key 3 is still legitimately held by c0."""
-    rig = MutantRig(engine_factory)
+    cluster = _cluster(protocol)
+    c0, c1 = cluster.all_coordinators()
 
     def holder(tx):
         yield from tx.read_for_update("kv", 3)
-        yield rig.sim.timeout(60e-6)
+        yield cluster.sim.timeout(60e-6)
         tx.write("kv", 3, 99)
 
     def loser(tx):
         tx.write("kv", 3, 1)
         tx.write("kv", 11, 2)
 
-    rig.submit(rig.coordinators[0], holder)
-    rig.submit(rig.coordinators[1], loser, delay=5e-6)
-    rig.sim.run()
-    return rig
+    c0.submit(holder)
+    c1.submit(loser, delay=5e-6)
+    cluster.sim.run()
+    return cluster
 
 
 @dataclass
@@ -291,7 +219,7 @@ class MutantSpec:
     description: str
     # The broken declaration; the unmutated pandora row is the control.
     protocol: Protocol
-    scenario: Callable[[Callable], MutantRig]
+    scenario: Callable[[Protocol], Cluster]
     expected_code: str
     # When set, the lockset detector must also find this race code in
     # the mutant run's flight records (and none in the control's) —
@@ -368,26 +296,22 @@ class MutantResult:
         )
 
 
+def _codes(cluster: Cluster) -> Tuple[List[str], List[str]]:
+    """(sanitizer violation codes, lockset race codes) of a finished run."""
+    return (
+        [violation.code for violation in cluster.sanitizer.violations],
+        [race.code for race in analyze_attempts(cluster.obs.flight.attempts).races],
+    )
+
+
 def run_mutation_harness(only: Optional[List[str]] = None) -> List[MutantResult]:
     """Run every dynamic mutant and its control; one result per mutant."""
     results = []
     for spec in MUTANTS:
         if only and spec.name not in only:
             continue
-        mutant_rig = spec.scenario(spec.protocol.engine_factory())
-        codes = [violation.code for violation in mutant_rig.sanitizer.violations]
-        race_codes = [
-            race.code
-            for race in analyze_attempts(mutant_rig.obs.flight.attempts).races
-        ]
-        control_rig = spec.scenario(PANDORA.engine_factory())
-        control_codes = [
-            violation.code for violation in control_rig.sanitizer.violations
-        ]
-        control_race_codes = [
-            race.code
-            for race in analyze_attempts(control_rig.obs.flight.attempts).races
-        ]
+        codes, race_codes = _codes(spec.scenario(spec.protocol))
+        control_codes, control_race_codes = _codes(spec.scenario(PANDORA))
         results.append(
             MutantResult(
                 name=spec.name,

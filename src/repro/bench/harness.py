@@ -87,14 +87,6 @@ class FailoverResult:
     post_rate: float
     recovery_records: list = field(default_factory=list)
 
-    @property
-    def during_over_pre(self) -> float:
-        return self.during_rate / self.pre_rate if self.pre_rate else 0.0
-
-    @property
-    def post_over_pre(self) -> float:
-        return self.post_rate / self.pre_rate if self.pre_rate else 0.0
-
 
 @dataclass
 class RecoveryLatencyResult:
@@ -103,14 +95,50 @@ class RecoveryLatencyResult:
     latency: float  # log-recovery step latency (seconds)
 
 
-def _check_sanitizer(cluster: Cluster) -> None:
-    """Surface collected PILL violations after a sanitized run."""
-    sanitizer = getattr(cluster, "sanitizer", None)
-    if sanitizer is not None and sanitizer.violations:
+def _run(
+    workload_factory: Callable[[], object],
+    cfg: ClusterConfig,
+    until: float,
+    arm: Optional[Callable[[Cluster], None]] = None,
+    obs=None,
+    profiler=None,
+) -> Cluster:
+    """The one experiment body: build, start, arm the faults, run to
+    *until*, raise the first PILL violation a sanitized run collected,
+    sample the kernel gauges. Returns the finished cluster."""
+    cluster = Cluster(cfg, workload_factory(), obs=obs, profiler=profiler)
+    cluster.start()
+    if arm is not None:
+        arm(cluster)
+    cluster.run(until=until)
+    if cluster.sanitizer is not None and cluster.sanitizer.violations:
         # Each violation is a structured AssertionError with the verb
         # timeline attached; re-raising the first is the loud path the
         # CLI/CI rely on.
-        raise sanitizer.violations[0]
+        raise cluster.sanitizer.violations[0]
+    if obs is not None:
+        obs.sample_kernel(cluster.sim)
+    return cluster
+
+
+def _steady_result(
+    cluster: Cluster, protocol: str, duration: float, start: float, end: float
+) -> SteadyStateResult:
+    """Throughput over [start, end) plus the run's whole-life counters."""
+    stats = cluster.aggregate_stats()
+    attempts = stats.commits + stats.aborts
+    return SteadyStateResult(
+        protocol=protocol,
+        workload=cluster.workload.name,
+        duration=duration,
+        throughput=cluster.timeline.rate_between(start, end),
+        commits=stats.commits,
+        aborts=stats.aborts,
+        abort_rate=stats.aborts / attempts if attempts else 0.0,
+        locks_stolen=stats.locks_stolen,
+        p50_latency=stats.latency.percentile(50),
+        p99_latency=stats.latency.percentile(99),
+    )
 
 
 def run_steady_state(
@@ -125,28 +153,9 @@ def run_steady_state(
 ) -> SteadyStateResult:
     """Failure-free throughput over *duration* of simulated time."""
     cfg = config or default_config(protocol=protocol, **config_overrides)
-    workload = workload_factory()
-    cluster = Cluster(cfg, workload, obs=obs, profiler=profiler)
-    cluster.start()
-    cluster.run(until=warmup + duration)
-    _check_sanitizer(cluster)
-    if obs is not None:
-        obs.sample_kernel(cluster.sim)
-    stats = cluster.aggregate_stats()
-    throughput = cluster.timeline.rate_between(warmup, warmup + duration)
-    attempts = stats.commits + stats.aborts
-    return SteadyStateResult(
-        protocol=protocol,
-        workload=workload.name,
-        duration=duration,
-        throughput=throughput,
-        commits=stats.commits,
-        aborts=stats.aborts,
-        abort_rate=stats.aborts / attempts if attempts else 0.0,
-        locks_stolen=stats.locks_stolen,
-        p50_latency=stats.latency.percentile(50),
-        p99_latency=stats.latency.percentile(99),
-    )
+    end = warmup + duration
+    cluster = _run(workload_factory, cfg, end, obs=obs, profiler=profiler)
+    return _steady_result(cluster, protocol, duration, warmup, end)
 
 
 def run_failover(
@@ -175,25 +184,21 @@ def run_failover(
     if crash_kind == "memory" and cfg.memory_nodes < 3:
         # Keep f live replicas after the crash.
         cfg.memory_nodes = 3
-    workload = workload_factory()
-    cluster = Cluster(cfg, workload, obs=obs)
-    cluster.start()
-    if crash_kind == "compute":
-        cluster.crash_compute(0, at=crash_at)
-    else:
-        cluster.crash_memory(0, at=crash_at)
-    cluster.run(until=duration)
-    _check_sanitizer(cluster)
-    if obs is not None:
-        obs.sample_kernel(cluster.sim)
 
+    def arm(cluster: Cluster) -> None:
+        if crash_kind == "compute":
+            cluster.crash_compute(0, at=crash_at)
+        else:
+            cluster.crash_memory(0, at=crash_at)
+
+    cluster = _run(workload_factory, cfg, duration, arm, obs=obs)
     window = cfg.throughput_window
     pre = cluster.timeline.rate_between(5e-3, crash_at - window)
     during = cluster.timeline.rate_between(crash_at, min(crash_at + 15e-3, duration))
     post = cluster.timeline.rate_between(min(crash_at + 20e-3, duration - window), duration)
     return FailoverResult(
         protocol=protocol,
-        workload=workload.name,
+        workload=cluster.workload.name,
         crash_kind=crash_kind,
         crash_at=crash_at,
         series=cluster.timeline.series(0.0, duration),
@@ -219,20 +224,21 @@ def run_recovery_latency(
         coordinators_per_node=coordinators_per_node,
         **config_overrides,
     )
-    workload = workload_factory()
-    cluster = Cluster(cfg, workload, obs=obs)
-    cluster.start()
-    cluster.crash_compute(0, at=crash_at)
     # Give detection + recovery ample time; scan recovery needs more.
-    horizon = crash_at + (0.4 if cluster.protocol.needs_quiesce_scan else 30e-3)
-    cluster.run(until=horizon)
-    if obs is not None:
-        obs.sample_kernel(cluster.sim)
+    _name, declaration = cfg.resolve_protocol()
+    horizon = crash_at + (0.4 if declaration.needs_quiesce_scan else 30e-3)
+    cluster = _run(
+        workload_factory,
+        cfg,
+        horizon,
+        lambda cluster: cluster.crash_compute(0, at=crash_at),
+        obs=obs,
+    )
     records = [r for r in cluster.recovery.records if r.kind == "compute"]
     if not records:
         raise RuntimeError("recovery never ran — horizon too short?")
     return RecoveryLatencyResult(
-        workload=workload.name,
+        workload=cluster.workload.name,
         coordinators=coordinators_per_node,
         latency=records[0].log_recovery_latency,
     )
@@ -250,37 +256,18 @@ def run_mttf(
     """Fig 7: steady-state throughput while crashing/restoring half of
     the coordinators every ``mttf`` seconds (None = no failures)."""
     cfg = config or default_config(protocol=protocol, **config_overrides)
-    workload = workload_factory()
-    cluster = Cluster(cfg, workload)
-    cluster.start()
-    mttf_process = None
-    if mttf is not None:
+
+    def arm(cluster: Cluster) -> None:
         # Crash/restore one of the two compute nodes = half of the
         # coordinators, as in §6.2.
-        mttf_process = MttfProcess(
+        MttfProcess(
             cluster.sim,
             cluster.compute_nodes[0],
             restart=cluster.restart_compute,
             mttf=mttf,
             repair_time=repair_time,
             rng=random.Random(cfg.seed + 99),
-        )
-        mttf_process.start()
-    cluster.run(until=duration)
-    if mttf_process is not None:
-        mttf_process.stop()
-    stats = cluster.aggregate_stats()
-    throughput = cluster.timeline.rate_between(5e-3, duration)
-    attempts = stats.commits + stats.aborts
-    return SteadyStateResult(
-        protocol=protocol,
-        workload=workload.name,
-        duration=duration,
-        throughput=throughput,
-        commits=stats.commits,
-        aborts=stats.aborts,
-        abort_rate=stats.aborts / attempts if attempts else 0.0,
-        locks_stolen=stats.locks_stolen,
-        p50_latency=stats.latency.percentile(50),
-        p99_latency=stats.latency.percentile(99),
-    )
+        ).start()
+
+    cluster = _run(workload_factory, cfg, duration, arm if mttf is not None else None)
+    return _steady_result(cluster, protocol, duration, 5e-3, duration)

@@ -230,7 +230,7 @@ def check_cluster(cluster, history: Optional[list] = None) -> List[OracleViolati
             )
 
     # -- sanitizer ----------------------------------------------------------
-    sanitizer = getattr(cluster, "sanitizer", None)
+    sanitizer = cluster.sanitizer
     if sanitizer is not None:
         for violation in sanitizer.violations:
             violations.append(

@@ -20,7 +20,6 @@ from repro.kvs.placement import Placement
 from repro.memory.node import MemoryNode
 from repro.obs import NOOP_OBS
 from repro.protocol.coordinator import Coordinator, CoordinatorConfig, CoordinatorStats
-from repro.protocol.zoo import ZOO
 from repro.rdma.network import Network
 from repro.rdma.verbs import Verbs
 from repro.recovery.distributed_fd import DistributedFailureDetector
@@ -46,9 +45,9 @@ class Cluster:
     ) -> None:
         config.validate()
         self.config = config
-        # The protocol's declaration: engines and recovery both build
-        # from it.
-        self.protocol = ZOO[config.protocol]
+        # The protocol's declaration — engines and recovery both build
+        # from it — and the name reports print for it.
+        self.protocol_name, self.protocol = config.resolve_protocol()
         self.workload = workload
         # Observability facade shared by every layer; the no-op default
         # keeps all instrumented hot paths at a single empty call.
@@ -91,25 +90,21 @@ class Cluster:
         # queue advances consult it to skip dead waiters' tickets.
         for memory in self.memory_nodes.values():
             memory.failed_ids = self.id_allocator.failed
+        fd_timing = dict(
+            timeout=config.fd_timeout,
+            check_interval=config.fd_check_interval,
+            redetect_interval=config.fd_redetect_interval,
+        )
         if config.distributed_fd:
             self.fd: FailureDetector = DistributedFailureDetector(
                 self.sim,
                 self.id_allocator,
-                timeout=config.fd_timeout,
-                check_interval=config.fd_check_interval,
                 replicas=config.fd_replicas,
                 agreement_delay=config.fd_agreement_delay,
-                redetect_interval=config.fd_redetect_interval,
+                **fd_timing,
             )
         else:
-            self.fd = FailureDetector(
-                self.sim,
-                self.id_allocator,
-                timeout=config.fd_timeout,
-                check_interval=config.fd_check_interval,
-                redetect_interval=config.fd_redetect_interval,
-            )
-
+            self.fd = FailureDetector(self.sim, self.id_allocator, **fd_timing)
         self.fd.obs = self.obs
 
         # Optional PILL sanitizer (repro.analysis). Collect mode: buggy
@@ -136,12 +131,14 @@ class Cluster:
             self.sim, RECOVERY_SERVER_ID, self.network, self.memory_nodes,
             obs=self.obs, sanitizer=sanitizer,
         )
+        # Filled below; recovery and the recycler share the dict.
+        self.compute_nodes: Dict[int, ComputeNode] = {}
         self.recovery = RecoveryManager(
             self.sim,
             recovery_verbs,
             self.catalog,
             self.network,
-            compute_nodes={},  # filled below
+            compute_nodes=self.compute_nodes,
             memory_nodes=self.memory_nodes,
             id_allocator=self.id_allocator,
             protocol=self.protocol,
@@ -157,7 +154,7 @@ class Cluster:
             self.catalog,
             self.network,
             memory_nodes=self.memory_nodes,
-            compute_nodes={},  # filled below, shared with recovery
+            compute_nodes=self.compute_nodes,
             id_allocator=self.id_allocator,
         )
 
@@ -165,7 +162,6 @@ class Cluster:
         self._history: Optional[list] = None
 
         # Compute servers + coordinators.
-        self.compute_nodes: Dict[int, ComputeNode] = {}
         for node_id in range(config.compute_nodes):
             verbs = Verbs(
                 self.sim, node_id, self.network, self.memory_nodes,
@@ -176,8 +172,6 @@ class Cluster:
             )
             self.compute_nodes[node_id] = node
             self._spawn_coordinators(node)
-        self.recovery.compute_nodes = self.compute_nodes
-        self.recycler.compute_nodes = self.compute_nodes
 
         # Measurement.
         self.timeline = ThroughputTimeline(window=config.throughput_window)
@@ -188,7 +182,7 @@ class Cluster:
         # Run-level facts the report layer cannot derive from events
         # (a no-op on the disabled obs path).
         self.obs.set_run_meta(
-            protocol=config.protocol,
+            protocol=self.protocol_name,
             workload=type(workload).__name__,
             seed=config.seed,
             replication_degree=config.replication_degree,
@@ -200,27 +194,23 @@ class Cluster:
 
     # -- construction helpers ---------------------------------------------------
 
-    def _coordinator_config(self) -> CoordinatorConfig:
+    def _spawn_coordinators(self, node: ComputeNode) -> None:
         config = self.config
-        return CoordinatorConfig(
+        factory = self.protocol.engine_factory(config.bugs)
+        coordinator_config = CoordinatorConfig(
             max_attempts=config.max_attempts,
-            backoff_base=config.backoff_base,
-            backoff_cap=config.backoff_cap,
             abandon_on_conflict=config.abandon_on_conflict,
             nvm_flush=(config.persistence == "nvm-flush"),
         )
-
-    def _spawn_coordinators(self, node: ComputeNode) -> None:
-        factory = self.protocol.engine_factory(self.config.bugs)
-        for _ in range(self.config.coordinators_per_node):
+        for _ in range(config.coordinators_per_node):
             coord_id = self.fd.allocate_coordinator_id()
             coordinator = Coordinator(
                 node,
                 coord_id,
                 factory,
                 self.workload,
-                random.Random((self.config.seed << 20) ^ (coord_id * 2654435761)),
-                self._coordinator_config(),
+                random.Random((config.seed << 20) ^ (coord_id * 2654435761)),
+                coordinator_config,
             )
             coordinator.history_sink = self._history
             node.add_coordinator(coordinator)
@@ -238,19 +228,22 @@ class Cluster:
             raise RuntimeError("cluster already started")
         self._started = True
         self._run_coordinator_loops = run_coordinators
-        sinks = self.fd.heartbeat_sinks()
         for node in self.compute_nodes.values():
-            self.fd.register("compute", node)
-            node.start_heartbeats(
-                self.network, sinks, self.config.fd_heartbeat_interval
-            )
-            if run_coordinators:
-                node.start_coordinators(on_commit=self.timeline.record)
+            self._join_compute(node)
         for memory in self.memory_nodes.values():
-            self.fd.register("memory", memory)
-            self._start_memory_heartbeats(memory, sinks)
+            self._join_memory(memory)
         self.fd.start()
         self._start_recycler_watch()
+
+    def _join_compute(self, node: ComputeNode) -> None:
+        """FD tracking, heartbeats and (unless callers drive the
+        coordinators themselves) worker loops for a live node."""
+        self.fd.register("compute", node)
+        node.start_heartbeats(
+            self.network, self.fd.heartbeat_sinks(), self.config.fd_heartbeat_interval
+        )
+        if self._run_coordinator_loops:
+            node.start_coordinators(on_commit=self.timeline.record)
 
     def _start_recycler_watch(self) -> None:
         """Trigger the id-recycling scan past 95% id consumption
@@ -266,7 +259,9 @@ class Cluster:
 
         self.sim.process(watch(), name="recycler-watch")
 
-    def _start_memory_heartbeats(self, memory: MemoryNode, sinks) -> None:
+    def _join_memory(self, memory: MemoryNode) -> None:
+        self.fd.register("memory", memory)
+        sinks = self.fd.heartbeat_sinks()
         interval = self.config.fd_heartbeat_interval
 
         def loop():
@@ -317,8 +312,7 @@ class Cluster:
             # actually serving again, else it is immediately
             # re-suspected.
             if node.alive:
-                self.fd.register("memory", node)
-                self._start_memory_heartbeats(node, self.fd.heartbeat_sinks())
+                self._join_memory(node)
 
         process.add_callback(rejoin)
 
@@ -363,13 +357,7 @@ class Cluster:
         node.failed_ids.update_from(self.id_allocator.failed)
         self._spawn_coordinators(node)
         if self._started:
-            sinks = self.fd.heartbeat_sinks()
-            self.fd.register("compute", node)
-            node.start_heartbeats(
-                self.network, sinks, self.config.fd_heartbeat_interval
-            )
-            if self._run_coordinator_loops:
-                node.start_coordinators(on_commit=self.timeline.record)
+            self._join_compute(node)
 
     # -- reporting ----------------------------------------------------------------------------
 

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 from repro.protocol.locks import MAX_COORD_ID
 from repro.protocol.types import BugFlags
-from repro.protocol.zoo import ZOO
+from repro.protocol.zoo import ZOO, Protocol
 from repro.rdma.network import NetworkConfig
 
 __all__ = ["ClusterConfig"]
@@ -28,9 +28,11 @@ class ClusterConfig:
     replication_degree: int = 2
     partitions: int = 64
 
-    # Protocol: a row of repro.protocol.zoo.ZOO; None for `bugs` means
-    # that row's own default flags.
-    protocol: str = "pandora"
+    # Protocol: the name of a repro.protocol.zoo.ZOO row, or a
+    # declaration of the caller's own (a mutant is a `replace(...)`d
+    # row that is in no table); None for `bugs` means that row's own
+    # default flags.
+    protocol: Union[str, Protocol] = "pandora"
     bugs: Optional[BugFlags] = None
 
     # Persistence (§7): 'dram' assumes battery-backed DRAM (no flush on
@@ -62,8 +64,6 @@ class ClusterConfig:
 
     # Coordinator retry policy.
     max_attempts: int = 64
-    backoff_base: float = 2e-6
-    backoff_cap: float = 100e-6
     abandon_on_conflict: bool = False
 
     # First coordinator id the allocator hands out (ids below count as
@@ -83,11 +83,23 @@ class ClusterConfig:
     # Measurement.
     throughput_window: float = 1e-3
 
-    def validate(self) -> None:
+    def resolve_protocol(self) -> Tuple[str, Protocol]:
+        """(the name reports print, the declaration engines build from).
+
+        A ``ZOO`` key prints as itself — ``baseline`` runs the row whose
+        engines call themselves ``ford`` — and a declaration prints as
+        the name it carries.
+        """
+        if isinstance(self.protocol, Protocol):
+            return self.protocol.name, self.protocol
         if self.protocol not in ZOO:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; expected one of {tuple(ZOO)}"
             )
+        return self.protocol, ZOO[self.protocol]
+
+    def validate(self) -> None:
+        self.resolve_protocol()
         if self.memory_nodes < 1:
             raise ValueError("need at least one memory node")
         if self.compute_nodes < 1:

@@ -26,10 +26,9 @@ from typing import List, Optional
 
 from repro.cluster.builder import Cluster
 from repro.cluster.config import ClusterConfig
-from repro.kvs.catalog import TableSpec
 from repro.litmus.checker import SerializabilityChecker
 from repro.protocol.types import BugFlags
-from repro.workloads.base import Workload
+from repro.workloads.keyvalue import KeyValueTable
 
 __all__ = ["FuzzReport", "HistoryFuzzer"]
 
@@ -51,19 +50,14 @@ class FuzzReport:
         )
 
 
-class _FuzzWorkload(Workload):
+class _FuzzWorkload(KeyValueTable):
     """Random single- and multi-key transactions over one table."""
 
     name = "fuzz"
 
     def __init__(self, keys: int) -> None:
+        super().__init__("kv", ((key, 0) for key in range(keys)), max_keys=keys)
         self.keys = keys
-
-    def create_schema(self, catalog) -> None:
-        catalog.add_table(TableSpec(0, "kv", max_keys=self.keys, value_size=8))
-
-    def load(self, catalog, memory_nodes, rng) -> None:
-        catalog.load(memory_nodes, 0, ((key, 0) for key in range(self.keys)))
 
     def next_transaction(self, rng: random.Random):
         kind = rng.random()

@@ -20,10 +20,9 @@ from typing import Any, Dict, List, Optional
 from repro.cluster.builder import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.faults.injector import CrashPlan
-from repro.kvs.catalog import TableSpec
-from repro.litmus.specs import ABSENT, LitmusSpec
+from repro.litmus.specs import LitmusSpec
 from repro.protocol.types import BugFlags
-from repro.workloads.base import Workload
+from repro.workloads.keyvalue import KeyValueTable
 
 __all__ = ["LitmusReport", "LitmusRunner"]
 
@@ -76,43 +75,8 @@ class LitmusReport:
         )
 
 
-class _LitmusWorkload(Workload):
-    """Pre-provisions one table with every round's keys."""
-
-    name = "litmus"
-
-    def __init__(self, spec: LitmusSpec, rounds: int) -> None:
-        self.spec = spec
-        self.rounds = rounds
-
-    def create_schema(self, catalog) -> None:
-        catalog.add_table(
-            TableSpec(
-                table_id=0,
-                name="lit",
-                max_keys=self.rounds * len(self.spec.keys) + 8,
-                value_size=8,
-            )
-        )
-
-    def load(self, catalog, memory_nodes, rng) -> None:
-        table_id = 0
-        for round_index in range(self.rounds):
-            for key_name in self.spec.keys:
-                key = self._key(round_index, key_name)
-                initial = self.spec.initial[key_name]
-                slot = catalog.slot_for(table_id, key)
-                if initial is ABSENT:
-                    continue  # slot registered, object absent
-                for node_id in catalog.replicas(table_id, slot):
-                    memory_nodes[node_id].load_slot(table_id, slot, initial)
-
-    @staticmethod
-    def _key(round_index: int, key_name: str) -> str:
-        return f"r{round_index}-{key_name}"
-
-    def next_transaction(self, rng):  # pragma: no cover - runner-driven
-        raise RuntimeError("litmus coordinators are driven by the runner")
+def _key(round_index: int, key_name: str) -> str:
+    return f"r{round_index}-{key_name}"
 
 
 class LitmusRunner:
@@ -139,7 +103,16 @@ class LitmusRunner:
         self.copies = copies
         self.crash_probability = crash_probability
         self.rng = random.Random(seed)
-        self.workload = _LitmusWorkload(spec, rounds)
+        # One table pre-provisioned with a fresh key set per round.
+        workload = KeyValueTable(
+            "lit",
+            (
+                (_key(round_index, name), spec.initial[name])
+                for round_index in range(rounds)
+                for name in spec.keys
+            ),
+            max_keys=rounds * len(spec.keys) + 8,
+        )
         config = ClusterConfig(
             memory_nodes=2,
             compute_nodes=compute_nodes,
@@ -159,7 +132,7 @@ class LitmusRunner:
         )
         config.network.jitter = jitter
         config.network.loss_probability = loss_probability
-        self.cluster = Cluster(config, self.workload)
+        self.cluster = Cluster(config, workload)
         self.report = LitmusReport(spec_name=spec.name, protocol=protocol)
         # (round_index, keymap, outcomes) for the final sweep.
         self._completed_rounds: List = []
@@ -200,18 +173,12 @@ class LitmusRunner:
                     self.report.violations.append(violation)
 
     def _live_coordinators(self) -> List:
-        coordinators = []
-        for node in self.cluster.compute_nodes.values():
-            if node.alive:
-                coordinators.extend(node.coordinators)
-        return coordinators
+        return [c for c in self.cluster.all_coordinators() if c.node.alive]
 
     def _run_round(self, round_index: int) -> None:
         sim = self.cluster.sim
         spec = self.spec
-        keymap = {
-            name: _LitmusWorkload._key(round_index, name) for name in spec.keys
-        }
+        keymap = {name: _key(round_index, name) for name in spec.keys}
 
         coordinators = self._live_coordinators()
         if not coordinators:
@@ -250,17 +217,11 @@ class LitmusRunner:
             coordinator = coordinators[launch_index % len(coordinators)]
             logic = writer(keymap)
             offset = self.rng.random() * offset_scale
-
-            def delayed(coordinator=coordinator, logic=logic, offset=offset):
-                yield sim.timeout(offset)
-                outcome = yield from coordinator.run_transaction(logic)
-                return outcome
-
-            process = sim.process(
-                delayed(), name=f"lit-{round_index}-{launch_index}"
+            processes.append(
+                coordinator.submit(
+                    logic, delay=offset, name=f"lit-{round_index}-{launch_index}"
+                )
             )
-            coordinator.process = process  # so node.crash() kills it
-            processes.append(process)
 
         # Let the round and any recovery complete.
         deadline = sim.now + 50e-3
@@ -318,10 +279,7 @@ class LitmusRunner:
 
         candidates = self._live_coordinators() * 2  # two passes
         for coordinator in candidates:
-            process = sim.process(
-                coordinator.run_transaction(assertion_logic), name="lit-assert"
-            )
-            coordinator.process = process
+            process = coordinator.submit(assertion_logic, name="lit-assert")
             sim.run(until=sim.now + 5e-3)
             if process.triggered:
                 try:

@@ -5,7 +5,10 @@ easy-to-hit online bugs; the recovery-path bugs need several rare
 events to line up (a logged-then-aborted transaction, a later commit
 to the same object, a crash before the stale log is overwritten).
 These scenarios stage exactly that schedule through the *real*
-protocol, failure detector, and recovery manager — nothing is mocked —
+protocol, failure detector, and recovery manager — nothing is mocked:
+each builds a started ``Cluster`` whose worker loops stay off, enters
+every transaction with ``Coordinator.submit(logic, delay=...)`` and
+injects its crash with the cluster's own injector —
 so they both demonstrate each bug deterministically and verify the
 fix. They are the reproduction's analogue of the paper's minimized
 bug replays (§5.1).
@@ -18,9 +21,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.cluster.builder import Cluster
 from repro.cluster.config import ClusterConfig
-from repro.kvs.catalog import TableSpec
 from repro.protocol.types import BugFlags
-from repro.workloads.base import Workload
+from repro.workloads.keyvalue import ABSENT, KeyValueTable
 
 __all__ = [
     "ScenarioReport",
@@ -47,29 +49,6 @@ class ScenarioReport:
         return f"{self.name:24s} {self.protocol:10s} {status:10s} ({rendered})"
 
 
-class _ScenarioWorkload(Workload):
-    name = "scenario"
-
-    def __init__(self, initial: Dict[str, Any]) -> None:
-        self.initial = initial
-
-    def create_schema(self, catalog) -> None:
-        catalog.add_table(
-            TableSpec(table_id=0, name="lit", max_keys=64, value_size=8)
-        )
-
-    def load(self, catalog, memory_nodes, rng) -> None:
-        for key, value in self.initial.items():
-            slot = catalog.slot_for(0, key)
-            if value is None:
-                continue
-            for node_id in catalog.replicas(0, slot):
-                memory_nodes[node_id].load_slot(0, slot, value)
-
-    def next_transaction(self, rng):  # pragma: no cover - driven directly
-        raise RuntimeError("scenario coordinators are driven directly")
-
-
 def _build(protocol: str, bugs: Optional[BugFlags], initial: Dict[str, Any], seed: int):
     config = ClusterConfig(
         memory_nodes=2,
@@ -88,24 +67,9 @@ def _build(protocol: str, bugs: Optional[BugFlags], initial: Dict[str, Any], see
         abandon_on_conflict=True,
     )
     config.network.jitter = 0.0  # fully deterministic schedules
-    cluster = Cluster(config, _ScenarioWorkload(initial))
+    cluster = Cluster(config, KeyValueTable("lit", initial.items(), max_keys=64))
     cluster.start(run_coordinators=False)
     return cluster
-
-
-def _submit_at(cluster, coordinator, logic, when: float):
-    """Start one transaction at absolute virtual time *when*."""
-    sim = cluster.sim
-
-    def driver():
-        if when > sim.now:
-            yield sim.timeout(when - sim.now)
-        outcome = yield from coordinator.run_transaction(logic)
-        return outcome
-
-    process = sim.process(driver(), name=f"scenario-c{coordinator.coord_id}")
-    coordinator.process = process
-    return process
 
 
 def _read_values(cluster, keys: List[str]) -> Dict[str, Any]:
@@ -164,11 +128,11 @@ def run_lost_decision_scenario(
         tx.write("lit", "Z", (x or 0) + 1)
         return None
 
-    p_t1 = _submit_at(cluster, t1_coord, t1, when=1e-6)
-    p_helper = _submit_at(cluster, helper, bump_a, when=4e-6)
+    p_t1 = t1_coord.submit(t1, delay=1e-6, name=f"scenario-c{t1_coord.coord_id}")
+    p_helper = helper.submit(bump_a, delay=4e-6, name=f"scenario-c{helper.coord_id}")
     sim.run(until=200e-6)
 
-    p_t2 = _submit_at(cluster, t2_coord, t2, when=sim.now)
+    p_t2 = t2_coord.submit(t2, name=f"scenario-c{t2_coord.coord_id}")
     sim.run(until=sim.now + 200e-6)
 
     # T1's node crashes; recovery processes whatever logs remain.
@@ -235,8 +199,10 @@ def run_log_without_lock_scenario(
         yield sim.timeout(1e-3)  # crash lands before the abort path
         return None
 
-    p_t1 = _submit_at(cluster, t1_coord, t1, when=1e-6)
-    p_holder = _submit_at(cluster, holder_coord, holder, when=3e-6)
+    p_t1 = t1_coord.submit(t1, delay=1e-6, name=f"scenario-c{t1_coord.coord_id}")
+    p_holder = holder_coord.submit(
+        holder, delay=3e-6, name=f"scenario-c{holder_coord.coord_id}"
+    )
     # Crash T1's node while its speculative log is posted but before
     # its abort truncates anything.
     cluster.injector.crash_at(node0, when=16e-6)
@@ -268,7 +234,7 @@ def run_missing_insert_log_scenario(
     """An inserter crashes between applying its two inserts. Without
     undo logs for inserts, recovery cannot roll the first insert back:
     X ends up present while Y stays absent."""
-    cluster = _build(protocol, bugs, {"X": None, "Y": None}, seed)
+    cluster = _build(protocol, bugs, {"X": ABSENT, "Y": ABSENT}, seed)
     sim = cluster.sim
     node0 = cluster.compute_nodes[0]
     inserter = node0.coordinators[0]
@@ -280,7 +246,7 @@ def run_missing_insert_log_scenario(
 
     # Crash exactly between the two commit-phase apply posts.
     cluster.injector.crash_on_point(node0.node_id, "commit_posted", nth=1)
-    _submit_at(cluster, inserter, insert_both, when=1e-6)
+    inserter.submit(insert_both, delay=1e-6, name=f"scenario-c{inserter.coord_id}")
     sim.run(until=50e-3)
 
     values = _read_values(cluster, ["X", "Y"])
@@ -334,9 +300,15 @@ def run_complicit_abort_scenario(
         tx.write("lit", "X", (x or 0) + 1)
         return None
 
-    p_victim = _submit_at(cluster, victim, victim_txn, when=1e-6)
-    p_aborter = _submit_at(cluster, aborter, aborter_txn, when=8e-6)
-    p_exploiter = _submit_at(cluster, exploiter, exploiter_txn, when=16e-6)
+    p_victim = victim.submit(
+        victim_txn, delay=1e-6, name=f"scenario-c{victim.coord_id}"
+    )
+    p_aborter = aborter.submit(
+        aborter_txn, delay=8e-6, name=f"scenario-c{aborter.coord_id}"
+    )
+    p_exploiter = exploiter.submit(
+        exploiter_txn, delay=16e-6, name=f"scenario-c{exploiter.coord_id}"
+    )
     sim.run(until=5e-3)
 
     values = _read_values(cluster, ["X", "Y"])

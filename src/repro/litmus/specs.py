@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List
 
+from repro.workloads.keyvalue import ABSENT  # keys that must start absent
+
 __all__ = [
     "ABSENT",
     "LitmusSpec",
@@ -32,9 +34,6 @@ __all__ = [
     "stretched_litmus",
     "LITMUS_SUITE",
 ]
-
-#: Sentinel marking keys that must start absent (insert variants).
-ABSENT = object()
 
 
 @dataclass

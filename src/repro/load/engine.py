@@ -3,7 +3,10 @@
 The engine turns the cluster's coordinators into a *service pool*: an
 arrival process generates intended request times, the population picks
 the user and transaction, and each request either grabs a free
-coordinator immediately or waits in a FIFO queue. Issuance never slows
+coordinator immediately or waits in a FIFO queue; a dispatched request
+enters the protocol through ``Coordinator.submit`` like every other
+scripted transaction, so a node crash or a memory reconfiguration
+reaches it. Issuance never slows
 down because the system is slow — that is the defining property of
 open-loop load, and it is what makes the saturation knee measurable.
 
@@ -150,7 +153,7 @@ class OpenLoopEngine:
         self._measure_from = 0.0
         self._monitor_errors: List[str] = []
         self.result = LoadResult(
-            cluster.config.protocol,
+            cluster.protocol_name,
             cluster.workload.name,
             self.arrivals.name,
             offered,
@@ -169,11 +172,7 @@ class OpenLoopEngine:
         self._known.add(id(coordinator))
 
         def ready():
-            registrations = [
-                coordinator.verbs.register_log_region(node_id, coordinator.coord_id)
-                for node_id in coordinator.catalog.log_nodes(coordinator.coord_id)
-            ]
-            yield self.sim.all_of(registrations)
+            yield coordinator.register_log_regions()
             if self._usable(coordinator):
                 self._free.append(coordinator)
                 self._drain_queue()
@@ -218,17 +217,10 @@ class OpenLoopEngine:
         request.dispatched = self.sim.now
         self._busy[id(coordinator)] = coordinator
         self._inflight[id(request)] = request
-        process = self.sim.process(
-            self._serve(coordinator, request), name=f"load-u{request.user}"
-        )
-        coordinator.process = process  # so node.crash() kills it
+        process = coordinator.submit(request.logic, name=f"load-u{request.user}")
         process.add_callback(
             lambda event, c=coordinator, r=request: self._on_done(c, r, event)
         )
-
-    def _serve(self, coordinator, request: Request):
-        outcome = yield from coordinator.run_transaction(request.logic)
-        return outcome
 
     def _drain_queue(self) -> None:
         while self._queue and not self._closed:

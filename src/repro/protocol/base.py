@@ -285,7 +285,7 @@ class ProtocolEngine:
         self.current_tx: Optional[Txn] = None
         # §7 persistence: chase commit writes with a small read per
         # touched node to flush the RNIC cache into NVM before acking.
-        self.nvm_flush = getattr(coordinator.config, "nvm_flush", False)
+        self.nvm_flush = coordinator.config.nvm_flush
 
     # -- fault hooks -----------------------------------------------------------
 

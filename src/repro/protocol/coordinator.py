@@ -12,15 +12,20 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
-from repro.obs import NOOP_OBS
 from repro.protocol.types import AbortReason, TxnOutcome
 from repro.rdma.errors import LinkRevokedError, RdmaError
 from repro.sim import Event, Interrupt
 from repro.util.stats import Histogram
 
 __all__ = ["CoordinatorStats", "CoordinatorConfig", "Coordinator"]
+
+# Retry pacing: exponential backoff from BASE, doubling per attempt up
+# to CAP, each wait scaled by a uniform factor in [0.5, 1.5).
+BACKOFF_BASE = 2e-6
+BACKOFF_CAP = 100e-6
 
 
 class CoordinatorStats:
@@ -48,26 +53,17 @@ class CoordinatorStats:
         self.latency.merge(other.latency)
 
 
+@dataclass
 class CoordinatorConfig:
-    """Retry and pacing policy for the worker loop."""
+    """Retry policy for the worker loop."""
 
-    def __init__(
-        self,
-        max_attempts: int = 64,
-        backoff_base: float = 2e-6,
-        backoff_cap: float = 100e-6,
-        abandon_on_conflict: bool = False,
-        nvm_flush: bool = False,
-    ) -> None:
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        # True = give up after the first abort and move to the next
-        # request (the "abort" option of §6.4); False = retry the same
-        # transaction until it commits or attempts run out.
-        self.abandon_on_conflict = abandon_on_conflict
-        # §7: flush commit writes into NVM before acking the client.
-        self.nvm_flush = nvm_flush
+    max_attempts: int = 64
+    # True = give up after the first abort and move to the next request
+    # (the "abort" option of §6.4); False = retry the same transaction
+    # until it commits or attempts run out.
+    abandon_on_conflict: bool = False
+    # §7: flush commit writes into NVM before acking the client.
+    nvm_flush: bool = False
 
 
 class Coordinator:
@@ -94,7 +90,7 @@ class Coordinator:
         self.stats = CoordinatorStats()
         # Observability facade shared by the whole deployment; the
         # engine captures it at construction, so set it first.
-        self.obs = getattr(node.verbs, "obs", None) or NOOP_OBS
+        self.obs = node.verbs.obs
         self.engine = engine_factory(self)
         self.process = None
         self._txn_seq = 0
@@ -114,10 +110,40 @@ class Coordinator:
         )
 
     def stop(self) -> None:
-        """Kill the worker loop (crash-stop)."""
+        """Kill the worker loop or submitted transaction (crash-stop)."""
         if self.process is not None:
             self.process.kill()
             self.process = None
+
+    def submit(self, logic, delay: Optional[float] = None, name: Optional[str] = None):
+        """Start one scripted transaction outside the worker loop.
+
+        Returns its Process, whose value is the :class:`TxnOutcome`.
+        The process is recorded on the coordinator, so a node crash
+        kills it and a memory reconfiguration interrupts it like any
+        worker-loop attempt. A *delay* — even ``0.0`` — puts exactly
+        one ``sim.timeout`` ahead of the first attempt; ``None`` puts
+        nothing.
+        """
+        body = self.run_transaction(logic)
+        if delay is not None:
+            body = self._after(delay, body)
+        self.process = self.sim.process(body, name=name or f"txn-c{self.coord_id}")
+        return self.process
+
+    def _after(self, delay: float, body) -> Generator[Event, Any, TxnOutcome]:
+        yield self.sim.timeout(delay)
+        return (yield from body)
+
+    def register_log_regions(self) -> Event:
+        """Register this coordinator's log region at its f+1 log servers
+        (control path; done once at spawn)."""
+        return self.sim.all_of(
+            [
+                self.verbs.register_log_region(node_id, self.coord_id)
+                for node_id in self.catalog.log_nodes(self.coord_id)
+            ]
+        )
 
     # -- engine callbacks ------------------------------------------------------
 
@@ -160,14 +186,7 @@ class Coordinator:
         return (self.coord_id << 32) | self._txn_seq
 
     def _run(self) -> Generator[Event, Any, None]:
-        # Register this coordinator's log region at its f+1 log servers
-        # (control path; done once at spawn).
-        registrations = [
-            self.verbs.register_log_region(node_id, self.coord_id)
-            for node_id in self.catalog.log_nodes(self.coord_id)
-        ]
-        yield self.sim.all_of(registrations)
-
+        yield self.register_log_regions()
         while True:
             yield from self.node.wait_if_paused()
             logic = self.workload.next_transaction(self.rng)
@@ -240,10 +259,7 @@ class Coordinator:
             if self.config.abandon_on_conflict:
                 break
             yield from self.node.wait_if_paused()
-            backoff = min(
-                self.config.backoff_cap,
-                self.config.backoff_base * (2 ** min(attempts - 1, 6)),
-            )
+            backoff = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** min(attempts - 1, 6)))
             yield self.sim.timeout(backoff * (0.5 + self.rng.random()))
         outcome.attempts = attempts
         outcome.start_time = start

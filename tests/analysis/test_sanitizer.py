@@ -193,7 +193,7 @@ class TestViolationTextParity:
 
         violations = []
         for spec in MUTANTS:
-            violations.extend(spec.scenario(spec.protocol.engine_factory()).sanitizer.violations)
+            violations.extend(spec.scenario(spec.protocol).sanitizer.violations)
         assert self._digest(violations) == (
             17,
             "12ea6d9415c59488a88fa09fd282d7af22e5de9ac74d1f9971459e14b87bbfd6",
@@ -230,7 +230,7 @@ class TestCleanProtocolRuns:
         from repro.analysis.mutants import MUTANTS, PANDORA
 
         for spec in MUTANTS:
-            rig = spec.scenario(PANDORA.engine_factory())
+            rig = spec.scenario(PANDORA)
             codes = [v.code for v in rig.sanitizer.violations]
             assert codes == [], (spec.name, codes)
 

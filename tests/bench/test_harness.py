@@ -10,6 +10,7 @@ from repro.bench.harness import (
     run_steady_state,
 )
 from repro.bench.report import format_series, format_table
+from repro.protocol.types import BugFlags
 from repro.workloads import MicroBenchmark
 
 
@@ -118,6 +119,37 @@ class TestMttf:
             fd_timeout=2e-3,
         )
         assert result.throughput > 0
+
+
+class TestSanitizedRunsRaise:
+    """All four runners share one body, so a sanitized run that
+    collected a PILL violation raises it from each of them
+    (``run_recovery_latency`` and ``run_mttf`` used to drop it)."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda hot, **kw: run_steady_state(hot, duration=2e-3, warmup=0.5e-3, **kw),
+            lambda hot, **kw: run_failover(hot, crash_at=1e-3, duration=3e-3, **kw),
+            lambda hot, **kw: run_recovery_latency(hot, crash_at=1e-3, **kw),
+            lambda hot, **kw: run_mttf(hot, None, duration=6e-3, **kw),
+        ],
+        ids=["steady_state", "failover", "recovery_latency", "mttf"],
+    )
+    def test_first_violation_is_raised(self, run):
+        from repro.analysis.sanitizer import UNLOCK_BY_NON_OWNER, SanitizerViolation
+
+        with pytest.raises(SanitizerViolation) as raised:
+            run(
+                # Two coordinators fighting over eight keys, with the
+                # abort path releasing locks it never took (Table 1 C1).
+                lambda: MicroBenchmark(num_keys=8, write_ratio=1.0),
+                protocol="pandora",
+                bugs=BugFlags(complicit_abort=True),
+                sanitize=True,
+                coordinators_per_node=1,
+            )
+        assert raised.value.code == UNLOCK_BY_NON_OWNER
 
 
 class TestReportFormatting:

@@ -105,6 +105,60 @@ class TestWiring:
         assert not cluster.all_coordinators()[0].engine.bugs.any_enabled()
 
 
+class TestProtocolDeclaration:
+    """``ClusterConfig.protocol`` takes a ``ZOO`` name or a ``Protocol``
+    declaration of the caller's own (mutants are rows in no table)."""
+
+    @staticmethod
+    def _variant():
+        from dataclasses import replace
+
+        from repro.protocol.strategies import PillCasLockStrategy
+        from repro.protocol.zoo import ZOO
+
+        class Variant(PillCasLockStrategy):
+            pass
+
+        return replace(ZOO["pandora"], name="variant", lock=Variant), Variant
+
+    def test_declaration_validates_and_builds(self):
+        declaration, lock = self._variant()
+        config = Config(protocol=declaration)
+        config.validate()
+        cluster = Cluster(config, workload())
+        assert cluster.protocol is declaration
+        engine = cluster.all_coordinators()[0].engine
+        assert engine.name == "variant"
+        assert type(engine.lock) is lock
+        cluster.start()
+        cluster.run(until=2e-3)
+        assert cluster.aggregate_stats().commits > 0
+
+    def test_unknown_name_still_lists_the_zoo(self):
+        from repro.protocol.zoo import ZOO
+
+        with pytest.raises(ValueError, match="unknown protocol 'raft'") as raised:
+            Config(protocol="raft").validate()
+        assert str(tuple(ZOO)) in str(raised.value)
+
+    def test_reported_names_stay_strings(self):
+        from repro.load.engine import OpenLoopEngine
+        from repro.load.population import UserPopulation
+        from repro.obs import Obs
+
+        declaration, _lock = self._variant()
+        # A zoo key prints as itself (baseline runs the row whose
+        # engines call themselves ford); a declaration as its own name.
+        for protocol, printed in [("baseline", "baseline"), (declaration, "variant")]:
+            obs = Obs(trace=False)
+            cluster = Cluster(Config(protocol=protocol), workload(), obs=obs)
+            assert obs.run_meta["protocol"] == printed
+            engine = OpenLoopEngine(
+                cluster, UserPopulation(cluster.workload), offered=1e5, duration=1e-3
+            )
+            assert engine.result.protocol == printed
+
+
 class TestRestart:
     def test_restart_assigns_fresh_ids(self):
         cluster = Cluster(Config(coordinators_per_node=4, seed=3), workload())

@@ -37,9 +37,12 @@ def replica_divergences(cluster):
     return divergences
 
 
-@pytest.mark.parametrize("protocol", ["pandora", "baseline", "tradlog"])
+@pytest.mark.parametrize("protocol", ["pandora", "baseline", "tradlog"], scope="class")
 class TestCrashConsistency:
-    def test_replicas_converge_after_compute_crash(self, protocol):
+    @pytest.fixture(scope="class")
+    def cluster(self, protocol):
+        """One finished crash-recover-quiesce run per protocol; every
+        test below audits its final memory state without mutating it."""
         cluster = Cluster(
             ClusterConfig(
                 protocol=protocol,
@@ -55,27 +58,15 @@ class TestCrashConsistency:
         horizon = 0.15 if protocol == "baseline" else 0.04
         cluster.run(until=horizon)
         quiesce(cluster)
+        return cluster
+
+    def test_replicas_converge_after_compute_crash(self, cluster, protocol):
         assert replica_divergences(cluster) == 0
 
-    def test_no_foreign_locks_leak(self, protocol):
+    def test_no_foreign_locks_leak(self, cluster, protocol):
         """After recovery + quiesce, any remaining lock belongs to a
         *live* coordinator (Pandora) or nobody (scan/locklog modes
         clean everything)."""
-        cluster = Cluster(
-            ClusterConfig(
-                protocol=protocol,
-                coordinators_per_node=4,
-                seed=52,
-                fd_timeout=2e-3,
-                fd_heartbeat_interval=0.5e-3,
-            ),
-            MicroBenchmark(num_keys=300, write_ratio=1.0, hot_keys=60),
-        )
-        cluster.start()
-        cluster.crash_compute(0, at=0.008)
-        horizon = 0.15 if protocol == "baseline" else 0.04
-        cluster.run(until=horizon)
-        quiesce(cluster)
         failed = set(cluster.id_allocator.failed_ids())
         for memory in cluster.memory_nodes.values():
             for table_id in memory.tables:

@@ -132,3 +132,77 @@ class TestRetryPolicy:
         rig.run_txn(coordinator, write)
         assert coordinator.stats.latency.count == 1
         assert coordinator.stats.latency.percentile(50) > 0
+
+
+class TestSubmit:
+    """``Coordinator.submit`` is the one way in for scripted transactions:
+    it records the process on the coordinator, so the node-level paths
+    that reach in-flight attempts (crash, reconfiguration) find it."""
+
+    @staticmethod
+    def _slow(sim):
+        def slow(tx):
+            value = yield from tx.read_for_update("kv", 3)
+            yield sim.timeout(100e-6)
+            tx.write("kv", 3, (value or 0) + 1)
+            return None
+
+        return slow
+
+    def test_node_crash_kills_a_submitted_transaction(self, rig_factory):
+        rig = rig_factory(protocol="pandora")
+        coordinator = rig.coordinators[0]
+        process = coordinator.submit(self._slow(rig.sim))
+        assert coordinator.process is process
+        rig.sim.run(until=20e-6)
+        assert rig.slot_state(3).lock != 0  # mid-transaction, lock held
+        coordinator.node.crash()
+        rig.sim.run()
+        assert coordinator.process is None
+        assert process.triggered and not process.ok
+        assert rig.value_at(3) == 0  # the write never applied
+        assert rig.slot_state(3).lock != 0  # ... and the lock is now stray
+
+    def test_memory_reconfig_interrupts_a_submitted_transaction(self, rig_factory):
+        rig = rig_factory(protocol="pandora")
+        coordinator = rig.coordinators[0]
+        node = coordinator.node
+        process = coordinator.submit(self._slow(rig.sim))
+        rig.sim.run(until=20e-6)
+        node.begin_memory_reconfig()
+        rig.sim.run(until=60e-6)
+        node.end_memory_reconfig()
+        rig.sim.run()
+        outcome = process.value
+        assert not outcome.committed
+        assert outcome.reason == AbortReason.MEMORY_RECONFIG
+        assert coordinator.stats.abort_reasons[AbortReason.INTERRUPTED] == 1
+        assert rig.value_at(3) == 0
+        assert rig.slot_state(3).lock == 0
+
+    def test_a_delay_costs_exactly_one_kernel_event(self, rig_factory):
+        """``delay=None`` spawns ``run_transaction`` bare; any delay —
+        ``0.0`` included, which the litmus goldens depend on — puts one
+        ``sim.timeout`` ahead of it and nothing else."""
+
+        def increment(tx):
+            value = yield from tx.read_for_update("kv", 3)
+            tx.write("kv", 3, (value or 0) + 1)
+            return None
+
+        def events(start):
+            rig = rig_factory(protocol="pandora")
+            process = start(rig.coordinators[0])
+            rig.sim.run()
+            assert process.value.committed
+            return rig.sim.processed_events
+
+        bare = events(lambda c: c.sim.process(c.run_transaction(increment)))
+        assert events(lambda c: c.submit(increment)) == bare
+        assert events(lambda c: c.submit(increment, delay=0.0)) == bare + 1
+        assert events(lambda c: c.submit(increment, delay=7e-6)) == bare + 1
+
+    def test_process_names(self, rig_factory):
+        coordinator = rig_factory(protocol="pandora").coordinators[1]
+        assert coordinator.submit(lambda tx: None).name == "txn-c1"
+        assert coordinator.submit(lambda tx: None, name="lit-0-3").name == "lit-0-3"

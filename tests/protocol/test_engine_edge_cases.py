@@ -82,7 +82,6 @@ class TestInterruptHandling:
             return None
 
         process = rig.submit(coordinator, slow)
-        coordinator.process = process
         sim.run(until=20e-6)
         # Memory reconfiguration interrupt mid-execution.
         process.interrupt(coordinator.engine.current_tx)
@@ -122,7 +121,6 @@ class TestInterruptHandling:
                 yield sim.timeout(0.2e-6)
 
         process = rig.submit(coordinator, writer)
-        coordinator.process = process
         sim.process(sniper())
         sim.run(until=5e-3)
         if committed_marker.get("fired") and process.triggered:
