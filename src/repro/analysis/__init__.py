@@ -1,17 +1,24 @@
 """repro.analysis — static and dynamic correctness tooling.
 
-Two independent guardrails for the simulator (see ``docs/ANALYSIS.md``):
+Three guardrails for the simulator (see ``docs/ANALYSIS.md``, which
+lists what each rule has caught):
 
 * :mod:`repro.analysis.simlint` — an AST-based determinism linter
-  (rules SIM001-SIM008) keeping ``src/repro`` simulation-pure: no
-  wall-clock, no module-level ``random`` calls, no unordered set
-  iteration, explicit ``Optional`` hints, instrumentation only through
-  the ``Obs`` facade. Run with ``python -m repro.analysis lint``.
+  (SIM001-004, SIM007, SIM008) keeping ``src/repro`` simulation-pure:
+  no wall-clock, no module-level ``random`` calls, no unordered set
+  iteration, no shared mutable defaults, no ambient entropy,
+  instrumentation only through the ``Obs`` facade. Run with
+  ``python -m repro.analysis lint``.
+* :mod:`repro.analysis.protolint` — a CFG/dataflow analyzer proving the
+  engines' acquire/drain/release discipline on every path
+  (PROTO001-006, PROTO008): ``python -m repro.analysis protolint``.
 * :mod:`repro.analysis.sanitizer` — an opt-in online sanitizer that
   shadows the lock table at the verb layer and asserts PILL's lock/log
-  discipline (§3.1-§3.2 of the paper) on every simulated verb. The
-  mutation harness in :mod:`repro.analysis.mutants` proves it catches
-  deliberately broken engines: ``python -m repro.analysis mutants``.
+  discipline (§3.1-§3.2 of the paper) on every simulated verb.
+
+The mutation harness in :mod:`repro.analysis.mutants` proves the
+sanitizer and protolint catch deliberately broken engines:
+``python -m repro.analysis mutants``.
 
 This ``__init__`` intentionally imports nothing from the rest of
 ``repro``: core modules (``repro.memory.node``, ``repro.rdma.qp``)

@@ -2,15 +2,12 @@
 
 Subcommands::
 
-    python -m repro.analysis lint [paths...] [--format json] [--select SIM00x,...]
+    python -m repro.analysis lint [paths...] [--format json]
     python -m repro.analysis protolint [paths...] [--format json]
-        [--baseline FILE] [--write-baseline]
-    python -m repro.analysis races [traces...] [--format json]
-    python -m repro.analysis mutants [--only name ...]
+    python -m repro.analysis mutants [--only name ...] [--skip-static]
 
-``lint``/``protolint`` exit nonzero if any finding survives (protolint
-after subtracting the committed baseline); ``races`` exits nonzero if
-any flight-recorder trace shows a lock-discipline race; ``mutants``
+``lint``/``protolint`` exit nonzero if any finding survives its
+``# simlint: disable`` / ``# protolint: disable`` comments; ``mutants``
 exits nonzero unless every seeded protocol mutation is detected and
 every control run is clean. All are wired into CI (see docs/ANALYSIS.md).
 """
@@ -47,10 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text", dest="format_",
         help="report format (json is machine-readable)",
     )
-    lint.add_argument(
-        "--select", default=None, metavar="RULES",
-        help="comma-separated rule ids to enable (default: all)",
-    )
 
     protolint = sub.add_parser(
         "protolint", help="run the protocol-discipline CFG analyzer"
@@ -60,27 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine files to analyze (default: protocol/ + recovery/)",
     )
     protolint.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="format_",
-        help="report format (json is machine-readable)",
-    )
-    protolint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file of accepted findings "
-        "(default: PROTOLINT_BASELINE.json at the repo root)",
-    )
-    protolint.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline file with the current findings",
-    )
-
-    races = sub.add_parser(
-        "races", help="lockset race detector over flight-recorder traces"
-    )
-    races.add_argument(
-        "traces", nargs="+",
-        help="flight-recorder JSONL files to analyze",
-    )
-    races.add_argument(
         "--format", choices=("text", "json"), default="text", dest="format_",
         help="report format (json is machine-readable)",
     )
@@ -102,11 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_lint(args) -> int:
     from repro.analysis.simlint import lint_paths, render_json, render_text
 
-    paths = args.paths or _default_lint_paths()
-    select = None
-    if args.select:
-        select = [rule.strip() for rule in args.select.split(",") if rule.strip()]
-    findings = lint_paths(paths, select=select)
+    findings = lint_paths(args.paths or _default_lint_paths())
     if args.format_ == "json":
         print(render_json(findings))
     else:
@@ -115,40 +83,14 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_protolint(args) -> int:
-    from repro.analysis import protolint as pl
+    from repro.analysis.protolint import render_json, render_text, run_protolint
 
-    findings = pl.run_protolint(paths=args.paths or None)
-    root = os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    )
-    baseline_path = args.baseline or os.path.join(
-        root, "PROTOLINT_BASELINE.json"
-    )
-    if args.write_baseline:
-        pl.write_baseline(findings, baseline_path)
-        print(f"wrote {len(findings)} finding(s) to {baseline_path}")
-        return 0
-    findings = pl.filter_baseline(findings, pl.load_baseline(baseline_path))
+    findings = run_protolint(paths=args.paths or None)
     if args.format_ == "json":
-        print(pl.render_json(findings))
+        print(render_json(findings))
     else:
-        print(pl.render_text(findings))
+        print(render_text(findings))
     return 1 if findings else 0
-
-
-def _cmd_races(args) -> int:
-    from repro.analysis.races import (
-        analyze_traces,
-        render_json,
-        render_text,
-    )
-
-    report = analyze_traces(args.traces)
-    if args.format_ == "json":
-        print(render_json(report))
-    else:
-        print(render_text(report))
-    return 1 if report.races else 0
 
 
 def _cmd_mutants(args) -> int:
@@ -177,7 +119,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {
         "lint": _cmd_lint,
         "protolint": _cmd_protolint,
-        "races": _cmd_races,
         "mutants": _cmd_mutants,
     }
     return handlers[args.command](args)

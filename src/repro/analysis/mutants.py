@@ -6,21 +6,17 @@ Two kinds of mutants prove the checkers actually check:
 swapped for a broken subclass (or one FORD bug flag re-enabled), run
 on an unstarted :class:`~repro.cluster.builder.Cluster` (no heartbeats,
 detector or recycler, so ``sim.run()`` drains) with the PILL sanitizer
-in collect mode and a flight recorder attached. A scenario enters its
-transactions with ``Coordinator.submit``. The harness asserts, per
-mutant:
-
-* the sanitizer reports the expected violation code,
-* where a race signature is expected, the lockset detector
-  (:mod:`repro.analysis.races`) finds it in the recorded flight, and
-* the *same scenario* under the unmutated declaration reports nothing —
-  so a detection is evidence of the mutation, not of a trigger-happy
-  checker.
+in collect mode. A scenario enters its transactions with
+``Coordinator.submit``. The harness asserts, per mutant, that the
+sanitizer reports the expected violation code and that the *same
+scenario* under the unmutated declaration reports nothing — so a
+detection is evidence of the mutation, not of a trigger-happy checker.
 
 **Static mutants** — source-level edits of the shipped engine files
-(drop a drain loop, delete a crash point, strip a ``finally``) linted
-through :func:`repro.analysis.protolint.run_protolint` via its overlay
-API, without touching disk. Each must trip its targeted PROTO rule
+(drop a drain loop, delete a crash point, strip a ``finally``), one
+for each of PROTO001-PROTO006, linted through
+:func:`repro.analysis.protolint.run_protolint` via its overlay API,
+without touching disk. Each must trip its targeted PROTO rule
 while the unmutated tree stays clean. The first one re-introduces the
 PR 4 abort-path lock leak and must be flagged **statically** — no
 simulation run required.
@@ -32,12 +28,11 @@ unless every mutant is caught and every control run is clean.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.analysis.protolint import _repo_root, run_protolint
-from repro.analysis.races import analyze_attempts
 from repro.analysis.sanitizer import (
     LOG_WITHOUT_LOCK,
     STEAL_LIVE_OWNER,
@@ -51,7 +46,6 @@ from repro.protocol.locks import is_locked
 from repro.protocol.strategies import CoalescedLogStrategy, PillCasLockStrategy
 from repro.protocol.types import BugFlags
 from repro.protocol.zoo import ZOO, Protocol
-from repro.obs import Obs
 from repro.workloads.keyvalue import KeyValueTable
 
 __all__ = [
@@ -113,8 +107,8 @@ class EagerLog(CoalescedLogStrategy):
 #
 # Each scenario drives a fixed interleaving through a cluster built for
 # *protocol* and returns it (its sanitizer holds whatever violations
-# were observed, its obs the flight records). The same scenario doubles
-# as its own control when run with the unmutated pandora row.
+# were observed). The same scenario doubles as its own control when
+# run with the unmutated pandora row.
 
 KEYS = 64
 
@@ -129,12 +123,9 @@ def _cluster(protocol: Protocol) -> Cluster:
         sanitize=True,
     )
     config.network.jitter = 0.0
-    # Tracer off: only the per-attempt verb/lock records matter to the
-    # dynamic race detector.
     return Cluster(
         config,
         KeyValueTable("kv", ((k, 0) for k in range(KEYS)), max_keys=KEYS + 16),
-        obs=Obs(trace=False, flight=True),
     )
 
 
@@ -221,10 +212,6 @@ class MutantSpec:
     protocol: Protocol
     scenario: Callable[[Protocol], Cluster]
     expected_code: str
-    # When set, the lockset detector must also find this race code in
-    # the mutant run's flight records (and none in the control's) —
-    # the dynamic cross-check of the same discipline.
-    expected_race: Optional[str] = None
 
 
 MUTANTS: List[MutantSpec] = [
@@ -234,7 +221,6 @@ MUTANTS: List[MutantSpec] = [
         protocol=replace(PANDORA, lock=StealAnyLock),
         scenario=_scenario_contended_write,
         expected_code=STEAL_LIVE_OWNER,
-        expected_race="RACE-DOUBLE-GRANT",
     ),
     MutantSpec(
         name="write-without-lock",
@@ -242,7 +228,6 @@ MUTANTS: List[MutantSpec] = [
         protocol=replace(PANDORA, lock=NeverLocks),
         scenario=_scenario_single_write,
         expected_code=WRITE_WITHOUT_LOCK,
-        expected_race="RACE-UNLOCKED-WRITE",
     ),
     MutantSpec(
         name="log-before-lock",
@@ -279,29 +264,15 @@ class MutantResult:
     codes: List[str]
     control_clean: bool
     control_codes: List[str]
-    # Lockset-detector cross-check (None when the mutant has no
-    # expected race signature).
-    expected_race: Optional[str] = None
-    race_caught: bool = True
-    race_codes: List[str] = field(default_factory=list)
-    control_race_codes: List[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return (
-            self.caught
-            and self.control_clean
-            and self.race_caught
-            and not self.control_race_codes
-        )
+        return self.caught and self.control_clean
 
 
-def _codes(cluster: Cluster) -> Tuple[List[str], List[str]]:
-    """(sanitizer violation codes, lockset race codes) of a finished run."""
-    return (
-        [violation.code for violation in cluster.sanitizer.violations],
-        [race.code for race in analyze_attempts(cluster.obs.flight.attempts).races],
-    )
+def _codes(cluster: Cluster) -> List[str]:
+    """Sanitizer violation codes of a finished run."""
+    return [violation.code for violation in cluster.sanitizer.violations]
 
 
 def run_mutation_harness(only: Optional[List[str]] = None) -> List[MutantResult]:
@@ -310,8 +281,8 @@ def run_mutation_harness(only: Optional[List[str]] = None) -> List[MutantResult]
     for spec in MUTANTS:
         if only and spec.name not in only:
             continue
-        codes, race_codes = _codes(spec.scenario(spec.protocol))
-        control_codes, control_race_codes = _codes(spec.scenario(PANDORA))
+        codes = _codes(spec.scenario(spec.protocol))
+        control_codes = _codes(spec.scenario(PANDORA))
         results.append(
             MutantResult(
                 name=spec.name,
@@ -321,12 +292,6 @@ def run_mutation_harness(only: Optional[List[str]] = None) -> List[MutantResult]
                 codes=codes,
                 control_clean=not control_codes,
                 control_codes=control_codes,
-                expected_race=spec.expected_race,
-                race_caught=(
-                    spec.expected_race is None or spec.expected_race in race_codes
-                ),
-                race_codes=race_codes,
-                control_race_codes=control_race_codes,
             )
         )
     return results
@@ -402,6 +367,23 @@ STATIC_MUTANTS: List[StaticMutantSpec] = [
         ),
         new="",
         expected_rule="PROTO002",
+    ),
+    StaticMutantSpec(
+        name="skip-undo-drain",
+        description=(
+            "recover_interrupted unlocks without awaiting its undo-image "
+            "writes, so a stale restore can land over a successor's update"
+        ),
+        path="src/repro/protocol/base.py",
+        old=(
+            "        for ack in undo_acks:\n"
+            "            try:\n"
+            "                yield ack\n"
+            "            except RdmaError:\n"
+            "                pass\n"
+        ),
+        new="",
+        expected_rule="PROTO003",
     ),
     StaticMutantSpec(
         name="drop-crash-point",
@@ -538,21 +520,13 @@ def render_results(
     for result in results:
         verdict = "caught" if result.caught else "MISSED"
         control = "clean" if result.control_clean else "NOISY"
-        line = (
+        lines.append(
             f"{result.name:28s} want={result.expected_code:14s} "
             f"{verdict:7s} got={','.join(sorted(set(result.codes))) or '-'} "
             f"control={control}"
         )
-        if result.expected_race is not None:
-            race = "race-hit" if result.race_caught else "RACE-MISSED"
-            line += f" {race}"
-        lines.append(line)
         if not result.control_clean:
             lines.append(f"{'':28s} control codes: {sorted(set(result.control_codes))}")
-        if result.control_race_codes:
-            lines.append(
-                f"{'':28s} control races: {sorted(set(result.control_race_codes))}"
-            )
     passed = sum(1 for result in results if result.passed)
     lines.append(f"{passed}/{len(results)} mutants detected with clean controls")
     if static_results is not None:

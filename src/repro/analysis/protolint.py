@@ -43,9 +43,6 @@ PROTO006  every ``_in_progress.add`` claim pairs with a spawned
           generator all of whose exits (normal, exception, *kill*)
           pass a ``_in_progress.discard``/``.pop`` — the PR 4 claim
           leak, as a type.
-PROTO007  a fallible yield inside an ``except`` handler body must not
-          let ``RdmaError`` escape the method — the handler owes
-          cleanup that the escape would skip.
 PROTO008  suppression hygiene: unknown rule codes and stale
           suppressions are themselves findings (not suppressible).
 
@@ -93,9 +90,6 @@ __all__ = [
     "run_protolint",
     "render_text",
     "render_json",
-    "load_baseline",
-    "filter_baseline",
-    "write_baseline",
     "DEFAULT_ENGINE_GLOBS",
 ]
 
@@ -106,7 +100,6 @@ RULES: Dict[str, str] = {
     "PROTO004": "declared crash points and chaos/test references must match",
     "PROTO005": "no unprotected yield between CAS-acquire and its log post",
     "PROTO006": "recovery claims must be released on every exit, including kills",
-    "PROTO007": "fallible yield in an except handler must not leak RdmaError",
     "PROTO008": "suppression hygiene (unknown codes, stale suppressions)",
 }
 
@@ -289,7 +282,6 @@ class MethodModel:
         )
         self.provenance: Dict[str, Set[str]] = {}
         self._collect_provenance()
-        self.handler_ranges = self._handler_ranges()
         self.contract = CONTRACTS.get(self.name, Contract())
         self.cfg: Optional[CFG] = None
         self.effects: Dict[int, Effects] = {}
@@ -357,26 +349,6 @@ class MethodModel:
                 if tag in self._container_tags(node):
                     return True
         return False
-
-    def _handler_ranges(self) -> List[Tuple[int, int, str]]:
-        ranges = []
-        for node in ast.walk(self.func):
-            if isinstance(node, ast.ExceptHandler):
-                start = node.body[0].lineno if node.body else node.lineno
-                end = max(
-                    getattr(n, "end_lineno", n.lineno)
-                    for n in ast.walk(node)
-                    if hasattr(n, "lineno")
-                )
-                caught = dotted_name(node.type) if node.type else "BaseException"
-                ranges.append((start, end, caught or "Exception"))
-        return ranges
-
-    def in_handler(self, lineno: int) -> Optional[str]:
-        for start, end, caught in self.handler_ranges:
-            if start <= lineno <= end:
-                return caught
-        return None
 
     # -- yield classification -------------------------------------------------
 
@@ -953,7 +925,6 @@ class ScopeAnalysis:
             out.extend(self._check_proto002_003(name, model))
             out.extend(self._check_proto005(name, model))
             out.extend(self._check_proto006(name, model))
-            out.extend(self._check_proto007(name, model))
         return out
 
     def _fmt_origins(self, origins: FrozenSet[int]) -> str:
@@ -1216,34 +1187,6 @@ class ScopeAnalysis:
                 queue.append(target)
         return None
 
-    def _check_proto007(self, name: str, model: MethodModel) -> List[Finding]:
-        cfg = self.cfgs[name]
-        raises_for = model.raises_for(self.summaries)
-        found = []
-        for node in cfg.stmt_nodes():
-            if not node.is_yield or node.stmt is None:
-                continue
-            handler = model.in_handler(node.lineno)
-            if handler is None:
-                continue
-            if "RdmaError" not in raises_for(node.stmt):
-                continue
-            if not self._rdma_escapes(cfg, node):
-                continue
-            found.append(
-                Finding(
-                    self.path,
-                    node.lineno,
-                    0,
-                    "PROTO007",
-                    f"fallible yield inside `except {handler}` handler of "
-                    f"`{name}`: an RdmaError here escapes the method, "
-                    "skipping the cleanup this handler owes (guard it "
-                    "per-event with try/except RdmaError)",
-                )
-            )
-        return found
-
 
 # ---------------------------------------------------------------------------
 # PROTO004: cross-file crash-point coverage
@@ -1495,50 +1438,6 @@ def apply_suppressions(
                 )
             )
     return kept, hygiene
-
-
-# ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
-
-def load_baseline(path: str) -> Set[Tuple[str, str, int, str]]:
-    try:
-        with open(path, "r") as handle:
-            blob = json.load(handle)
-    except (OSError, ValueError):
-        return set()
-    return {
-        (f["path"], f["rule"], int(f["line"]), f["message"])
-        for f in blob.get("findings", ())
-    }
-
-
-def filter_baseline(
-    findings: List[Finding], baseline: Set[Tuple[str, str, int, str]]
-) -> List[Finding]:
-    return [
-        f
-        for f in findings
-        if (f.path, f.rule, f.line, f.message) not in baseline
-    ]
-
-
-def write_baseline(findings: List[Finding], path: str) -> None:
-    blob = {
-        "version": 1,
-        "findings": [
-            {
-                "path": f.path,
-                "line": f.line,
-                "rule": f.rule,
-                "message": f.message,
-            }
-            for f in sorted(findings, key=lambda f: (f.path, f.line, f.rule))
-        ],
-    }
-    with open(path, "w") as handle:
-        json.dump(blob, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 # ---------------------------------------------------------------------------

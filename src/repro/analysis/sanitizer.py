@@ -24,8 +24,6 @@ lock/log discipline on every simulated verb, online:
                  FORD's complicit abort violates exactly this.
 ``PILL-OVERWRITE`` lock words are acquired by CAS, never by direct
                  write of a nonzero word.
-``PILL-TRUNCATE`` whole-region log truncation belongs to recovery
-                 (§3.2.3); engines invalidate individual records.
 
 The sanitizer hooks two layers:
 
@@ -72,7 +70,6 @@ __all__ = [
     "UNLOCK_BEFORE_TRUNCATE",
     "UNLOCK_BY_NON_OWNER",
     "LOCK_OVERWRITE",
-    "NONRECOVERY_TRUNCATE",
 ]
 
 # Violation codes (stable identifiers; tests and CI match on these).
@@ -83,7 +80,6 @@ LOG_WITHOUT_LOCK = "PILL-LOG"
 UNLOCK_BEFORE_TRUNCATE = "PILL-DECIDE"
 UNLOCK_BY_NON_OWNER = "PILL-UNLOCK"
 LOCK_OVERWRITE = "PILL-OVERWRITE"
-NONRECOVERY_TRUNCATE = "PILL-TRUNCATE"
 
 # Mirrors repro.cluster.builder.RECOVERY_SERVER_ID (kept as a literal
 # here so the sanitizer never imports the builder it is wired into).
@@ -197,11 +193,6 @@ class PillSanitizer:
         self._timeline: deque = deque(maxlen=timeline_depth)
         # Shadow lockset: (table, slot) -> (holder compute id, lock word).
         self._locks: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        # Lock-transition event log consumed by the race detector
-        # (repro.analysis.races): (ts, table, slot, event, compute,
-        # word) with event in {"grant", "steal", "release",
-        # "overwrite"}. Append-only, never read by the sanitizer.
-        self.lock_events: List[Tuple[float, int, int, str, int, int]] = []
         # Posted-record tracking for the compute-side ordering check:
         # every tracked record is in _records_by_coord and, once per
         # covered object, in _records_by_address, both in post order.
@@ -444,26 +435,21 @@ class PillSanitizer:
     def _after_cas(self, node, src: int, args: Tuple, result: Any) -> None:
         table_id, slot, expected, desired = args
         if result == expected:  # the CAS succeeded
-            self._lock_word_written(
-                node, src, table_id, slot, desired, "grant" if expected == 0 else "steal"
-            )
+            self._lock_word_written(node, src, table_id, slot, desired)
 
     def _after_write_lock(self, node, src: int, args: Tuple, _result: Any) -> None:
         table_id, slot, word = args
-        self._lock_word_written(node, src, table_id, slot, word, "overwrite")
+        self._lock_word_written(node, src, table_id, slot, word)
 
     def _lock_word_written(
-        self, node, src: int, table_id: int, slot: int, word: int, acquired_as: str
+        self, node, src: int, table_id: int, slot: int, word: int
     ) -> None:
         key = (table_id, slot)
-        if word == 0:
-            self._locks.pop(key, None)
-            event = "release"
-        else:
+        if word != 0:
             self._locks[key] = (src, word)
-            event = acquired_as
-        self.lock_events.append((self._clock.now, table_id, slot, event, src, word))
-        if word == 0 and key in self._ticket_slots:
+            return
+        self._locks.pop(key, None)
+        if key in self._ticket_slots:
             self._resync_ticket_slot(node, table_id, slot)
 
     def _after_faa_ticket(self, node, src: int, args: Tuple, result: Any) -> None:
@@ -496,30 +482,13 @@ class PillSanitizer:
         """
         key = (table_id, slot)
         word = node.tables[table_id].locks[slot]
-        previous = self._locks.get(key)
         if word == 0:
             self._locks.pop(key, None)
             self._ticket_slots.discard(key)
             return
         if not is_ticket_word(word):
             return  # foreign word (e.g. a restore reset it); leave as-is
-        holder = self._coord_compute.get(owner_of(word), -1)
-        self._locks[key] = (holder, word)
-        if previous is None or previous[1] != word:
-            self.lock_events.append(
-                (self._clock.now, table_id, slot, "grant", holder, word)
-            )
-
-    def _before_truncate(self, node, src: int, _args: Tuple) -> None:
-        if src != self.recovery_id:
-            self._violate(
-                NONRECOVERY_TRUNCATE,
-                f"log-region truncation issued by compute {src}; only the "
-                "recovery server truncates whole regions (§3.2.3)",
-                compute=src,
-                node=node.node_id,
-                verb="truncate_log_region",
-            )
+        self._locks[key] = (self._coord_compute.get(owner_of(word), -1), word)
 
     def _before_vote_write(self, node, src: int, args: Tuple) -> None:
         """vote1pc apply: holder-checked like ``write_object``, but the
@@ -666,7 +635,6 @@ class PillSanitizer:
         "write_object": _before_write_object,
         "vote_write": _before_vote_write,
         "write_log": _before_write_log,
-        "truncate_log_region": _before_truncate,
     }
     _AFTER_RULES = {
         "cas_lock": _after_cas,

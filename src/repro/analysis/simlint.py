@@ -3,8 +3,9 @@
 A discrete-event simulator is only as reproducible as its purity: one
 wall-clock read or one iteration over an unordered ``set`` feeding the
 event queue silently breaks seed-stable replays. ``simlint`` encodes
-the project's purity rules as ~8 AST checks over stdlib ``ast`` (no
-third-party dependencies) and is wired into CI next to ruff.
+the project's purity rules as six AST checks over stdlib ``ast`` (no
+third-party dependencies) and is wired into CI next to ruff, which
+owns the style rules (bare ``except`` is ruff's E722).
 
 Rules (full rationale in ``docs/ANALYSIS.md``):
 
@@ -14,12 +15,15 @@ SIM002      module-level ``random.*`` call (thread a seeded
             ``random.Random`` explicitly instead)
 SIM003      iteration over an unordered ``set`` expression
 SIM004      mutable default argument
-SIM005      bare ``except:``
-SIM006      ``= None`` default whose annotation is not ``Optional``
 SIM007      ``print()`` outside the CLI/report allowlist (use ``Obs``)
 SIM008      nondeterministic entropy (``os.urandom``, ``uuid.uuid4``,
             ``secrets``, builtin ``hash()``)
 ==========  ============================================================
+
+Calls are matched by what they resolve to through the module's imports:
+``from time import perf_counter_ns as now; now()`` is
+``time.perf_counter_ns`` and ``import random as r; r.random()`` is
+``random.random``. The call is flagged, never the import.
 
 Suppression: append ``# simlint: disable=SIM003`` (comma-separate for
 several rules) or a bare ``# simlint: disable`` to the flagged line.
@@ -34,7 +38,7 @@ import json
 import os
 import re
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 __all__ = [
     "Finding",
@@ -51,8 +55,6 @@ RULES: Dict[str, str] = {
     "SIM002": "module-level random.* call (thread a seeded random.Random explicitly)",
     "SIM003": "iteration over an unordered set expression (order is not deterministic)",
     "SIM004": "mutable default argument",
-    "SIM005": "bare except (catch specific exceptions)",
-    "SIM006": "parameter defaults to None but its annotation is not Optional",
     "SIM007": "print() outside the CLI/report allowlist (instrument via the Obs facade)",
     "SIM008": "nondeterministic entropy source",
 }
@@ -162,35 +164,19 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _annotation_allows_none(node: Optional[ast.AST]) -> bool:
-    """True if the annotation admits None (Optional/Union[...,None]/Any)."""
-    if node is None:
-        return False
-    if isinstance(node, ast.Constant):
-        if node.value is None:
-            return True
-        if isinstance(node.value, str):
-            # String annotation: accept if it names Optional/None/Any.
-            text = node.value
-            return "Optional" in text or "None" in text or text in ("Any", "object")
-        return False
-    if isinstance(node, ast.Name):
-        return node.id in ("Any", "object", "None")
-    if isinstance(node, ast.Attribute):
-        return node.attr in ("Any", "object")
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-        # PEP 604: X | None
-        return _annotation_allows_none(node.left) or _annotation_allows_none(node.right)
-    if isinstance(node, ast.Subscript):
-        base = _dotted_name(node.value)
-        tail = base.rsplit(".", 1)[-1] if base else ""
-        if tail == "Optional":
-            return True
-        if tail == "Union":
-            inner = node.slice
-            elements = inner.elts if isinstance(inner, ast.Tuple) else [inner]
-            return any(_annotation_allows_none(element) for element in elements)
-    return False
+def _import_bindings(tree: ast.AST) -> Dict[str, str]:
+    """Local name -> the dotted name it stands for, from every
+    ``import … as …`` and ``from … import … [as …]`` in the module."""
+    bindings: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    bindings[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                bindings[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return bindings
 
 
 def _is_set_expression(node: ast.AST) -> bool:
@@ -204,9 +190,16 @@ def _is_set_expression(node: ast.AST) -> bool:
 
 
 class _Visitor(ast.NodeVisitor):
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, bindings: Dict[str, str]) -> None:
         self.path = path
+        self.bindings = bindings
         self.findings: List[Finding] = []
+
+    def _resolve(self, dotted: str) -> str:
+        """*dotted* with its first name replaced by what it was imported as."""
+        head, dot, rest = dotted.partition(".")
+        bound = self.bindings.get(head)
+        return dotted if bound is None else bound + dot + rest
 
     def _flag(self, node: ast.AST, rule: str, detail: str = "") -> None:
         message = RULES[rule] if not detail else f"{RULES[rule]}: {detail}"
@@ -225,17 +218,14 @@ class _Visitor(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted_name(node.func)
         if dotted is not None:
-            if dotted in _WALL_CLOCK_CALLS:
-                self._flag(node, "SIM001", dotted)
-            elif dotted in _ENTROPY_CALLS:
-                self._flag(node, "SIM008", dotted)
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "random"
-                and node.func.attr not in _RANDOM_ALLOWED_ATTRS
-            ):
-                self._flag(node, "SIM002", dotted)
+            name = self._resolve(dotted)
+            module, _, attr = name.rpartition(".")
+            if name in _WALL_CLOCK_CALLS:
+                self._flag(node, "SIM001", name)
+            elif name in _ENTROPY_CALLS:
+                self._flag(node, "SIM008", name)
+            elif module == "random" and attr not in _RANDOM_ALLOWED_ATTRS:
+                self._flag(node, "SIM002", name)
         if isinstance(node.func, ast.Name):
             if node.func.id == "print" and not _print_allowed(self.path):
                 self._flag(node, "SIM007")
@@ -278,7 +268,7 @@ class _Visitor(ast.NodeVisitor):
         self._check_comprehensions(node)
         self.generic_visit(node)
 
-    # -- function signatures (SIM004/SIM006) --------------------------------
+    # -- mutable defaults (SIM004) -------------------------------------------
 
     def _check_signature(self, node) -> None:
         arguments = node.args
@@ -303,13 +293,6 @@ class _Visitor(ast.NodeVisitor):
                 and default.func.id in _MUTABLE_FACTORIES
             ):
                 self._flag(default, "SIM004", f"parameter {argument.arg!r}")
-            if (
-                isinstance(default, ast.Constant)
-                and default.value is None
-                and argument.annotation is not None
-                and not _annotation_allows_none(argument.annotation)
-            ):
-                self._flag(argument, "SIM006", f"parameter {argument.arg!r}")
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_signature(node)
@@ -323,17 +306,8 @@ class _Visitor(ast.NodeVisitor):
         self._check_signature(node)
         self.generic_visit(node)
 
-    # -- bare except (SIM005) -----------------------------------------------
 
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if node.type is None:
-            self._flag(node, "SIM005")
-        self.generic_visit(node)
-
-
-def lint_source(
-    source: str, path: str = "<string>", select: Optional[Iterable[str]] = None
-) -> List[Finding]:
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint one source string; returns surviving findings."""
     try:
         tree = ast.parse(source, filename=path)
@@ -347,14 +321,11 @@ def lint_source(
                 message=f"syntax error: {error.msg}",
             )
         ]
-    visitor = _Visitor(path)
+    visitor = _Visitor(path, _import_bindings(tree))
     visitor.visit(tree)
     suppressed = _suppressions(source)
-    selected = set(select) if select is not None else None
     findings = []
     for finding in visitor.findings:
-        if selected is not None and finding.rule not in selected:
-            continue
         rules_off = suppressed.get(finding.line, "unset")
         if rules_off is None:  # bare "# simlint: disable"
             continue
@@ -364,10 +335,10 @@ def lint_source(
     return findings
 
 
-def lint_file(path: str, select: Optional[Iterable[str]] = None) -> List[Finding]:
+def lint_file(path: str) -> List[Finding]:
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
-    return lint_source(source, path=path, select=select)
+    return lint_source(source, path=path)
 
 
 def _python_files(path: str) -> List[str]:
@@ -382,14 +353,12 @@ def _python_files(path: str) -> List[str]:
     return collected
 
 
-def lint_paths(
-    paths: Sequence[str], select: Optional[Iterable[str]] = None
-) -> List[Finding]:
+def lint_paths(paths: Sequence[str]) -> List[Finding]:
     """Lint files/directories; findings sorted by (path, line, col)."""
     findings: List[Finding] = []
     for path in paths:
         for filename in _python_files(path):
-            findings.extend(lint_file(filename, select=select))
+            findings.extend(lint_file(filename))
     findings.sort(key=lambda finding: (finding.path, finding.line, finding.col))
     return findings
 

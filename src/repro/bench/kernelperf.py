@@ -27,7 +27,7 @@ here feeds a measurement back into simulated behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter_ns  # simlint: disable=SIM001
+from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.bench.harness import default_config

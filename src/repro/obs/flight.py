@@ -44,15 +44,7 @@ __all__ = [
 # A verb entry is a mutable list so the completion latency can be
 # filled in later without a second lookup:
 # [kind, memory node, phase, post ts, latency (-1 = unsignaled/lost), ok]
-# Region-addressed verbs carry a 7th "detail" element (see
-# _DETAIL_ARGS) so trace consumers — the race detector in
-# repro.analysis.races — can attribute the access to a memory region.
 VerbEntry = List[Any]
-
-# kind -> how many leading verb args form the region-addressing detail
-# (cas_lock: table, slot, expected, desired; write_lock: table, slot,
-# word; write_object: table, slot, version).
-_DETAIL_ARGS = {"cas_lock": 4, "write_lock": 3, "write_object": 3}
 
 # Latency placeholder for verbs whose completion never reported back
 # (unsignaled posts, or the attempt's node died first).
@@ -263,28 +255,18 @@ class FlightRecorder:
     # -- QP hooks (hot path: once per posted / completed verb) ---------------
 
     def on_post(
-        self,
-        kind: str,
-        compute_id: int,
-        node_id: int,
-        now: float,
-        args: Tuple = (),
+        self, kind: str, compute_id: int, node_id: int, now: float
     ) -> Optional[VerbEntry]:
         """Attribute one posted verb to the focused attempt.
 
         Returns the verb entry as a completion token, or None when no
-        open attempt on *compute_id* holds the focus. For
-        region-addressed verbs, *args* contributes the address detail
-        the race detector keys on.
+        open attempt on *compute_id* holds the focus.
         """
         record = self._current
         if record is None or not record.open or record.node_id != compute_id:
             self.unattributed[kind] = self.unattributed.get(kind, 0) + 1
             return None
         entry: VerbEntry = [kind, node_id, record.phase, now, UNSIGNALED, True]
-        width = _DETAIL_ARGS.get(kind)
-        if width is not None and args:
-            entry.append(list(args[:width]))
         record.verbs.append(entry)
         return entry
 

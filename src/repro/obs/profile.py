@@ -40,7 +40,7 @@ focus discipline the flight recorder uses).
 from __future__ import annotations
 
 import re
-from time import perf_counter_ns  # simlint: disable=SIM001
+from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import render_rows

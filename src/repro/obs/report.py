@@ -203,8 +203,8 @@ def verb_accounting_rows(run: RunData) -> List[Tuple[Any, ...]]:
         counts: Dict[Tuple[str, str], int] = {}
         latencies: Dict[Tuple[str, str], List[float]] = {}
         for record in committed:
-            # Region-addressed verbs carry an extra detail element
-            # (see flight._DETAIL_ARGS) — unpack only the fixed prefix.
+            # Traces from older builds give region-addressed verbs a 7th
+            # element; unpack only the six fields every trace has.
             for kind, _node, phase, _ts, latency, _ok in (
                 entry[:6] for entry in record.verbs
             ):

@@ -229,7 +229,6 @@ class Coordinator:
                 # recover_interrupted guards every await per-event; if it
                 # still dies, _run converts the escape into a node
                 # crash-stop and the RecoveryManager reclaims the locks.
-                # protolint: disable=PROTO007 -- escape crash-stops the node; RecoveryManager reclaims
                 outcome = yield from self.engine.recover_interrupted(interrupt.cause)
             except LinkRevokedError:
                 # We were (perhaps falsely) declared failed and fenced
@@ -244,7 +243,6 @@ class Coordinator:
                 )
             except RdmaError:
                 # Same hand-off as the Interrupt arm above.
-                # protolint: disable=PROTO007 -- escape crash-stops the node; RecoveryManager reclaims
                 outcome = yield from self.engine.recover_interrupted(None)
             if outcome.committed:
                 break

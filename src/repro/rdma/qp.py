@@ -282,7 +282,7 @@ class QueuePair:
                         # (None when the verb is system traffic with no
                         # focused attempt).
                         verb.flight_token = flight.on_post(
-                            kind, self.compute_id, node_id, now, args
+                            kind, self.compute_id, node_id, now
                         )
                 sanitizer = self.sanitizer
                 if sanitizer is not None:

@@ -66,27 +66,11 @@ def test_render_results_summarises(results):
     assert f"{len(results)}/{len(results)} mutants detected" in text
 
 
-def test_race_detector_cross_checks_dynamic_mutants(results):
-    """The lockset detector independently confirms the race-shaped
-    mutants from the same runs' flight records, and sees no races in
-    any control run."""
-    with_race = [r for r in results if r.expected_race is not None]
-    assert len(with_race) >= 2
-    for result in with_race:
-        assert result.race_caught, (result.name, result.race_codes)
-    for result in results:
-        assert not result.control_race_codes, (
-            result.name,
-            result.control_race_codes,
-        )
-
-
 def test_static_mutants_cover_the_targeted_rules():
+    """Every PROTO rule that judges engine paths has a mutant only it
+    catches (PROTO008 judges suppression comments, not engines)."""
     rules = {spec.expected_rule for spec in STATIC_MUTANTS}
-    # Drop-a-finally-release, skip-an-ack-drain, and remove-a-crash-
-    # point are the ISSUE-mandated minimum.
-    assert {"PROTO001", "PROTO002", "PROTO004"} <= rules
-    assert len(STATIC_MUTANTS) >= 3
+    assert rules == {f"PROTO00{i}" for i in range(1, 7)}
 
 
 @pytest.mark.parametrize("name", [spec.name for spec in STATIC_MUTANTS])

@@ -226,6 +226,13 @@ class TestViolationTextParity:
 
 
 class TestCleanProtocolRuns:
+    """Each sanitized run is as short as its path allows. The failovers
+    crash at 8 ms, the earliest crash whose pre-crash rate (measured in
+    2 ms windows from 5 ms to one window before the crash) is nonzero,
+    and end just after recovery closes its record: the 5 ms FD timeout
+    detects at 12.5 ms, compute recovery finishes at ~12.6 ms, memory
+    recovery at 14.5 ms."""
+
     def test_stock_pandora_scenarios_are_clean(self):
         from repro.analysis.mutants import MUTANTS, PANDORA
 
@@ -241,7 +248,8 @@ class TestCleanProtocolRuns:
         result = run_steady_state(
             lambda: MicroBenchmark(num_keys=2_000, write_ratio=1.0),
             "pandora",
-            duration=8e-3,
+            warmup=1e-3,
+            duration=1e-3,
             sanitize=True,
         )
         assert result.commits > 0
@@ -255,10 +263,13 @@ class TestCleanProtocolRuns:
             "pandora",
             crash_kind="compute",
             crash_at=8e-3,
-            duration=25e-3,
+            duration=13e-3,
             sanitize=True,
         )
         assert result.pre_rate > 0
+        assert [
+            (record.kind, record.finished_at > 0) for record in result.recovery_records
+        ] == [("compute", True)]
 
     def test_sanitized_memory_failover_is_clean(self):
         from repro.bench.harness import run_failover
@@ -269,10 +280,13 @@ class TestCleanProtocolRuns:
             "pandora",
             crash_kind="memory",
             crash_at=8e-3,
-            duration=25e-3,
+            duration=15e-3,
             sanitize=True,
         )
         assert result.pre_rate > 0
+        assert [
+            (record.kind, record.finished_at > 0) for record in result.recovery_records
+        ] == [("memory", True)]
 
     def test_sanitized_litmus_family_is_clean(self):
         from repro.litmus import LITMUS_SUITE, LitmusRunner

@@ -5,6 +5,8 @@ stream, and checks that the derived tables reproduce the paper's
 logging-cost claim and that the renderers emit the expected sections.
 """
 
+import json
+
 import pytest
 
 from repro.bench.harness import run_failover, run_steady_state
@@ -92,6 +94,23 @@ class TestRoundTrip:
         assert phase_latency_rows(live) == phase_latency_rows(reloaded)
         assert verb_accounting_rows(live) == verb_accounting_rows(reloaded)
         assert check_log_write_claim(live) == check_log_write_claim(reloaded)
+
+    def test_traces_with_a_verb_detail_element_still_load(self, exported, tmp_path):
+        """Older builds appended a (table, slot, ...) element to
+        region-addressed verb entries; those traces report the same."""
+        _obs, _result, path = exported
+        older = tmp_path / "older.jsonl"
+        with open(path) as source, open(older, "w") as sink:
+            for line in source:
+                payload = json.loads(line)
+                if payload.get("ph") == "flight":
+                    for entry in payload["verbs"]:
+                        if entry[0] in ("cas_lock", "write_lock", "write_object"):
+                            entry.append([0, 1, 2])
+                sink.write(json.dumps(payload) + "\n")
+        assert verb_accounting_rows(load_jsonl(str(older))) == verb_accounting_rows(
+            load_jsonl(str(path))
+        )
 
 
 class TestAttribution:
