@@ -152,17 +152,12 @@ class Contract:
 
     entry_facts: FrozenSet[str] = frozenset()
     entry_point: bool = False
-    # Parameter name whose `is None` guard vacates contract facts (no
-    # transaction => no locks to release).
-    tx_guard: Optional[str] = None
 
 
 CONTRACTS: Dict[str, Contract] = {
     "run_attempt": Contract(entry_point=True),
     "recover_interrupted": Contract(
-        entry_facts=frozenset({"LOCKED", "LOGU"}),
-        entry_point=True,
-        tx_guard="tx",
+        entry_facts=frozenset({"LOCKED", "LOGU"}), entry_point=True
     ),
     # Called only from run_attempt after the decision point drained
     # the log acks (section 3.1.5 lock-to-log order).
@@ -199,7 +194,6 @@ class Effects:
     test_obj: bool = False
     cas_acquire: bool = False
     clears_casp: bool = False
-    tx_none_guard: bool = False
     adds_claim: bool = False
     discards_claim: bool = False
     callees: List[str] = field(default_factory=list)  # executed self-calls
@@ -530,17 +524,6 @@ class MethodModel:
                 test = stmt.test
                 eff.test_log = self._expr_refs_container(test, _TAG_LOG_ACK)
                 eff.test_obj = self._expr_refs_container(test, _TAG_OBJ_ACK)
-                if (
-                    self.contract.tx_guard
-                    and isinstance(test, ast.Compare)
-                    and isinstance(test.left, ast.Name)
-                    and test.left.id == self.contract.tx_guard
-                    and len(test.ops) == 1
-                    and isinstance(test.ops[0], ast.Is)
-                    and isinstance(test.comparators[0], ast.Constant)
-                    and test.comparators[0].value is None
-                ):
-                    eff.tx_none_guard = True
             # Drains: a yield whose expression references an ack
             # container awaits (all of) it.
             for y in stmt_yield_values(stmt):
@@ -618,11 +601,6 @@ def _transfer(
         _clear("OBJU")
     if eff.clears_casp:
         _clear("CASP")
-    if label == "true" and eff.tx_none_guard:
-        # tx is None: the contract facts are vacuous (no transaction).
-        for fact in list(out):
-            if out[fact] == frozenset({0}):
-                _clear(fact)
 
     # 2. executed-callee transforms (facts the callee touches)
     for callee in eff.callees:

@@ -146,7 +146,7 @@ class ComputeNode:
     # -- memory reconfiguration (§3.2.5) ----------------------------------------------------------
 
     def begin_memory_reconfig(self) -> None:
-        """Pause and interrupt in-flight transactions so each applies
+        """Pause and interrupt undecided transactions so each applies
         the commit/abort decision rule against the new replica set."""
         if not self.alive:
             return
@@ -154,7 +154,10 @@ class ComputeNode:
         for coordinator in self.coordinators:
             engine = coordinator.engine
             if coordinator.process is not None and engine.current_tx is not None:
-                coordinator.process.interrupt(engine.current_tx)
+                # Taking the attempt off current_tx makes this its one
+                # interrupt: a second reconfiguration finds nothing.
+                engine.current_tx = None
+                coordinator.process.interrupt()
 
     def end_memory_reconfig(self) -> None:
         if self.alive:

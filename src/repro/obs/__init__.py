@@ -130,12 +130,8 @@ class TxnTrace:
         self.last = now
 
     def end(self, outcome: str, now: float, writes: int = 0) -> None:
-        """Close the attempt span with its *outcome* label.
-
-        The flight record seals on the *first* end() — a later
-        ``end("interrupted", ...)`` after in-place recovery keeps the
-        original outcome.
-        """
+        """Close the attempt span with its *outcome* label and seal the
+        flight record with the same label."""
         self.obs.tracer.span(
             "txn",
             f"attempt:{outcome}",

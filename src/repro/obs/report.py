@@ -304,7 +304,7 @@ def abort_attribution(run: RunData) -> List[Tuple[str, str, str, int]]:
             reason = outcome.split(":", 1)[1]
             key = (record.protocol, ABORT_CATEGORIES.get(reason, "other"), reason)
         else:
-            # "fenced" / "interrupted": the fault machinery cut in.
+            # "fenced": the fault machinery cut in.
             key = (record.protocol, "fault", outcome)
         counts[key] = counts.get(key, 0) + 1
     return [

@@ -281,7 +281,9 @@ class ProtocolEngine:
         self.lock = protocol.lock(self)
         self.log = protocol.log(self)
         self.commit = protocol.commit(self)
-        # The attempt currently in flight (used by interrupt recovery).
+        # The attempt in flight while it is still undecided: cleared at
+        # every decision point, and by the reconfiguration that
+        # interrupts it, so an attempt is interrupted at most once.
         self.current_tx: Optional[Txn] = None
         # §7 persistence: chase commit writes with a small read per
         # touched node to flush the RNIC cache into NVM before acking.
@@ -371,6 +373,7 @@ class ProtocolEngine:
                 end_time=self.sim.now,
             )
         except TxnAbort as abort:
+            self.current_tx = None
             yield from self._abort(tx, abort.reason)
             trace.phase("abort", self.sim.now)
             trace.end(f"abort:{abort.reason}", self.sim.now, writes=len(tx.write_set))
@@ -391,24 +394,18 @@ class ProtocolEngine:
             trace.end("fenced", self.sim.now, writes=len(tx.write_set))
             # protolint: disable=PROTO001 -- fenced: RecoveryManager owns the locks
             raise
-        except RdmaError:
-            # A replica went down mid-attempt; apply the compute-side
-            # decision rule of §3.2.5.
+        except (RdmaError, Interrupt):
+            # A replica went down mid-attempt, or a memory
+            # reconfiguration interrupted it: apply the compute-side
+            # decision rule of §3.2.5, once. Both land only here, while
+            # the attempt is undecided (see current_tx).
             outcome = yield from self.recover_interrupted(tx)
-            trace.end("interrupted", self.sim.now, writes=len(tx.write_set))
-            return outcome
-        except Interrupt:
-            # A memory reconfiguration interrupted the attempt (§3.2.5):
-            # no transaction body raised, so keep it out of APP_ERROR.
-            # Same lock-releasing abort as the arm below; the
-            # coordinator's Interrupt handler then resolves the attempt.
-            yield from self._abort(tx, AbortReason.INTERRUPTED)
             trace.end(
-                f"abort:{AbortReason.INTERRUPTED}",
+                "commit:interrupted" if outcome.committed else f"abort:{outcome.reason}",
                 self.sim.now,
                 writes=len(tx.write_set),
             )
-            raise
+            return outcome
         except Exception:
             # Application logic raised something the protocol does not
             # model (a bug in the transaction body). The write-set may
@@ -416,6 +413,7 @@ class ProtocolEngine:
             # — unstealable by PILL — so run the abort path to release
             # them before the error escapes to the worker loop's
             # crash-stop conversion. Found by protolint (PROTO001).
+            self.current_tx = None
             yield from self._abort(tx, AbortReason.APP_ERROR)
             trace.end(
                 f"abort:{AbortReason.APP_ERROR}",
@@ -594,6 +592,7 @@ class ProtocolEngine:
 
         # Client acknowledgment happens here — after all replicas are
         # updated, before unlocking (§2.3 step 1 vs 2).
+        self.current_tx = None
         self.coordinator.on_commit_ack(tx)
 
         trace.focus("unlock")
@@ -676,7 +675,7 @@ class ProtocolEngine:
 
     # -- interrupted attempts (memory reconfiguration, §3.2.5) ---------------
 
-    def recover_interrupted(self, tx: Optional[Txn]) -> Generator[Event, Any, TxnOutcome]:
+    def recover_interrupted(self, tx: Txn) -> Generator[Event, Any, TxnOutcome]:
         """Resolve an attempt cut short by a memory-failure interrupt.
 
         The compute server has complete knowledge of its in-flight
@@ -685,16 +684,7 @@ class ProtocolEngine:
         rest (§3.2.5). Best-effort network errors are swallowed —
         replicas that vanished take their state with them.
         """
-        if tx is None:
-            tx = self.current_tx
         self.current_tx = None
-        if tx is None:
-            return TxnOutcome(
-                committed=False,
-                reason=AbortReason.MEMORY_RECONFIG,
-                start_time=self.sim.now,
-                end_time=self.sim.now,
-            )
         # The compute server can crash *while* resolving an interrupted
         # attempt — the union of two failure windows the paper treats
         # separately (§3.2.2 x §3.2.5). These crash points let the
@@ -729,11 +719,6 @@ class ProtocolEngine:
             self.coordinator.on_commit_ack(tx)
             tx.trace.focus("recover")
             self._best_effort_release(tx)
-            # Seal the flight record here: when the interrupt killed the
-            # attempt generator, run_attempt's trace.end never runs.
-            self.obs.flight.close(
-                tx.trace.rec, "commit:interrupted", self.sim.now, len(tx.write_set)
-            )
             return TxnOutcome(
                 committed=True,
                 value=tx.result,
@@ -774,12 +759,6 @@ class ProtocolEngine:
         tx.trace.focus("recover")
         self._best_effort_release(tx)
         self.coordinator.on_abort(tx, AbortReason.MEMORY_RECONFIG)
-        self.obs.flight.close(
-            tx.trace.rec,
-            f"abort:{AbortReason.MEMORY_RECONFIG}",
-            self.sim.now,
-            len(tx.write_set),
-        )
         return TxnOutcome(
             committed=False,
             reason=AbortReason.MEMORY_RECONFIG,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from repro.protocol.types import AbortReason, TxnOutcome
-from repro.rdma.errors import LinkRevokedError, RdmaError
-from repro.sim import Event, Interrupt
+from repro.rdma.errors import LinkRevokedError
+from repro.sim import Event
 from repro.util.stats import Histogram
 
 __all__ = ["CoordinatorStats", "CoordinatorConfig", "Coordinator"]
@@ -192,12 +192,6 @@ class Coordinator:
             logic = self.workload.next_transaction(self.rng)
             try:
                 yield from self.run_transaction(logic)
-            except Interrupt:
-                # A reconfiguration interrupt delivered after the
-                # attempt it targeted already resolved (the send and
-                # the delivery straddle other same-timestep callbacks).
-                # There is nothing left to recover.
-                continue
             except LinkRevokedError:
                 self.node.on_fenced(self)
                 return
@@ -225,11 +219,6 @@ class Coordinator:
             txn_id = self.next_txn_id()
             try:
                 outcome = yield from self.engine.run_attempt(logic, txn_id, attempts)
-            except Interrupt as interrupt:
-                # recover_interrupted guards every await per-event; if it
-                # still dies, _run converts the escape into a node
-                # crash-stop and the RecoveryManager reclaims the locks.
-                outcome = yield from self.engine.recover_interrupted(interrupt.cause)
             except LinkRevokedError:
                 # We were (perhaps falsely) declared failed and fenced
                 # off (Cor1). This coordinator must stop issuing
@@ -241,9 +230,6 @@ class Coordinator:
                     start_time=start,
                     end_time=self.sim.now,
                 )
-            except RdmaError:
-                # Same hand-off as the Interrupt arm above.
-                outcome = yield from self.engine.recover_interrupted(None)
             if outcome.committed:
                 break
             if outcome.reason in (

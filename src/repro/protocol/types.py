@@ -36,7 +36,6 @@ class AbortReason:
     MEMORY_RECONFIG = "memory_reconfiguration"
     LINK_REVOKED = "link_revoked"
     APP_ERROR = "app_error"
-    INTERRUPTED = "interrupted"
 
 
 class TxnAbort(Exception):

@@ -55,6 +55,20 @@ The bugs, by artifact:
   fenced node's verbs anyway. The artifact sets ``fd_redetect``
   to false: FD re-detection restarts the aborted recovery and heals
   the cluster, masking the bug it pins.
+
+* ``interrupt-double-release-lotus.json``,
+  ``interrupt-double-release-vote1pc-logserver.json`` and
+  ``interrupt-double-release-vote1pc-overlap.json`` — a memory
+  reconfiguration interrupted an attempt, and the attempt was resolved
+  twice: ``run_attempt`` aborted it (unlocking its write-set), then the
+  coordinator ran ``recover_interrupted`` on the same attempt, which
+  wrote undo images after that unlock and unlocked again. The second
+  release freed a lock another coordinator had taken meanwhile
+  (lotus, ``PILL-UNLOCK``); the undo images landed on slots locked by
+  nobody (vote1pc, ``PILL-WRITE``). Only the sanitizer sees these —
+  the oracle is clean — which is why every artifact replays
+  sanitized. Fix: one resolution per interrupted attempt, in
+  ``run_attempt``, and at most one interrupt per attempt.
 """
 
 import pathlib
@@ -77,7 +91,7 @@ class TestRegressionSchedules:
 
     @pytest.mark.parametrize("path", SCHEDULES, ids=lambda p: p.stem)
     def test_schedule_stays_clean(self, path):
-        result = run_schedule(_load(path))
+        result = run_schedule(_load(path), sanitize=True)
         assert result.ok, (
             f"{path.stem} regressed: "
             + "; ".join(f"[{v.code}] {v.detail}" for v in result.violations)

@@ -30,6 +30,7 @@ class ProtocolRig:
         keys: int = 64,
         coordinators_per_node: int = 1,
         jitter: float = 0.0,
+        sanitize: bool = False,
     ) -> None:
         config = ClusterConfig(
             memory_nodes=memory_nodes,
@@ -40,6 +41,7 @@ class ProtocolRig:
             protocol=protocol,
             bugs=bugs,
             max_attempts=1,
+            sanitize=sanitize,
         )
         config.network.jitter = jitter
         # Headroom beyond the loaded keys so inserts have free slots.

@@ -176,7 +176,7 @@ class TestSubmit:
         outcome = process.value
         assert not outcome.committed
         assert outcome.reason == AbortReason.MEMORY_RECONFIG
-        assert coordinator.stats.abort_reasons[AbortReason.INTERRUPTED] == 1
+        assert coordinator.stats.abort_reasons == {AbortReason.MEMORY_RECONFIG: 1}
         assert rig.value_at(3) == 0
         assert rig.slot_state(3).lock == 0
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.protocol.types import AbortReason
+from repro.protocol.zoo import ZOO
 
 
 def write_txn(key, value):
@@ -449,8 +450,6 @@ def _counting(name):
     from collections import Counter
     from dataclasses import replace
 
-    from repro.protocol.zoo import ZOO
-
     released = Counter()
 
     class CountingLog(ZOO[name].log):
@@ -475,20 +474,49 @@ def _unlocks_of(coordinator):
     return posted
 
 
-@pytest.mark.parametrize("protocol", ["pandora", "tradlog", "lotus"])
-@pytest.mark.parametrize(
-    "ending", ["commit", "abort", "interrupted-after-apply", "interrupted-before-apply"]
-)
+def _reconfigure(node, times=1):
+    """Deliver a memory reconfiguration the way recovery does: *times*
+    same-instant ``begin_memory_reconfig`` calls, the end 60 µs later."""
+    for _ in range(times):
+        node.begin_memory_reconfig()
+    node.sim.run(until=node.sim.now + 60e-6)
+    node.end_memory_reconfig()
+
+
+def _booked_once(coordinator, reason):
+    """One attempt, one booking: a commit, or one abort for *reason*."""
+    stats = coordinator.stats
+    assert stats.attempts == stats.commits + stats.aborts == 1
+    assert stats.abort_reasons == ({reason: 1} if reason else {})
+
+
+# What each ending resolves to: None commits, else the one abort reason.
+ENDINGS = {
+    "commit": None,
+    "abort": AbortReason.LOCK_CONFLICT,
+    "interrupted-after-apply": None,
+    "interrupted-before-apply": AbortReason.MEMORY_RECONFIG,
+    "reconfig-mid-body": AbortReason.MEMORY_RECONFIG,
+    "reconfig-in-user-abort": AbortReason.USER,
+    "reconfig-twice": AbortReason.MEMORY_RECONFIG,
+}
+
+
 class TestAttemptEndings:
     """The commit tail, ``_abort`` and both branches of
-    ``recover_interrupted`` share one unlock loop: one ``write_lock 0``
-    per held lock, one ``release_intent`` per intent — held or not."""
+    ``recover_interrupted`` share one unlock loop, and each attempt ends
+    in exactly one of them: one booking, one ``write_lock 0`` per held
+    lock, one ``release_intent`` per intent — held or not. The
+    ``reconfig-*`` endings interrupt through ``begin_memory_reconfig``,
+    the way a memory failure reaches an attempt (§3.2.5)."""
 
+    @pytest.mark.parametrize("protocol", ["pandora", "tradlog", "lotus", "vote1pc"])
+    @pytest.mark.parametrize("ending", list(ENDINGS))
     def test_write_set_is_let_go_exactly_once(self, rig_factory, protocol, ending):
         from repro.protocol.strategies import LOCK_INTENT_TXN
 
         declaration, released = _counting(protocol)
-        rig = rig_factory(protocol=declaration)
+        rig = rig_factory(protocol=declaration, sanitize=True)
         sim = rig.sim
         coordinator, rival = rig.coordinators
         unlocks = _unlocks_of(coordinator)
@@ -506,29 +534,42 @@ class TestAttemptEndings:
             intents.append(LOST)
 
         def body(tx):
+            if ending == "reconfig-in-user-abort":
+                tx.write("kv", HELD, 1)  # its lock CAS still in flight ...
+                tx.abort()  # ... when the application gives up
             yield from tx.read_for_update("kv", HELD)
             tx.write("kv", HELD, 1)
             if ending == "abort":
                 tx.write("kv", LOST, 2)
-            if ending.startswith("interrupted"):
+            if ending.startswith(("interrupted", "reconfig")):
                 yield sim.timeout(1.0)  # parked, holding its lock
 
         process = rig.submit(coordinator, body)
         if ending.startswith("interrupted"):
-            # A memory reconfiguration cut the attempt short (§3.2.5):
-            # the coordinator resolves it from what the attempt knew.
+            # The attempt is resolved by hand from what it knew.
             sim.run(until=sim.now + 100e-6)
             tx = coordinator.engine.current_tx
             process.kill()
             tx.apply_done = ending == "interrupted-after-apply"
             process = sim.process(coordinator.engine.recover_interrupted(tx))
+        elif ending == "reconfig-in-user-abort":
+            while not coordinator.stats.attempts:
+                sim.step()  # ... until _abort waits on the lock CAS
+            _reconfigure(coordinator.node)
+        elif ending.startswith("reconfig"):
+            sim.run(until=sim.now + 100e-6)
+            _reconfigure(coordinator.node, times=2 if ending == "reconfig-twice" else 1)
         sim.run()
 
-        assert process.value.committed == (ending in ("commit", "interrupted-after-apply"))
+        reason = ENDINGS[ending]
+        assert process.value.committed == (reason is None)
+        assert process.value.reason == reason
+        _booked_once(coordinator, reason)
         mine = {key: n for (coord_id, key), n in released.items() if coord_id == coordinator.coord_id}
         assert mine == {key: 1 for key in intents}
         assert unlocks == [(0, rig.catalog.slot_for(0, HELD), 0)]
         assert rig.slot_state(HELD).lock == 0
+        assert rig.cluster.sanitizer.violations == []
         if protocol == "tradlog":
             records = [
                 record
@@ -538,6 +579,41 @@ class TestAttemptEndings:
             ]
             assert len(records) == 2 * len(intents)  # f+1 copies each
             assert not any(record.valid for record in records)
+
+    @pytest.mark.parametrize("protocol", sorted(ZOO))
+    def test_an_interrupt_during_apply_rolls_back_once(self, rig_factory, protocol):
+        """Interrupted with its apply writes on the wire, an attempt
+        aborts once: its undo images land behind those writes, and only
+        then its one unlock."""
+        declaration, released = _counting(protocol)
+        rig = rig_factory(protocol=declaration, sanitize=True)
+        coordinator = rig.coordinators[0]
+        engine = coordinator.engine
+        unlocks = _unlocks_of(coordinator)
+        slot = rig.catalog.slot_for(0, HELD)
+
+        def images():
+            return [
+                (state.version, state.value, state.present, state.lock)
+                for state in (
+                    rig.memory[node].slot(0, slot) for node in rig.placement.replicas(0, slot)
+                )
+            ]
+
+        before = images()
+        process = rig.submit(coordinator, write_txn(HELD, 1))
+        while engine.current_tx is None or not engine.current_tx.write_set[0, slot].applied:
+            rig.sim.step()
+        assert not engine.current_tx.apply_done  # the writes are in flight
+        _reconfigure(coordinator.node)
+        rig.sim.run()
+
+        assert process.value.reason == AbortReason.MEMORY_RECONFIG
+        _booked_once(coordinator, AbortReason.MEMORY_RECONFIG)
+        assert dict(released) == {(coordinator.coord_id, HELD): 1}
+        assert unlocks == [(0, slot, 0)]
+        assert images() == before
+        assert rig.cluster.sanitizer.violations == []
 
 
 def test_a_lock_subprocess_parked_on_its_cas_is_two_frames_deep(rig_factory):

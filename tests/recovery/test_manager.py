@@ -1,5 +1,13 @@
-"""Tests for the recovery manager: the four-step protocol of §3.2.2."""
+"""Tests for the recovery manager: the four-step protocol of §3.2.2.
 
+The fixtures are finished runs shared read-only by the tests that
+judge them: each crashes one node at 10 ms and runs until its recovery
+has finished.
+"""
+
+from types import SimpleNamespace
+
+import pytest
 
 from repro import Cluster, ClusterConfig
 from repro.memory.node import LogRecord
@@ -23,11 +31,29 @@ def make_cluster(protocol="pandora", **overrides):
     return cluster
 
 
+def recovered(cluster):
+    """Run *cluster* until its first recovery finished; return its record."""
+    records = cluster.recovery.records
+    while not (records and records[0].finished_at > 0):
+        assert cluster.sim.now < 0.200, "recovery never finished"
+        cluster.run(until=cluster.sim.now + 1e-3)
+    return records[0]
+
+
+@pytest.fixture(scope="module")
+def pill_crash():
+    """Pandora: compute node 0 crashes. Returns the cluster and the
+    crashed node's coordinator ids."""
+    cluster = make_cluster()
+    crashed_ids = cluster.compute_nodes[0].coordinator_ids()
+    cluster.crash_compute(0, at=0.010)
+    recovered(cluster)
+    return cluster, crashed_ids
+
+
 class TestComputeRecoverySteps:
-    def test_four_steps_in_order(self):
-        cluster = make_cluster()
-        cluster.crash_compute(0, at=0.010)
-        cluster.run(until=0.040)
+    def test_four_steps_in_order(self, pill_crash):
+        cluster, _ = pill_crash
         record = cluster.recovery.records[0]
         assert record.kind == "compute"
         assert (
@@ -38,46 +64,34 @@ class TestComputeRecoverySteps:
             <= record.finished_at
         )
 
-    def test_links_revoked_before_log_recovery(self):
-        cluster = make_cluster()
-        cluster.crash_compute(0, at=0.010)
-        cluster.run(until=0.040)
+    def test_links_revoked_before_log_recovery(self, pill_crash):
+        cluster, _ = pill_crash
         for memory in cluster.memory_nodes.values():
             assert memory.is_revoked(0)
 
-    def test_failed_ids_delivered_to_live_nodes(self):
-        cluster = make_cluster()
-        failed_ids = set(cluster.compute_nodes[0].coordinator_ids())
-        cluster.crash_compute(0, at=0.010)
-        cluster.run(until=0.040)
+    def test_failed_ids_delivered_to_live_nodes(self, pill_crash):
+        cluster, crashed_ids = pill_crash
         survivor = cluster.compute_nodes[1]
-        assert failed_ids.issubset(set(survivor.failed_ids))
+        assert set(crashed_ids).issubset(set(survivor.failed_ids))
 
-    def test_log_regions_truncated(self):
-        cluster = make_cluster()
-        coord_ids = cluster.compute_nodes[0].coordinator_ids()
-        cluster.crash_compute(0, at=0.010)
-        cluster.run(until=0.040)
-        for coord_id in coord_ids:
+    def test_log_regions_truncated(self, pill_crash):
+        cluster, crashed_ids = pill_crash
+        for coord_id in crashed_ids:
             for node_id in cluster.catalog.log_nodes(coord_id):
                 region = cluster.memory_nodes[node_id].log_regions.get(coord_id)
                 if region is not None:
                     assert region.valid_records() == []
 
-    def test_recovery_latency_is_milliseconds(self):
+    def test_recovery_latency_is_milliseconds(self, pill_crash):
         """Table 2's headline: log recovery completes in ms, not s."""
-        cluster = make_cluster()
-        cluster.crash_compute(0, at=0.010)
-        cluster.run(until=0.060)
+        cluster, _ = pill_crash
         record = cluster.recovery.records[0]
         assert record.log_recovery_latency < 10e-3
 
-    def test_survivors_never_pause_under_pill(self):
+    def test_survivors_never_pause_under_pill(self, pill_crash):
         """Non-blocking recovery: live nodes keep committing through
         the entire recovery window."""
-        cluster = make_cluster()
-        cluster.crash_compute(0, at=0.010)
-        cluster.run(until=0.040)
+        cluster, _ = pill_crash
         record = cluster.recovery.records[0]
         during = cluster.timeline.rate_between(
             record.detected_at, record.finished_at + 1e-3
@@ -223,27 +237,41 @@ class TestIdempotentRecovery:
         assert len(cluster.recovery.records) == 2
 
 
+@pytest.fixture(scope="class")
+def scan_crash():
+    """Baseline: compute node 0 crashes under stop-the-world scan
+    recovery, watched from the start by a probe for survivor pauses.
+    Once recovery finished, traffic is quiesced — live coordinators may
+    hold fresh locks mid-txn — so every lock left is recovery's."""
+    cluster = make_cluster(protocol="baseline", drain_delay=1e-3)
+    survivor = cluster.compute_nodes[1]
+    paused_at = []
+
+    def probe():
+        while True:
+            if survivor.paused:
+                paused_at.append(cluster.sim.now)
+            yield cluster.sim.timeout(0.2e-3)
+
+    cluster.sim.process(probe())
+    cluster.crash_compute(0, at=0.010)
+    recovered(cluster)
+    run = SimpleNamespace(
+        cluster=cluster, paused_at=tuple(paused_at), paused_after=survivor.paused
+    )
+    for node in cluster.compute_nodes.values():
+        node.pause()
+    cluster.run(until=cluster.sim.now + 2e-3)
+    return run
+
+
 class TestScanRecovery:
-    def test_baseline_pauses_survivors(self):
-        cluster = make_cluster(protocol="baseline", drain_delay=1e-3)
-        paused_seen = {}
+    def test_baseline_pauses_survivors(self, scan_crash):
+        assert scan_crash.paused_at  # stop-the-world happened
+        assert not scan_crash.paused_after  # and was lifted
 
-        def probe():
-            while True:
-                if cluster.compute_nodes[1].paused:
-                    paused_seen["yes"] = cluster.sim.now
-                yield cluster.sim.timeout(0.2e-3)
-
-        cluster.sim.process(probe())
-        cluster.crash_compute(0, at=0.010)
-        cluster.run(until=0.080)
-        assert "yes" in paused_seen  # stop-the-world happened
-        assert not cluster.compute_nodes[1].paused  # and was lifted
-
-    def test_scan_releases_stray_locks(self):
-        cluster = make_cluster(protocol="baseline")
-        cluster.crash_compute(0, at=0.010)
-        cluster.run(until=0.120)
+    def test_scan_releases_stray_locks(self, scan_crash):
+        cluster = scan_crash.cluster
         record = cluster.recovery.records[0]
         assert record.scanned_slots > 0
         # After the scan no lock survives anywhere.
@@ -252,45 +280,40 @@ class TestScanRecovery:
             for memory in cluster.memory_nodes.values()
             for table_id in memory.tables
         )
-        # Live coordinators may hold fresh locks mid-txn; quiesce first.
-        for node in cluster.compute_nodes.values():
-            node.pause()
-        cluster.run(until=cluster.sim.now + 2e-3)
-        total_locked = sum(
-            len(memory.locked_slots(table_id))
-            for memory in cluster.memory_nodes.values()
-            for table_id in memory.tables
-        )
         assert total_locked == 0
 
-    def test_scan_recovery_is_orders_of_magnitude_slower(self):
-        pill = make_cluster(protocol="pandora")
-        scan = make_cluster(protocol="baseline")
-        for cluster in (pill, scan):
-            cluster.crash_compute(0, at=0.010)
-            cluster.run(until=0.200)
-        pill_latency = pill.recovery.records[0].log_recovery_latency
-        scan_latency = scan.recovery.records[0].log_recovery_latency
+    def test_scan_recovery_is_orders_of_magnitude_slower(self, pill_crash, scan_crash):
+        pill_latency = pill_crash[0].recovery.records[0].log_recovery_latency
+        scan_latency = scan_crash.cluster.recovery.records[0].log_recovery_latency
         assert scan_latency > 10 * pill_latency
 
 
+@pytest.fixture(scope="class")
+def memory_crash():
+    """Memory node 0 of three (replication 2) crashes; the run goes on
+    to 35 ms, well past the reconfiguration."""
+    cluster = make_cluster(memory_nodes=3, replication_degree=2)
+    cluster.crash_memory(0, at=0.010)
+    recovered(cluster)
+    cluster.run(until=0.035)
+    return cluster
+
+
 class TestMemoryFailure:
-    def test_memory_failure_promotes_new_primaries(self):
-        cluster = make_cluster(memory_nodes=3, replication_degree=2)
+    def test_memory_failure_promotes_new_primaries(self, memory_crash):
+        cluster = memory_crash
         victim = 0
-        cluster.crash_memory(victim, at=0.010)
-        cluster.run(until=0.060)
         assert victim in cluster.placement.down_nodes
         # Every slot still has a live primary.
         for key in range(400):
             slot = cluster.catalog.slot_for(0, key)
             assert cluster.catalog.primary(0, slot) != victim
 
-    def test_throughput_recovers_after_memory_failure(self):
-        cluster = make_cluster(memory_nodes=3, replication_degree=2)
-        cluster.crash_memory(0, at=0.020)
-        cluster.run(until=0.080)
-        post = cluster.timeline.rate_between(0.050, 0.080)
+    def test_throughput_recovers_after_memory_failure(self, memory_crash):
+        cluster = memory_crash
+        # The window sits wholly after the reconfiguration finished.
+        assert cluster.recovery.records[0].finished_at <= 0.020
+        post = cluster.timeline.rate_between(0.020, 0.035)
         assert post > 0
 
     def test_compute_side_decision_rule(self):
