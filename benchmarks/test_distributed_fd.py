@@ -15,14 +15,8 @@ from repro.cluster.builder import Cluster
 CRASH_AT = 10e-3
 
 
-def _run(distributed: bool):
-    config = default_config(
-        protocol="pandora",
-        coordinators_per_node=8,
-        distributed_fd=distributed,
-        fd_replicas=3,
-        fd_agreement_delay=2e-3,
-    )
+def _run(**detector):
+    config = default_config(protocol="pandora", coordinators_per_node=8, **detector)
     cluster = Cluster(config, micro_factory(write_ratio=1.0)())
     cluster.start()
     cluster.crash_compute(0, at=CRASH_AT)
@@ -38,7 +32,9 @@ def _run(distributed: bool):
 @pytest.mark.benchmark(group="fd")
 def test_distributed_fd_recovery(benchmark):
     results = benchmark.pedantic(
-        lambda: (_run(False), _run(True)), rounds=1, iterations=1
+        lambda: (_run(), _run(fd_replicas=3, fd_agreement_delay=2e-3)),
+        rounds=1,
+        iterations=1,
     )
     standalone, quorum = results
     rows = [

@@ -421,13 +421,12 @@ STATIC_MUTANTS: List[StaticMutantSpec] = [
     StaticMutantSpec(
         name="claim-leak-no-finally",
         description=(
-            "_recover_compute drops its finally, leaking the in-progress "
-            "claim when the recovery process is killed mid-flight"
+            "the recovery runner releases its in-progress claim after its "
+            "try instead of in a finally, leaking the claim when the "
+            "recovery process is killed mid-flight"
         ),
         path="src/repro/recovery/manager.py",
         old=(
-            "        try:\n"
-            "            yield from self._recover_compute_inner(node)\n"
             "        finally:\n"
             "            # Runs on normal completion AND when this recovery process\n"
             "            # is itself killed mid-flight (GeneratorExit): the claim\n"
@@ -441,7 +440,8 @@ STATIC_MUTANTS: List[StaticMutantSpec] = [
             "            self._processes.pop(key, None)\n"
         ),
         new=(
-            "        yield from self._recover_compute_inner(node)\n"
+            "        except RdmaError:\n"
+            "            raise\n"
             "        self._in_progress.discard(key)\n"
             "        self._processes.pop(key, None)\n"
         ),

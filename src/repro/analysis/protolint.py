@@ -59,9 +59,10 @@ checked at the entry points — so they are not themselves PROTO001
 subjects (they are the PROTO005 subjects instead). ``AssertionError``
 is excluded from summaries: engine asserts are oracle checks, not
 protocol edges.
-Cross-method OBJU propagation on exception edges is out of scope (the
-apply/interrupt race is resolved by ``recover_interrupted``'s
-``apply_done`` protocol, covered dynamically by the PILL sanitizer).
+Cross-method OBJU propagation on exception edges is out of scope (no
+interrupt reaches an attempt once ``_commit`` has updated every
+replica and cleared ``current_tx``; the apply/interrupt race before
+that is covered dynamically by the PILL sanitizer).
 
 Suppressions: ``# protolint: disable=PROTO001 -- reason`` on the
 flagged line or the line above (simlint only honours same-line).
@@ -165,10 +166,8 @@ CONTRACTS: Dict[str, Contract] = {
     # The abort path owns draining the acks itself.
     "_abort": Contract(entry_facts=frozenset({"LOCKED", "LOGU"})),
     "_best_effort_release": Contract(entry_facts=frozenset({"LOCKED"})),
-    # Spawned recovery generators: roots with no caller.
-    "_recover_compute": Contract(entry_point=True),
-    "_recover_memory": Contract(entry_point=True),
-    "_restore_memory": Contract(entry_point=True),
+    # The spawned recovery runner: a root with no caller.
+    "_run": Contract(entry_point=True),
 }
 
 

@@ -30,7 +30,6 @@ from repro.litmus.fuzzer import _FuzzWorkload
 __all__ = [
     "ChaosResult",
     "ChaosRunner",
-    "DEFAULT_FD_REDETECT_INTERVAL",
     "run_schedule",
 ]
 
@@ -41,12 +40,6 @@ _QUIESCE_DEADLINE = 60e-3
 _SETTLE_MARGIN = 2e-3
 
 _FINGERPRINT_MASK = (1 << 61) - 1
-
-# Default re-declaration quiet period for dead nodes whose recovery
-# died mid-flight (tunable per run via ``repro chaos
-# --fd-redetect-interval``; schedules with fd_redetect=False disable
-# re-detection entirely regardless of the interval).
-DEFAULT_FD_REDETECT_INTERVAL = 2e-3
 
 
 def _stable_int(value) -> int:
@@ -88,15 +81,8 @@ class ChaosResult:
 class ChaosRunner:
     """Builds a cluster, arms one schedule's faults, runs, judges."""
 
-    def __init__(
-        self,
-        schedule: Schedule,
-        sanitize: bool = False,
-        fd_redetect_interval: float = DEFAULT_FD_REDETECT_INTERVAL,
-    ) -> None:
+    def __init__(self, schedule: Schedule, sanitize: bool = False) -> None:
         self.schedule = schedule
-        if fd_redetect_interval <= 0:
-            fd_redetect_interval = None  # type: ignore[assignment]
         config = ClusterConfig(
             protocol=schedule.protocol,
             memory_nodes=MEMORY_NODES,
@@ -109,12 +95,6 @@ class ChaosRunner:
             fd_heartbeat_interval=0.3e-3,
             fd_check_interval=0.15e-3,
             restart_failed_after=2e-3,
-            # Re-declare a dead node whose recovery was killed mid-flight
-            # (schedules isolating a bug in the restarted-recovery path
-            # itself set fd_redetect=False to suppress the self-healing).
-            fd_redetect_interval=(
-                fd_redetect_interval if schedule.fd_redetect else None
-            ),
             sanitize=sanitize,
         )
         self.cluster = Cluster(config, _FuzzWorkload(schedule.keys))
@@ -308,12 +288,6 @@ class ChaosRunner:
         return result
 
 
-def run_schedule(
-    schedule: Schedule,
-    sanitize: bool = False,
-    fd_redetect_interval: float = DEFAULT_FD_REDETECT_INTERVAL,
-) -> ChaosResult:
+def run_schedule(schedule: Schedule, sanitize: bool = False) -> ChaosResult:
     """Build a fresh cluster and run *schedule* to a judged result."""
-    return ChaosRunner(
-        schedule, sanitize=sanitize, fd_redetect_interval=fd_redetect_interval
-    ).run()
+    return ChaosRunner(schedule, sanitize=sanitize).run()

@@ -71,7 +71,7 @@ FAULT_KINDS = (
     "crash_memory_during_recovery",
 )
 
-_SCHEDULE_VERSION = 1
+_SCHEDULE_VERSION = 2
 
 
 @dataclass
@@ -122,12 +122,6 @@ class Schedule:
     protocol: str = "pandora"
     duration: float = 12e-3
     keys: int = 24
-    # Whether the cluster's FD re-declares a dead node whose recovery
-    # died mid-flight (FailureDetector.redetect_interval). On by
-    # default — it is how a killed recovery heals; artifacts that pin
-    # a bug *in* the re-started recovery path set it to False so the
-    # failure is isolated from the self-healing.
-    fd_redetect: bool = True
     faults: List[Fault] = field(default_factory=list)
 
     # -- mutation (shrinker) -----------------------------------------------
@@ -155,7 +149,6 @@ class Schedule:
             "protocol": self.protocol,
             "duration": self.duration,
             "keys": self.keys,
-            "fd_redetect": self.fd_redetect,
             "faults": [asdict(fault) for fault in self.faults],
         }
 
@@ -184,11 +177,6 @@ class Schedule:
                     f"expected one of {', '.join(FAULT_KINDS)}"
                 )
             faults.append(Fault(**fault))
-        # Artifacts predating ``fd_redetect`` replay with its default,
-        # re-detection on (the campaign default they were minimized
-        # under... almost: pre-redetect artifacts reproduce bugs whose
-        # fixes hold with or without it, see
-        # tests/chaos/test_regressions.py).
         schedule = cls(faults=faults, **data)
         if schedule.protocol not in ZOO:
             raise ValueError(

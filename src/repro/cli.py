@@ -276,12 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write failing (minimized, with --shrink) schedules to DIR "
              "as replayable JSON artifacts",
     )
-    chaos.add_argument(
-        "--fd-redetect-interval", type=float, default=2.0, metavar="MS",
-        help="quiet period (ms) before a dead node whose recovery died "
-             "mid-flight is re-declared failed (default 2.0; <= 0 "
-             "disables re-detection)",
-    )
     _add_sanitize_flag(chaos)
 
     perf = sub.add_parser(
@@ -582,14 +576,9 @@ def _cmd_chaos(args) -> int:
             for seed in range(args.seed_base, args.seed_base + args.seeds)
         ]
 
-    redetect_interval = args.fd_redetect_interval * 1e-3
     failures = 0
     for schedule in schedules:
-        result = run_schedule(
-            schedule,
-            sanitize=args.sanitize,
-            fd_redetect_interval=redetect_interval,
-        )
+        result = run_schedule(schedule, sanitize=args.sanitize)
         print(result.summary())
         if result.ok:
             continue
@@ -598,16 +587,8 @@ def _cmd_chaos(args) -> int:
             print(f"    [{violation.code}] {violation.detail}")
         artifact = schedule
         if args.shrink:
-            def fails(
-                candidate,
-                _sanitize=args.sanitize,
-                _redetect=redetect_interval,
-            ):
-                return not run_schedule(
-                    candidate,
-                    sanitize=_sanitize,
-                    fd_redetect_interval=_redetect,
-                ).ok
+            def fails(candidate, _sanitize=args.sanitize):
+                return not run_schedule(candidate, sanitize=_sanitize).ok
 
             artifact, runs = shrink_schedule(schedule, fails=fails)
             print(

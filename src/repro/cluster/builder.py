@@ -22,7 +22,6 @@ from repro.obs import NOOP_OBS
 from repro.protocol.coordinator import Coordinator, CoordinatorConfig, CoordinatorStats
 from repro.rdma.network import Network
 from repro.rdma.verbs import Verbs
-from repro.recovery.distributed_fd import DistributedFailureDetector
 from repro.recovery.failure_detector import FailureDetector
 from repro.recovery.idalloc import IdAllocator
 from repro.recovery.manager import RecoveryManager
@@ -90,21 +89,14 @@ class Cluster:
         # queue advances consult it to skip dead waiters' tickets.
         for memory in self.memory_nodes.values():
             memory.failed_ids = self.id_allocator.failed
-        fd_timing = dict(
+        self.fd = FailureDetector(
+            self.sim,
+            self.id_allocator,
             timeout=config.fd_timeout,
             check_interval=config.fd_check_interval,
-            redetect_interval=config.fd_redetect_interval,
+            replicas=config.fd_replicas,
+            agreement_delay=config.fd_agreement_delay,
         )
-        if config.distributed_fd:
-            self.fd: FailureDetector = DistributedFailureDetector(
-                self.sim,
-                self.id_allocator,
-                replicas=config.fd_replicas,
-                agreement_delay=config.fd_agreement_delay,
-                **fd_timing,
-            )
-        else:
-            self.fd = FailureDetector(self.sim, self.id_allocator, **fd_timing)
         self.fd.obs = self.obs
 
         # Optional PILL sanitizer (repro.analysis). Collect mode: buggy

@@ -48,13 +48,10 @@ class ClusterConfig:
     fd_timeout: float = 5e-3
     fd_heartbeat_interval: float = 1e-3
     fd_check_interval: float = 0.5e-3
-    distributed_fd: bool = False
-    fd_replicas: int = 3
-    fd_agreement_delay: float = 2e-3
-    # Re-declare a dead compute node whose recovery died mid-flight
-    # after this much post-declaration silence (None = declare once,
-    # the historical behaviour). See FailureDetector._redetect_pass.
-    fd_redetect_interval: Optional[float] = None
+    # Detector replicas (1 = standalone, Figure 4a; an odd quorum,
+    # Figure 4b) and the quorum-commit delay before each declaration.
+    fd_replicas: int = 1
+    fd_agreement_delay: float = 0.0
 
     # Recovery.
     drain_delay: float = 0.5e-3
@@ -131,13 +128,12 @@ class ClusterConfig:
             "fd_timeout",
             "fd_heartbeat_interval",
             "fd_check_interval",
-            "fd_redetect_interval",
             "throughput_window",
         ):
             # A zero period respawns its timer at the same virtual
             # instant forever: the run never advances past it.
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
         if self.persistence not in ("dram", "nvm-flush"):
             raise ValueError(

@@ -354,8 +354,9 @@ def redetection_counts(run: RunData) -> List[Tuple[int, str, int]]:
     instants.
 
     A re-detection means a dead node's recovery died mid-flight and the
-    detector declared it again after the quiet period (``repro chaos
-    --fd-redetect-interval``). Returns ``[(node_id, kind, count), ...]``.
+    detector declared it again after the quiet period
+    (``FailureDetector.REDETECT_INTERVAL``). Returns
+    ``[(node_id, kind, count), ...]``.
     """
     counts: Dict[Tuple[int, str], int] = {}
     for event in run.events:

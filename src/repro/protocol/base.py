@@ -65,7 +65,6 @@ class Txn:
         "logged_records",
         "result",
         "start_time",
-        "apply_done",
         "trace",
     )
 
@@ -80,8 +79,6 @@ class Txn:
         self.logged_records: List[Tuple[int, int]] = []
         self.result: Any = None
         self.start_time = engine.sim.now
-        # True once the commit phase applied updates to every replica.
-        self.apply_done = False
         # Obs handle for this attempt; lock subprocesses use it to
         # attribute their verbs (run_attempt swaps in the real one).
         self.trace = NULL_TXN_TRACE
@@ -400,11 +397,7 @@ class ProtocolEngine:
             # decision rule of §3.2.5, once. Both land only here, while
             # the attempt is undecided (see current_tx).
             outcome = yield from self.recover_interrupted(tx)
-            trace.end(
-                "commit:interrupted" if outcome.committed else f"abort:{outcome.reason}",
-                self.sim.now,
-                writes=len(tx.write_set),
-            )
+            trace.end(f"abort:{outcome.reason}", self.sim.now, writes=len(tx.write_set))
             return outcome
         except Exception:
             # Application logic raised something the protocol does not
@@ -584,7 +577,9 @@ class ProtocolEngine:
                 for node, (table_id, slot) in touched.items()
             ]
             yield self.sim.all_of(flush_events)
-        tx.apply_done = True
+        # Every replica is updated: the attempt is decided (commit), so
+        # no interrupt may reach it from here on (see current_tx).
+        self.current_tx = None
         checkpoint = self._cp("applied")
         if checkpoint is not None:
             yield checkpoint
@@ -592,7 +587,6 @@ class ProtocolEngine:
 
         # Client acknowledgment happens here — after all replicas are
         # updated, before unlocking (§2.3 step 1 vs 2).
-        self.current_tx = None
         self.coordinator.on_commit_ack(tx)
 
         trace.focus("unlock")
@@ -681,8 +675,12 @@ class ProtocolEngine:
         The compute server has complete knowledge of its in-flight
         transactions, so it applies the same criterion as log recovery:
         commit transactions that updated all live replicas, abort the
-        rest (§3.2.5). Best-effort network errors are swallowed —
-        replicas that vanished take their state with them.
+        rest (§3.2.5). Only an undecided attempt gets here — ``_commit``
+        clears ``current_tx`` once every replica is updated, and no
+        verb is awaited after that — so the answer is always abort:
+        roll back whatever replicas took the update. Best-effort
+        network errors are swallowed — replicas that vanished take
+        their state with them.
         """
         self.current_tx = None
         # The compute server can crash *while* resolving an interrupted
@@ -713,19 +711,6 @@ class ProtocolEngine:
         checkpoint = self._cp("recover_drained")
         if checkpoint is not None:
             yield checkpoint
-
-        if tx.apply_done:
-            # All replica updates landed before the interrupt: commit.
-            self.coordinator.on_commit_ack(tx)
-            tx.trace.focus("recover")
-            self._best_effort_release(tx)
-            return TxnOutcome(
-                committed=True,
-                value=tx.result,
-                txn_id=tx.txn_id,
-                start_time=tx.start_time,
-                end_time=self.sim.now,
-            )
 
         # Roll back: restore the undo image on any replica we updated.
         # Same ordering discipline as _commit: wait for the restore

@@ -2,12 +2,10 @@
 
 from repro.recovery.idalloc import IdAllocator
 from repro.recovery.failure_detector import FailureDetector
-from repro.recovery.distributed_fd import DistributedFailureDetector
 from repro.recovery.manager import RecoveryManager, RecoveryRecord
 from repro.recovery.recycler import IdRecycler
 
 __all__ = [
-    "DistributedFailureDetector",
     "FailureDetector",
     "IdAllocator",
     "IdRecycler",

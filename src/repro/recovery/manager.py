@@ -23,12 +23,19 @@ fence → find → decide → undo → release → truncate → notify — whose
 protocol-specific answers come from the recovery halves of the three
 strategy classes (:mod:`repro.protocol.strategies`); see
 :meth:`RecoveryManager._repair_strays` and docs/PROTOCOLS.md §6.
+
+Every recovery kind — compute, memory reconfiguration and memory
+restore (§3.2.5) — is a table of three stage rows that one loop,
+:meth:`RecoveryManager._run`, runs under one in-progress claim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Generator, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from types import GeneratorType
+from typing import (
+    Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.obs import NOOP_OBS
 from repro.rdma.errors import RdmaError
@@ -46,11 +53,8 @@ class RecoveryRecord:
     """Timeline and counters of one node recovery (for the harness)."""
 
     node_id: int
-    kind: str  # "compute" or "memory"
+    kind: str  # "compute", "memory" or "memory-restore"
     detected_at: float
-    fenced_at: float = 0.0
-    log_recovered_at: float = 0.0
-    notified_at: float = 0.0
     finished_at: float = 0.0
     coordinators: int = 0
     logged_txns: int = 0
@@ -61,6 +65,26 @@ class RecoveryRecord:
     # Replica copies actually rewritten from undo images during
     # roll-back (a no-op roll-back restores nothing).
     restored_replicas: int = 0
+    # (name, started, finished) of every stage that ran, in order.
+    stages: List[Tuple[str, float, float]] = field(default_factory=list)
+
+    def _stage_end(self, index: int) -> float:
+        return self.stages[index][2] if index < len(self.stages) else 0.0
+
+    @property
+    def fenced_at(self) -> float:
+        """End of stage 1 (compute: link revocation)."""
+        return self._stage_end(0)
+
+    @property
+    def log_recovered_at(self) -> float:
+        """End of stage 2 (compute: log recovery)."""
+        return self._stage_end(1)
+
+    @property
+    def notified_at(self) -> float:
+        """End of stage 3 (compute: stray-lock notification)."""
+        return self._stage_end(2)
 
     @property
     def log_recovery_latency(self) -> float:
@@ -71,6 +95,11 @@ class RecoveryRecord:
     def total_latency(self) -> float:
         """Detection-to-finished duration."""
         return self.finished_at - self.detected_at
+
+
+#: One recovery stage: called with (node, record); returns its span's
+#: args, directly or — for a stage that waits — as a generator.
+Stage = Callable[[Any, RecoveryRecord], Any]
 
 
 class RecoveryManager:
@@ -113,27 +142,91 @@ class RecoveryManager:
 
     def handle_compute_failure(self, node) -> Optional[Event]:
         """Begin the four-step compute recovery (section 3.2.2)."""
-        key = ("compute", node.node_id)
+        return self._start("compute", node, "recover-c", (
+            ("link-revoke", self._fence),
+            (None, self._repair_strays),
+            ("stray-lock-notify", self._notify),
+        ))
+
+    def handle_memory_failure(self, node) -> Optional[Event]:
+        """Begin memory-failure reconfiguration (section 3.2.5)."""
+        return self._start("memory", node, "recover-m", (
+            (None, self._begin_reconfig),
+            ("memory-reconfig", self._reconfig_window),
+            (None, self._end_reconfig),
+        ))
+
+    def restore_memory_node(self, node) -> Optional[Event]:
+        """Bring a memory server back and re-replicate its partitions.
+
+        §3.2.5: "Pandora adds new memory servers if there are more
+        than f replica failures. For this, we stop the DKVS,
+        re-replicate all the partitions, and then resume." The copy is
+        charged at network bandwidth; compute servers are paused for
+        its duration (this path is deliberately stop-the-world).
+        """
+        if node.alive:
+            return None
+        return self._start("memory-restore", node, "rereplicate-m", (
+            ("drain", self._drain),
+            ("re-replicate", self._rereplicate),
+            (None, self._resume),
+        ))
+
+    def _start(
+        self, kind: str, node, label: str, stages: Sequence[Tuple[Optional[str], Stage]]
+    ) -> Optional[Event]:
+        """Claim ``(kind, node)`` and spawn its recovery; None when one
+        is already in flight."""
+        key = (kind, node.node_id)
         if key in self._in_progress:
             return None
         self._in_progress.add(key)
         process = self.sim.process(
-            self._recover_compute(node), name=f"recover-c{node.node_id}"
+            self._run(key, node, stages), name=f"{label}{node.node_id}"
         )
         self._processes[key] = process
         return process
 
-    def handle_memory_failure(self, node) -> Optional[Event]:
-        """Begin memory-failure reconfiguration (section 3.2.5)."""
-        key = ("memory", node.node_id)
-        if key in self._in_progress:
-            return None
-        self._in_progress.add(key)
-        process = self.sim.process(
-            self._recover_memory(node), name=f"recover-m{node.node_id}"
-        )
-        self._processes[key] = process
-        return process
+    def _run(
+        self, key: Tuple[str, int], node, stages: Sequence[Tuple[Optional[str], Stage]]
+    ) -> Generator[Event, Any, None]:
+        """Run one recovery's stages in order, one row at a time.
+
+        A stage that waits is a generator; whatever a stage returns is
+        the args of its row's span (a row without a span name emits
+        none — its stage records its own sub-spans, or takes no time).
+        """
+        try:
+            record = RecoveryRecord(
+                node_id=node.node_id, kind=key[0], detected_at=self.sim.now
+            )
+            self.records.append(record)
+            for span, stage in stages:
+                started = self.sim.now
+                args = stage(node, record)
+                if isinstance(args, GeneratorType):
+                    args = yield from args
+                record.stages.append(
+                    (span or stage.__name__.lstrip("_"), started, self.sim.now)
+                )
+                if span is not None:
+                    self.obs.tracer.span(
+                        "recovery", span, started, self.sim.now,
+                        pid=node.node_id, args=args,
+                    )
+            record.finished_at = self.sim.now
+        finally:
+            # Runs on normal completion AND when this recovery process
+            # is itself killed mid-flight (GeneratorExit): the claim
+            # must be released either way, or the node becomes
+            # unrecoverable forever — no re-detection can start (the
+            # key is still "in progress") and restart_compute defers
+            # in a loop waiting for it to clear. Re-running recovery
+            # from scratch is safe because every step is idempotent
+            # (§3.2.3).
+            self._in_progress.discard(key)
+            self._processes.pop(key, None)
 
     def recovering(
         self, kind: Optional[str] = None, node_id: Optional[int] = None
@@ -146,6 +239,13 @@ class RecoveryManager:
             for claim in self._in_progress
             if kind in (None, claim[0]) and node_id in (None, claim[1])
         )
+
+    def recovered(self, kind: str, node_id: int) -> bool:
+        """Whether the latest recovery of (kind, node) ran to the end."""
+        for record in reversed(self.records):
+            if record.kind == kind and record.node_id == node_id:
+                return record.finished_at > 0
+        return False
 
     def kill_recovery(self, kind: str, node_id: int) -> bool:
         """Crash-stop an in-flight recovery (the RC itself failing).
@@ -180,72 +280,31 @@ class RecoveryManager:
                     self.sim.now + delay, lambda n=node: getattr(n, method)(*args)
                 )
 
-    def _recover_compute(self, node) -> Generator[Event, Any, None]:
-        key = ("compute", node.node_id)
-        try:
-            yield from self._recover_compute_inner(node)
-        finally:
-            # Runs on normal completion AND when this recovery process
-            # is itself killed mid-flight (GeneratorExit): the claim
-            # must be released either way, or the node becomes
-            # unrecoverable forever — no re-detection can start (the
-            # key is still "in progress") and restart_compute defers
-            # in a loop waiting for it to clear. Re-running recovery
-            # from scratch is safe because every step is idempotent
-            # (§3.2.3).
-            self._in_progress.discard(key)
-            self._processes.pop(key, None)
+    def _fence(self, node, record: RecoveryRecord) -> Generator[Event, Any, dict]:
+        """Step 2: active-link termination at every live memory server.
 
-    def _recover_compute_inner(self, node) -> Generator[Event, Any, None]:
-        record = RecoveryRecord(
-            node_id=node.node_id, kind="compute", detected_at=self.sim.now
-        )
-        self.records.append(record)
-        coord_ids = node.coordinator_ids()
-        record.coordinators = len(coord_ids)
-        tracer = self.obs.tracer
+        Posted in parallel, awaited one by one: a memory server that
+        crashes between posting and its ack fails only its own fence
+        (a dead server cannot serve the fenced node's verbs anyway) —
+        an all_of here would abort the whole recovery instead.
+        """
+        record.coordinators = len(node.coordinator_ids())
         self.obs.metrics.inc("recovery.compute_recoveries")
-
-        # Step 2: active-link termination at every live memory server.
-        # Posted in parallel, awaited one by one: a memory server that
-        # crashes between posting and its ack fails only its own fence
-        # (a dead server cannot serve the fenced node's verbs anyway)
-        # — an all_of here would abort the whole recovery instead.
         fence_events = [
             self.verbs.revoke_link(mem_id, node.node_id)
             for mem_id in self.alive_memory_ids()
         ]
         yield from self._settle(fence_events)
-        record.fenced_at = self.sim.now
-        tracer.span(
-            "recovery",
-            "link-revoke",
-            record.detected_at,
-            record.fenced_at,
-            pid=node.node_id,
-            args={"memory_nodes": len(fence_events)},
-        )
+        return {"memory_nodes": len(fence_events)}
 
-        # Step 3: log recovery (or its logless / anonymous analogues).
-        yield from self._repair_strays(coord_ids, record, pid=node.node_id)
-        record.log_recovered_at = self.sim.now
-
-        # Step 4: stray-lock notification, strictly after truncation
-        # (Cor4) — only NotLogged-Stray-Tx locks remain stealable.
+    def _notify(self, node, record: RecoveryRecord) -> dict:
+        """Step 4: stray-lock notification, strictly after truncation
+        (Cor4) — only NotLogged-Stray-Tx locks remain stealable."""
+        coord_ids = node.coordinator_ids()
         for coord_id in coord_ids:
             self.id_allocator.mark_failed(coord_id)
         self._tell_compute_nodes(
             "add_failed_ids", tuple(coord_ids), excluding=node.node_id
-        )
-        record.notified_at = self.sim.now
-        record.finished_at = self.sim.now
-        tracer.span(
-            "recovery",
-            "stray-lock-notify",
-            record.log_recovered_at,
-            record.notified_at,
-            pid=node.node_id,
-            args={"failed_ids": len(coord_ids)},
         )
         metrics = self.obs.metrics
         metrics.inc("recovery.rolled_forward", record.rolled_forward)
@@ -254,7 +313,7 @@ class RecoveryManager:
         metrics.observe(
             "recovery.log_recovery_latency", record.log_recovery_latency
         )
-        metrics.observe("recovery.total_latency", record.total_latency)
+        metrics.observe("recovery.total_latency", self.sim.now - record.detected_at)
 
         # Only a recovery that ran to completion schedules the restart:
         # a node whose recovery died mid-flight must stay down until a
@@ -265,13 +324,14 @@ class RecoveryManager:
                 self.sim.now + self.restart_after,
                 lambda n=node: self.restart_hook(n),
             )
+        return {"failed_ids": len(coord_ids)}
 
     # -- step 3: find, decide, undo, release, truncate ---------------------------
 
     def _repair_strays(
-        self, coord_ids: List[int], record: RecoveryRecord, pid: int
+        self, node, record: RecoveryRecord
     ) -> Generator[Event, Any, None]:
-        """One pipeline for every protocol, composed from its axes.
+        """Step 3, one pipeline for every protocol, composed from its axes.
 
         The commit axis *finds* the interrupted transactions (from the
         places the log axis says a dead coordinator's records live, or
@@ -285,6 +345,8 @@ class RecoveryManager:
         CAS releases, version-guarded restores), so a killed recovery
         can re-run from scratch.
         """
+        coord_ids = node.coordinator_ids()
+        pid = node.node_id
         protocol = self.protocol
         tracer = self.obs.tracer
         quiesce = protocol.needs_quiesce_scan
@@ -592,45 +654,34 @@ class RecoveryManager:
         )
         self._tell_compute_nodes("resume", excluding=pid)
 
+    # -- memory-failure reconfiguration (§3.2.5) ---------------------------------
+
+    def _begin_reconfig(self, node, record: RecoveryRecord) -> None:
+        """Tell every compute server; each pauses, interrupts in-flight
+        transactions (they self-decide commit/abort against the live
+        replica set), and recomputes primaries deterministically."""
+        self.placement.mark_down(node.node_id)
+        self._tell_compute_nodes("begin_memory_reconfig")
+
+    def _reconfig_window(self, node, record: RecoveryRecord) -> Generator[Event, Any, None]:
+        """Metadata agreement + drain window before resuming."""
+        yield self.sim.timeout(RECONFIG_DELAY)
+
+    def _end_reconfig(self, node, record: RecoveryRecord) -> None:
+        self._tell_compute_nodes("end_memory_reconfig")
+        self.obs.metrics.inc("recovery.memory_reconfigs")
+
     # -- memory re-replication (§3.2.5, ">f failures" path) -----------------------
 
-    def restore_memory_node(self, node) -> Optional[Event]:
-        """Bring a memory server back and re-replicate its partitions.
-
-        §3.2.5: "Pandora adds new memory servers if there are more
-        than f replica failures. For this, we stop the DKVS,
-        re-replicate all the partitions, and then resume." The copy is
-        charged at network bandwidth; compute servers are paused for
-        its duration (this path is deliberately stop-the-world).
-        """
-        if node.alive:
-            return None
-        process = self.sim.process(
-            self._restore_memory(node), name=f"rereplicate-m{node.node_id}"
-        )
-        self._processes[("memory-restore", node.node_id)] = process
-        return process
-
-    def _restore_memory(self, node) -> Generator[Event, Any, None]:
-        try:
-            yield from self._restore_memory_inner(node)
-        finally:
-            # Allow this node to be detected/restored again even if the
-            # re-replication itself was killed mid-flight.
-            self._in_progress.discard(("memory", node.node_id))
-            self._processes.pop(("memory-restore", node.node_id), None)
-
-    def _restore_memory_inner(self, node) -> Generator[Event, Any, None]:
-        record = RecoveryRecord(
-            node_id=node.node_id, kind="memory-restore", detected_at=self.sim.now
-        )
-        self.records.append(record)
+    def _drain(self, node, record: RecoveryRecord) -> Generator[Event, Any, None]:
+        """Stop the world: pause every compute server and drain."""
         self._tell_compute_nodes("pause")
         yield self.sim.timeout(self.drain_delay)
-        record.fenced_at = self.sim.now
 
-        # Copy every partition replica this node hosts from a live
-        # copy, charging the transfer at link bandwidth.
+    def _rereplicate(self, node, record: RecoveryRecord) -> Generator[Event, Any, dict]:
+        """Restart the node, catch its log regions up, and copy every
+        partition replica it hosts from a live copy, charging the
+        transfer at link bandwidth."""
         node.restart()
 
         # Catch-up truncation: invalidations and truncations issued
@@ -683,55 +734,8 @@ class RecoveryManager:
                 copied_bytes += source.slot_bytes
         yield self.sim.timeout(self.network.transfer_time(copied_bytes))
         record.scanned_slots = copied_bytes  # reuse field: bytes moved
-        record.log_recovered_at = self.sim.now
+        return {"bytes_copied": copied_bytes}
 
+    def _resume(self, node, record: RecoveryRecord) -> None:
         self.placement.mark_up(node.node_id)
         self._tell_compute_nodes("resume")
-        record.notified_at = self.sim.now
-        record.finished_at = self.sim.now
-        self.obs.tracer.span(
-            "recovery",
-            "re-replicate",
-            record.detected_at,
-            record.finished_at,
-            pid=node.node_id,
-            args={"bytes_copied": copied_bytes},
-        )
-
-    # -- memory-failure recovery (§3.2.5) -------------------------------------------------
-
-    def _recover_memory(self, node) -> Generator[Event, Any, None]:
-        try:
-            yield from self._recover_memory_inner(node)
-        finally:
-            self._in_progress.discard(("memory", node.node_id))
-            self._processes.pop(("memory", node.node_id), None)
-
-    def _recover_memory_inner(self, node) -> Generator[Event, Any, None]:
-        record = RecoveryRecord(
-            node_id=node.node_id, kind="memory", detected_at=self.sim.now
-        )
-        self.records.append(record)
-
-        # Tell every compute server; each pauses, interrupts in-flight
-        # transactions (they self-decide commit/abort against the live
-        # replica set), and recomputes primaries deterministically.
-        self.placement.mark_down(node.node_id)
-        self._tell_compute_nodes("begin_memory_reconfig")
-        record.fenced_at = self.sim.now
-
-        # Metadata agreement + drain window before resuming.
-        yield self.sim.timeout(RECONFIG_DELAY)
-        record.log_recovered_at = self.sim.now
-
-        self._tell_compute_nodes("end_memory_reconfig")
-        record.notified_at = self.sim.now
-        record.finished_at = self.sim.now
-        self.obs.tracer.span(
-            "recovery",
-            "memory-reconfig",
-            record.detected_at,
-            record.finished_at,
-            pid=node.node_id,
-        )
-        self.obs.metrics.inc("recovery.memory_reconfigs")

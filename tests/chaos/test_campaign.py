@@ -90,10 +90,6 @@ class TestCampaign:
         assert result.redetections >= 1
         assert f"redetects={result.redetections}" in result.summary()
 
-    def test_redetect_interval_zero_disables_redetection(self):
-        result = run_schedule(generate_schedule(1), fd_redetect_interval=0.0)
-        assert result.redetections == 0
-
 
 class TestOraclePositiveControl:
     def test_published_ford_bugs_are_caught(self):

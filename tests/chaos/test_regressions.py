@@ -52,9 +52,10 @@ The bugs, by artifact:
   aborted the whole recovery, leaving the node unrecovered and its
   stray locks unstealable (CHAOS-QUIESCE + CHAOS-LOCK). Fix: await
   per event, tolerating RdmaError — a dead server cannot serve the
-  fenced node's verbs anyway. The artifact sets ``fd_redetect``
-  to false: FD re-detection restarts the aborted recovery and heals
-  the cluster, masking the bug it pins.
+  fenced node's verbs anyway. FD re-detection would restart the
+  aborted recovery and heal the cluster, masking the bug — so every
+  replay also asserts that no re-declaration happened without a
+  recovery kill to explain it.
 
 * ``interrupt-double-release-lotus.json``,
   ``interrupt-double-release-vote1pc-logserver.json`` and
@@ -95,6 +96,13 @@ class TestRegressionSchedules:
         assert result.ok, (
             f"{path.stem} regressed: "
             + "; ".join(f"[{v.code}] {v.detail}" for v in result.violations)
+        )
+        # Only a killed recovery leaves a node for the FD to re-declare:
+        # a re-detection without one means a recovery died on its own
+        # and re-detection healed it (per-event-fence-await's bug).
+        assert result.redetections == 0 or result.recovery_kills, (
+            f"{path.stem}: {result.redetections} re-detection(s) with no "
+            "recovery kill"
         )
 
     @pytest.mark.parametrize("path", SCHEDULES, ids=lambda p: p.stem)

@@ -74,7 +74,7 @@ class TestLoadValidation:
     @staticmethod
     def _data(**changes):
         fault = {"kind": "crash_compute", "node": 1, "at": 2e-3}
-        return {"version": 1, "seed": 3, "family": "cascade", "faults": [fault], **changes}
+        return {"version": 2, "seed": 3, "family": "cascade", "faults": [fault], **changes}
 
     @pytest.mark.parametrize(
         "changes, names",

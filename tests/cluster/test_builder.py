@@ -32,7 +32,6 @@ class TestConfigValidation:
         [
             "fd_heartbeat_interval",
             "fd_check_interval",
-            "fd_redetect_interval",
             "throughput_window",
         ],
     )

@@ -51,9 +51,9 @@ class TestRecorderUnit:
     def test_first_close_wins(self):
         recorder = FlightRecorder()
         record = recorder.begin("pandora", 2, 7, 42, 1, 0.001)
-        recorder.close(record, "commit:interrupted", 0.002, writes=3)
-        recorder.close(record, "interrupted", 0.005, writes=0)
-        assert record.outcome == "commit:interrupted"
+        recorder.close(record, "commit", 0.002, writes=3)
+        recorder.close(record, "abort:memory_reconfiguration", 0.005, writes=0)
+        assert record.outcome == "commit"
         assert record.end == 0.002
         assert record.writes == 3
 

@@ -8,6 +8,7 @@ records must decompose the latencies the harness reports.
 
 import pytest
 
+from repro import Cluster, ClusterConfig
 from repro.bench.harness import run_failover, run_steady_state
 from repro.obs import TXN_PHASES, Obs
 from repro.workloads import SmallBank
@@ -107,7 +108,25 @@ class TestRecoveryDecomposition:
         )
         return obs, result
 
-    def test_recovery_spans_tile_total_latency(self, traced_failover):
+    @pytest.fixture(scope="class")
+    def traced_memory_restore(self):
+        """A memory crash (reconfiguration) and, later, its restore."""
+        obs = Obs(trace=True)
+        cluster = Cluster(
+            ClusterConfig(memory_nodes=3, coordinators_per_node=4, seed=11),
+            _smallbank(),
+            obs=obs,
+        )
+        cluster.start()
+        cluster.crash_memory(0, at=10e-3)
+        cluster.run(until=25e-3)
+        cluster.restore_memory(0)
+        cluster.run(until=35e-3)
+        return obs, cluster.recovery.records
+
+    def test_recovery_spans_tile_total_latency(
+        self, traced_failover, traced_memory_restore
+    ):
         obs, result = traced_failover
         record = result.recovery_records[0]
         spans = obs.tracer.spans("recovery")
@@ -119,6 +138,29 @@ class TestRecoveryDecomposition:
         inner = [span for span in spans if span[2] != "heartbeat-miss"]
         total = sum(span[4] for span in inner)
         assert total == pytest.approx(record.total_latency, rel=1e-6)
+
+        # Every kind runs three stages, one row each; for memory
+        # recoveries too the spans of a record's window tile it.
+        memory_obs, memory_records = traced_memory_restore
+        assert [r.kind for r in memory_records] == ["memory", "memory-restore"]
+        stages = {
+            "compute": ["link-revoke", "repair_strays", "stray-lock-notify"],
+            "memory": ["begin_reconfig", "memory-reconfig", "end_reconfig"],
+            "memory-restore": ["drain", "re-replicate", "resume"],
+        }
+        memory_spans = memory_obs.tracer.spans("recovery")
+        for record in [record, *memory_records]:
+            assert [stage[0] for stage in record.stages] == stages[record.kind]
+            assert record.stages[-1][2] == record.finished_at > record.detected_at
+            if record.kind == "compute":
+                continue
+            window = [
+                span for span in memory_spans
+                if span[5] == record.node_id and span[2] != "heartbeat-miss"
+                and record.detected_at <= span[3] < record.finished_at
+            ]
+            total = sum(span[4] for span in window)
+            assert total == pytest.approx(record.total_latency, rel=1e-6)
 
     def test_heartbeat_miss_ends_at_detection(self, traced_failover):
         obs, result = traced_failover

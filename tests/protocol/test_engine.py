@@ -503,12 +503,14 @@ ENDINGS = {
 
 
 class TestAttemptEndings:
-    """The commit tail, ``_abort`` and both branches of
-    ``recover_interrupted`` share one unlock loop, and each attempt ends
-    in exactly one of them: one booking, one ``write_lock 0`` per held
-    lock, one ``release_intent`` per intent — held or not. The
-    ``reconfig-*`` endings interrupt through ``begin_memory_reconfig``,
-    the way a memory failure reaches an attempt (§3.2.5)."""
+    """The commit tail, ``_abort`` and ``recover_interrupted`` share one
+    unlock loop, and each attempt ends in exactly one of them: one
+    booking, one ``write_lock 0`` per held lock, one ``release_intent``
+    per intent — held or not. The ``reconfig-*`` endings interrupt
+    through ``begin_memory_reconfig``, the way a memory failure reaches
+    an attempt (§3.2.5); ``interrupted-after-apply`` reconfigures once
+    every replica is updated — the attempt is decided by then, so the
+    interrupt is not delivered and it commits."""
 
     @pytest.mark.parametrize("protocol", ["pandora", "tradlog", "lotus", "vote1pc"])
     @pytest.mark.parametrize("ending", list(ENDINGS))
@@ -541,17 +543,25 @@ class TestAttemptEndings:
             tx.write("kv", HELD, 1)
             if ending == "abort":
                 tx.write("kv", LOST, 2)
-            if ending.startswith(("interrupted", "reconfig")):
+            if ending.startswith(("interrupted-before", "reconfig")):
                 yield sim.timeout(1.0)  # parked, holding its lock
 
         process = rig.submit(coordinator, body)
-        if ending.startswith("interrupted"):
+        engine = coordinator.engine
+        if ending == "interrupted-before-apply":
             # The attempt is resolved by hand from what it knew.
             sim.run(until=sim.now + 100e-6)
-            tx = coordinator.engine.current_tx
+            tx = engine.current_tx
             process.kill()
-            tx.apply_done = ending == "interrupted-after-apply"
-            process = sim.process(coordinator.engine.recover_interrupted(tx))
+            process = sim.process(engine.recover_interrupted(tx))
+        elif ending == "interrupted-after-apply":
+            while engine.current_tx is None:
+                sim.step()  # ... until the attempt starts
+            tx = engine.current_tx
+            while engine.current_tx is not None:
+                sim.step()  # ... until every replica is updated
+            assert all(intent.applied for intent in tx.write_set.values())
+            _reconfigure(coordinator.node)
         elif ending == "reconfig-in-user-abort":
             while not coordinator.stats.attempts:
                 sim.step()  # ... until _abort waits on the lock CAS
@@ -604,7 +614,7 @@ class TestAttemptEndings:
         process = rig.submit(coordinator, write_txn(HELD, 1))
         while engine.current_tx is None or not engine.current_tx.write_set[0, slot].applied:
             rig.sim.step()
-        assert not engine.current_tx.apply_done  # the writes are in flight
+        assert engine.current_tx is not None  # the writes are in flight
         _reconfigure(coordinator.node)
         rig.sim.run()
 
