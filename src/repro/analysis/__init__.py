@@ -1,6 +1,6 @@
 """repro.analysis — static and dynamic correctness tooling.
 
-Three guardrails for the simulator (see ``docs/ANALYSIS.md``, which
+Two guardrails for the simulator (see ``docs/ANALYSIS.md``, which
 lists what each rule has caught):
 
 * :mod:`repro.analysis.simlint` — an AST-based determinism linter
@@ -9,16 +9,13 @@ lists what each rule has caught):
   iteration, no shared mutable defaults, no ambient entropy,
   instrumentation only through the ``Obs`` facade. Run with
   ``python -m repro.analysis lint``.
-* :mod:`repro.analysis.protolint` — a CFG/dataflow analyzer proving the
-  engines' acquire/drain/release discipline on every path
-  (PROTO001-006, PROTO008): ``python -m repro.analysis protolint``.
 * :mod:`repro.analysis.sanitizer` — an opt-in online sanitizer that
   shadows the lock table at the verb layer and asserts PILL's lock/log
   discipline (§3.1-§3.2 of the paper) on every simulated verb.
 
 The mutation harness in :mod:`repro.analysis.mutants` proves the
-sanitizer and protolint catch deliberately broken engines:
-``python -m repro.analysis mutants``.
+sanitizer, and the tier-1 tests named as each static mutant's judge,
+catch deliberately broken engines: ``python -m repro.analysis mutants``.
 
 This ``__init__`` intentionally imports nothing from the rest of
 ``repro``: core modules (``repro.memory.node``, ``repro.rdma.qp``)

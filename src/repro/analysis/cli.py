@@ -3,13 +3,13 @@
 Subcommands::
 
     python -m repro.analysis lint [paths...] [--format json]
-    python -m repro.analysis protolint [paths...] [--format json]
     python -m repro.analysis mutants [--only name ...] [--skip-static]
 
-``lint``/``protolint`` exit nonzero if any finding survives its
-``# simlint: disable`` / ``# protolint: disable`` comments; ``mutants``
-exits nonzero unless every seeded protocol mutation is detected and
-every control run is clean. All are wired into CI (see docs/ANALYSIS.md).
+``lint`` exits nonzero if any finding survives its ``# simlint:
+disable`` comment; ``mutants`` exits nonzero unless every seeded
+protocol mutation is detected and every control run is clean (2 if the
+static mutants' judges cannot run here). Both are wired into CI (see
+docs/ANALYSIS.md).
 """
 
 from __future__ import annotations
@@ -45,18 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (json is machine-readable)",
     )
 
-    protolint = sub.add_parser(
-        "protolint", help="run the protocol-discipline CFG analyzer"
-    )
-    protolint.add_argument(
-        "paths", nargs="*", default=None,
-        help="engine files to analyze (default: protocol/ + recovery/)",
-    )
-    protolint.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="format_",
-        help="report format (json is machine-readable)",
-    )
-
     mutants = sub.add_parser(
         "mutants", help="run the sanitizer mutation-testing harness"
     )
@@ -66,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mutants.add_argument(
         "--skip-static", action="store_true",
-        help="skip the protolint overlay mutants (dynamic rigs only)",
+        help="skip the static mutants and their test judges (dynamic rigs only)",
     )
     return parser
 
@@ -82,28 +70,22 @@ def _cmd_lint(args) -> int:
     return 1 if findings else 0
 
 
-def _cmd_protolint(args) -> int:
-    from repro.analysis.protolint import render_json, render_text, run_protolint
-
-    findings = run_protolint(paths=args.paths or None)
-    if args.format_ == "json":
-        print(render_json(findings))
-    else:
-        print(render_text(findings))
-    return 1 if findings else 0
-
-
 def _cmd_mutants(args) -> int:
     from repro.analysis.mutants import (
+        JudgeError,
         render_results,
         run_mutation_harness,
         run_static_mutants,
     )
 
     results = run_mutation_harness(only=args.only)
-    static_results = (
-        None if args.skip_static else run_static_mutants(only=args.only)
-    )
+    try:
+        static_results = (
+            None if args.skip_static else run_static_mutants(only=args.only)
+        )
+    except JudgeError as error:
+        print(f"repro-analysis mutants: {error}", file=sys.stderr)
+        return 2
     print(render_results(results, static_results))
     if not results and not static_results:
         print("no mutants matched", file=sys.stderr)
@@ -118,7 +100,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "lint": _cmd_lint,
-        "protolint": _cmd_protolint,
         "mutants": _cmd_mutants,
     }
     return handlers[args.command](args)

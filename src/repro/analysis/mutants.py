@@ -13,13 +13,14 @@ scenario* under the unmutated declaration reports nothing — so a
 detection is evidence of the mutation, not of a trigger-happy checker.
 
 **Static mutants** — source-level edits of the shipped engine files
-(drop a drain loop, delete a crash point, strip a ``finally``), one
-for each of PROTO001-PROTO006, linted through
-:func:`repro.analysis.protolint.run_protolint` via its overlay API,
-without touching disk. Each must trip its targeted PROTO rule
-while the unmutated tree stays clean. The first one re-introduces the
-PR 4 abort-path lock leak and must be flagged **statically** — no
-simulation run required.
+(drop a drain loop, delete a crash point, strip a ``finally``), each
+with a *judge*: the tier-1 tests that must pass on the shipped tree
+and fail once the edit is applied. The harness copies ``src/`` to a
+temporary directory, applies the edit there and runs the judge with
+pytest in a child interpreter whose ``PYTHONPATH`` is the copy; a
+child that imported ``repro`` from anywhere else (an editable install,
+say) stops the run. The first mutant re-introduces an abort-path lock
+leak the chaos campaign once found.
 
 Run with ``python -m repro.analysis mutants``; the CLI exits nonzero
 unless every mutant is caught and every control run is clean.
@@ -27,12 +28,16 @@ unless every mutant is caught and every control run is clean.
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import shutil
+import subprocess
+import sys
+import tempfile
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis.protolint import _repo_root, run_protolint
 from repro.analysis.sanitizer import (
     LOG_WITHOUT_LOCK,
     STEAL_LIVE_OWNER,
@@ -49,6 +54,7 @@ from repro.protocol.zoo import ZOO, Protocol
 from repro.workloads.keyvalue import KeyValueTable
 
 __all__ = [
+    "JudgeError",
     "MutantResult",
     "MUTANTS",
     "STATIC_MUTANTS",
@@ -299,23 +305,23 @@ def run_mutation_harness(only: Optional[List[str]] = None) -> List[MutantResult]
 
 # -- static mutants ------------------------------------------------------------
 #
-# Source-level edits of the shipped engine files, linted through
-# protolint's overlay API. `old` must match the shipped source exactly
-# (a mismatch fails the mutant loudly — the mutation rotted), and
-# `expected_rule` must appear among the findings. The shipped tree
-# itself is the shared control and must lint clean.
+# Source-level edits of the shipped engine files, each judged by tier-1
+# tests run against a mutated copy of src/. Every `old` must match the
+# shipped source exactly (a mismatch fails the mutant loudly — the
+# mutation rotted). The shipped tree is the shared control: every
+# judge must pass on it, or a "caught" verdict proves nothing.
 
 
 @dataclass
 class StaticMutantSpec:
-    """One source-level mutation and the PROTO rule that must fire."""
+    """One source-level mutation and the tests that must catch it."""
 
     name: str
     description: str
     path: str  # repo-root-relative
-    old: str  # verbatim shipped source to replace ...
-    new: str  # ... with this mutated text
-    expected_rule: str
+    # (verbatim shipped source, mutated text) pairs, applied in order
+    edits: Tuple[Tuple[str, str], ...]
+    judge: Tuple[str, ...]  # tier-1 pytest ids, run from the repo root
 
 
 STATIC_MUTANTS: List[StaticMutantSpec] = [
@@ -326,7 +332,7 @@ STATIC_MUTANTS: List[StaticMutantSpec] = [
             "dead log server's RdmaError skips the unlocks (lock leak)"
         ),
         path="src/repro/protocol/base.py",
-        old=(
+        edits=((
             "        for ack in tx.log_acks:\n"
             "            # A log copy posted to a server that died in flight fails\n"
             "            # with RdmaError; the abort must survive that — this runs\n"
@@ -336,13 +342,14 @@ STATIC_MUTANTS: List[StaticMutantSpec] = [
             "            try:\n"
             "                yield ack\n"
             "            except RdmaError:\n"
-            "                continue\n"
-        ),
-        new=(
+            "                continue\n",
             "        if tx.log_acks:\n"
-            "            yield self.sim.all_of(tx.log_acks)\n"
+            "            yield self.sim.all_of(tx.log_acks)\n",
+        ),),
+        judge=(
+            "tests/protocol/test_engine_edge_cases.py::TestAbortSurvivesALostLogCopy"
+            "::test_a_failed_log_ack_does_not_skip_the_unlocks",
         ),
-        expected_rule="PROTO001",
     ),
     StaticMutantSpec(
         name="skip-recover-drain",
@@ -351,7 +358,7 @@ STATIC_MUTANTS: List[StaticMutantSpec] = [
             "log acks first"
         ),
         path="src/repro/protocol/base.py",
-        old=(
+        edits=((
             "        # Drain in-flight log acks (they all resolve: a copy to a dead\n"
             "        # node fails at arrival) so the release below can invalidate\n"
             "        # every copy we learn about — otherwise a valid undo record\n"
@@ -363,10 +370,10 @@ STATIC_MUTANTS: List[StaticMutantSpec] = [
             "            try:\n"
             "                yield ack\n"
             "            except RdmaError:\n"
-            "                pass\n"
-        ),
-        new="",
-        expected_rule="PROTO002",
+            "                pass\n",
+            "",
+        ),),
+        judge=("tests/chaos/test_campaign.py::TestCampaign::test_family_seed_clean[2]",),
     ),
     StaticMutantSpec(
         name="skip-undo-drain",
@@ -375,15 +382,18 @@ STATIC_MUTANTS: List[StaticMutantSpec] = [
             "writes, so a stale restore can land over a successor's update"
         ),
         path="src/repro/protocol/base.py",
-        old=(
+        edits=((
             "        for ack in undo_acks:\n"
             "            try:\n"
             "                yield ack\n"
             "            except RdmaError:\n"
-            "                pass\n"
+            "                pass\n",
+            "",
+        ),),
+        judge=(
+            "tests/protocol/test_engine.py::TestAttemptEndings"
+            "::test_an_interrupt_during_apply_rolls_back_once",
         ),
-        new="",
-        expected_rule="PROTO003",
     ),
     StaticMutantSpec(
         name="drop-crash-point",
@@ -392,31 +402,41 @@ STATIC_MUTANTS: List[StaticMutantSpec] = [
             "runner and chaos schedules still target it"
         ),
         path="src/repro/protocol/base.py",
-        old=(
+        edits=((
             '        checkpoint = self._cp("abort_unlocked")\n'
             "        if checkpoint is not None:\n"
-            "            yield checkpoint\n"
+            "            yield checkpoint\n",
+            "",
+        ),),
+        judge=(
+            "tests/faults/test_injector.py::TestCrashPoints"
+            "::test_the_declared_points_are_the_engines_crash_points",
         ),
-        new="",
-        expected_rule="PROTO004",
     ),
     StaticMutantSpec(
         name="unguarded-acquire",
         description=(
             "the strategy-layer acquire narrows its RdmaError guard to the "
-            "fencing error, so a yield between the lock CAS and the log "
-            "post can escape the lock subprocess with no in-module handler"
+            "fencing error, so a dead replica's error escapes the lock "
+            "subprocess between the lock CAS and the log post"
         ),
         path="src/repro/protocol/strategies.py",
-        old=(
-            "        except RdmaError:\n"
-            "            intent.lock_result = (False, AbortReason.LINK_REVOKED)\n"
+        edits=(
+            (
+                "from repro.rdma.errors import RdmaError\n",
+                "from repro.rdma.errors import LinkRevokedError, RdmaError\n",
+            ),
+            (
+                "        except RdmaError:\n"
+                "            intent.lock_result = (False, AbortReason.LINK_REVOKED)\n",
+                "        except LinkRevokedError:\n"
+                "            intent.lock_result = (False, AbortReason.LINK_REVOKED)\n",
+            ),
         ),
-        new=(
-            "        except LinkRevokedError:\n"
-            "            intent.lock_result = (False, AbortReason.LINK_REVOKED)\n"
+        judge=(
+            "tests/protocol/test_strategies.py::TestSharedTail"
+            "::test_a_dead_replica_is_a_link_revoked_result_not_a_raise",
         ),
-        expected_rule="PROTO005",
     ),
     StaticMutantSpec(
         name="claim-leak-no-finally",
@@ -426,7 +446,7 @@ STATIC_MUTANTS: List[StaticMutantSpec] = [
             "recovery process is killed mid-flight"
         ),
         path="src/repro/recovery/manager.py",
-        old=(
+        edits=((
             "        finally:\n"
             "            # Runs on normal completion AND when this recovery process\n"
             "            # is itself killed mid-flight (GeneratorExit): the claim\n"
@@ -437,76 +457,124 @@ STATIC_MUTANTS: List[StaticMutantSpec] = [
             "            # from scratch is safe because every step is idempotent\n"
             "            # (§3.2.3).\n"
             "            self._in_progress.discard(key)\n"
-            "            self._processes.pop(key, None)\n"
-        ),
-        new=(
+            "            self._processes.pop(key, None)\n",
             "        except RdmaError:\n"
             "            raise\n"
             "        self._in_progress.discard(key)\n"
-            "        self._processes.pop(key, None)\n"
+            "        self._processes.pop(key, None)\n",
+        ),),
+        judge=(
+            "tests/recovery/test_failure_detector.py::TestRedetection"
+            "::test_killed_recovery_heals_with_redetect",
         ),
-        expected_rule="PROTO006",
     ),
 ]
 
 
+class JudgeError(RuntimeError):
+    """The static mutants cannot be judged here; the message says why."""
+
+
 @dataclass
 class StaticMutantResult:
-    """Outcome of one static (protolint overlay) mutant."""
+    """Outcome of one static mutant under its judge."""
 
     name: str
     description: str
-    expected_rule: str
-    applied: bool  # the `old` text still matches the shipped source
+    judge: Tuple[str, ...]
+    applied: bool  # every `old` still matches the shipped source
     caught: bool
-    rules: List[str]
     control_clean: bool
-    control_rules: List[str]
 
     @property
     def passed(self) -> bool:
         return self.applied and self.caught and self.control_clean
 
 
+def _repo_root() -> str:
+    here = os.path.dirname(os.path.abspath(__file__))
+    return os.path.dirname(os.path.dirname(os.path.dirname(here)))
+
+
+# The child interpreter: pytest, then report which ``repro`` it tested.
+_JUDGE_CHILD = (
+    "import sys, pytest\n"
+    "code = pytest.main(sys.argv[1:])\n"
+    "repro = sys.modules.get('repro')\n"
+    "print('repro-imported-from:', getattr(repro, '__file__', None))\n"
+    "sys.exit(code)\n"
+)
+
+
+def _judge_passes(root: str, src: str, judge: Sequence[str]) -> bool:
+    """Run *judge* against the ``repro`` package under *src*; True if
+    every test passed. Raises :class:`JudgeError` if the child tested
+    any other ``repro``."""
+    child = subprocess.run(
+        [sys.executable, "-c", _JUDGE_CHILD, "-q", "-x", "-p", "no:cacheprovider", *judge],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    marker = "repro-imported-from: "
+    origins = [line[len(marker):] for line in child.stdout.splitlines() if line.startswith(marker)]
+    origin = origins[-1] if origins and origins[-1] != "None" else None
+    package = os.path.join(os.path.realpath(src), "repro", "")
+    if origin is None or not os.path.realpath(origin).startswith(package):
+        raise JudgeError(
+            f"the judge {' '.join(judge)} imported repro from {origin or 'nowhere'}, "
+            f"not from {package} (an installed copy shadows PYTHONPATH?)"
+        )
+    return child.returncode == 0
+
+
+def _mutate(path: str, edits: Sequence[Tuple[str, str]]) -> bool:
+    """Apply *edits* to the file at *path*; False if one no longer
+    matches (the file is then left as it was)."""
+    with open(path, encoding="utf-8") as handle:
+        source = handle.read()
+    for old, new in edits:
+        if old not in source:
+            return False
+        source = source.replace(old, new)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(source)
+    return True
+
+
 def run_static_mutants(
     only: Optional[List[str]] = None,
 ) -> List[StaticMutantResult]:
-    """Lint every static mutant via protolint's overlay API."""
+    """Judge every static mutant on a mutated copy of ``src/``."""
+    specs = [spec for spec in STATIC_MUTANTS if not only or spec.name in only]
+    if not specs:
+        return []
+    if importlib.util.find_spec("pytest") is None:
+        raise JudgeError("static mutants run their judges with pytest: pip install .[dev]")
     root = _repo_root()
-    # One shared control: the shipped tree must lint clean, or a
-    # "caught" verdict on a mutant proves nothing.
-    control_rules = [finding.rule for finding in run_protolint(root=root)]
-    control_clean = not control_rules
+    if not os.path.isdir(os.path.join(root, "tests")):
+        raise JudgeError(f"static mutants run the repo's tests: no tests/ under {root}")
+    src = os.path.join(root, "src")
+    # One shared control: every judge passes on the shipped tree.
+    judges = list(dict.fromkeys(test for spec in specs for test in spec.judge))
+    control_clean = _judge_passes(root, src, judges)
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
     results = []
-    for spec in STATIC_MUTANTS:
-        if only and spec.name not in only:
-            continue
-        abspath = os.path.join(root, spec.path)
-        try:
-            with open(abspath, "r") as handle:
-                shipped = handle.read()
-        except OSError:
-            shipped = ""
-        applied = spec.old in shipped
-        rules: List[str] = []
-        caught = False
-        if applied:
-            overlay = {abspath: shipped.replace(spec.old, spec.new)}
-            rules = [
-                finding.rule
-                for finding in run_protolint(root=root, overlay=overlay)
-            ]
-            caught = spec.expected_rule in rules
+    for spec in specs:
+        with tempfile.TemporaryDirectory(prefix="repro-mutant-") as scratch:
+            copy = os.path.join(scratch, "src")
+            shutil.copytree(src, copy, ignore=ignore)
+            applied = _mutate(os.path.join(scratch, spec.path), spec.edits)
+            caught = applied and not _judge_passes(root, copy, spec.judge)
         results.append(
             StaticMutantResult(
                 name=spec.name,
                 description=spec.description,
-                expected_rule=spec.expected_rule,
+                judge=spec.judge,
                 applied=applied,
                 caught=caught,
-                rules=rules,
                 control_clean=control_clean,
-                control_rules=control_rules,
             )
         )
     return results
@@ -532,20 +600,14 @@ def render_results(
     if static_results is not None:
         for result in static_results:
             if not result.applied:
-                lines.append(
-                    f"{result.name:28s} want={result.expected_rule:14s} "
-                    f"STALE (mutation no longer matches the shipped source)"
-                )
-                continue
-            verdict = "caught" if result.caught else "MISSED"
-            control = "clean" if result.control_clean else "NOISY"
-            lines.append(
-                f"{result.name:28s} want={result.expected_rule:14s} "
-                f"{verdict:7s} got={','.join(sorted(set(result.rules))) or '-'} "
-                f"control={control}"
-            )
+                verdict = "STALE (mutation no longer matches the shipped source)"
+            else:
+                verdict = "caught " if result.caught else "MISSED "
+                verdict += f"control={'clean' if result.control_clean else 'NOISY'}"
+            lines.append(f"{result.name:28s} {verdict}")
+            lines.extend(f"{'':28s} judge={test}" for test in result.judge)
         passed = sum(1 for result in static_results if result.passed)
         lines.append(
-            f"{passed}/{len(static_results)} static mutants flagged by protolint"
+            f"{passed}/{len(static_results)} static mutants caught by their judges"
         )
     return "\n".join(lines)

@@ -18,7 +18,7 @@ import random
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional
 
-from repro.litmus.runner import CRASH_POINTS
+from repro.faults.injector import ALL_CRASH_POINTS, CRASH_POINTS, check_crash_point
 from repro.protocol.zoo import ZOO
 
 __all__ = [
@@ -37,17 +37,6 @@ __all__ = [
 # overlapping compute failures.
 COMPUTE_NODES = 3
 MEMORY_NODES = 2
-
-# The litmus crash points plus the interrupt-resolution boundaries
-# added for chaos (§3.2.2 x §3.2.5 — crashing while resolving an
-# interrupted attempt). The litmus list itself is left unchanged so
-# existing seeded litmus runs stay bit-identical.
-RECOVERY_CRASH_POINTS = (
-    "recover_interrupted",
-    "recover_drained",
-    "recover_undo_written",
-)
-ALL_CRASH_POINTS = tuple(CRASH_POINTS) + RECOVERY_CRASH_POINTS
 
 # The five fault families of the campaign; seed % 5 selects one so any
 # contiguous seed bank of >= 5 seeds spans all of them.
@@ -176,6 +165,10 @@ class Schedule:
                     f"fault {index}: unknown kind {fault['kind']!r}; "
                     f"expected one of {', '.join(FAULT_KINDS)}"
                 )
+            try:
+                check_crash_point(fault.get("point"))
+            except ValueError as error:
+                raise ValueError(f"fault {index}: {error}") from None
             faults.append(Fault(**fault))
         schedule = cls(faults=faults, **data)
         if schedule.protocol not in ZOO:

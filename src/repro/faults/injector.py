@@ -24,7 +24,49 @@ from typing import Dict, List, Optional
 
 from repro.sim import Event, Simulator
 
-__all__ = ["CrashPlan", "FaultInjector", "DEFAULT_FAULT_SEED"]
+__all__ = [
+    "ALL_CRASH_POINTS",
+    "CRASH_POINTS",
+    "CrashPlan",
+    "DEFAULT_FAULT_SEED",
+    "check_crash_point",
+    "FaultInjector",
+    "RECOVERY_CRASH_POINTS",
+]
+
+# The engines' ``_cp("...")`` step boundaries: every name a crash plan
+# may match. The litmus runner draws from CRASH_POINTS; chaos adds the
+# interrupt-resolution boundaries (§3.2.2 x §3.2.5 — crashing while
+# resolving an interrupted attempt). The litmus list is kept apart so
+# seeded litmus runs stay bit-identical.
+CRASH_POINTS = [
+    "lock_posted",
+    "locked",
+    "execution_done",
+    "locks_held",
+    "log_posted",
+    "decision",
+    "commit_posted",
+    "applied",
+    "unlocked",
+    "abort_unlocked",
+]
+RECOVERY_CRASH_POINTS = (
+    "recover_interrupted",
+    "recover_drained",
+    "recover_undo_written",
+)
+ALL_CRASH_POINTS = tuple(CRASH_POINTS) + RECOVERY_CRASH_POINTS
+
+
+def check_crash_point(point: Optional[str]) -> None:
+    """Raise ValueError unless *point* is None (any step) or declared:
+    a misspelled point would never match, so its plan never fires."""
+    if point is not None and point not in ALL_CRASH_POINTS:
+        raise ValueError(
+            f"unknown crash point {point!r}; "
+            f"expected one of {', '.join(ALL_CRASH_POINTS)}"
+        )
 
 # Seed used when a fault component is built without an explicit RNG.
 # Kept as a named constant (and logged on use) so a run that silently
@@ -49,6 +91,9 @@ class CrashPlan:
     # Internal countdown state.
     _seen: int = field(default=0, repr=False)
     fired: bool = field(default=False, repr=False)
+
+    def __post_init__(self) -> None:
+        check_crash_point(self.point)
 
     def matches(self, point: str) -> bool:
         """True when this plan applies to the named crash point."""

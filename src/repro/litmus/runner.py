@@ -19,26 +19,12 @@ from typing import Any, Dict, List, Optional
 
 from repro.cluster.builder import Cluster
 from repro.cluster.config import ClusterConfig
-from repro.faults.injector import CrashPlan
+from repro.faults.injector import CRASH_POINTS, CrashPlan
 from repro.litmus.specs import LitmusSpec
 from repro.protocol.types import BugFlags
 from repro.workloads.keyvalue import KeyValueTable
 
 __all__ = ["LitmusReport", "LitmusRunner"]
-
-# Protocol steps at which the injector may kill the victim node.
-CRASH_POINTS = [
-    "lock_posted",
-    "locked",
-    "execution_done",
-    "locks_held",
-    "log_posted",
-    "decision",
-    "commit_posted",
-    "applied",
-    "unlocked",
-    "abort_unlocked",
-]
 
 
 @dataclass

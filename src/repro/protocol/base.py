@@ -389,7 +389,6 @@ class ProtocolEngine:
             # and the RecoveryManager's compute-failure path owns
             # releasing or repairing them (§3.2.2).
             trace.end("fenced", self.sim.now, writes=len(tx.write_set))
-            # protolint: disable=PROTO001 -- fenced: RecoveryManager owns the locks
             raise
         except (RdmaError, Interrupt):
             # A replica went down mid-attempt, or a memory
@@ -405,7 +404,7 @@ class ProtocolEngine:
             # hold eagerly-acquired locks under a *live* coordinator id
             # — unstealable by PILL — so run the abort path to release
             # them before the error escapes to the worker loop's
-            # crash-stop conversion. Found by protolint (PROTO001).
+            # crash-stop conversion. Pinned by TestAppErrorReleasesLocks.
             self.current_tx = None
             yield from self._abort(tx, AbortReason.APP_ERROR)
             trace.end(

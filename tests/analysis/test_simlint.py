@@ -133,8 +133,8 @@ class TestSuppression:
         assert lint_source(source, path="engine.py") == []
 
     def test_next_line_placement_is_not_honored(self):
-        """Unlike protolint, simlint suppressions are same-line only —
-        a marker on the preceding line does not cover the finding."""
+        """simlint suppressions are same-line only — a marker on the
+        preceding line does not cover the finding."""
         source = (
             "def f():\n"
             "    # simlint: disable=SIM007\n"
@@ -144,8 +144,7 @@ class TestSuppression:
 
     def test_unknown_rule_code_is_ignored_without_error(self):
         """simlint has no hygiene rule: an unknown code simply fails to
-        match, so the finding survives (protolint's PROTO008 is the
-        strict counterpart)."""
+        match, so the finding survives."""
         source = "def f():\n    print('x')  # simlint: disable=SIM999\n"
         assert "SIM007" in rules_of(lint_source(source, path="engine.py"))
 

@@ -89,6 +89,10 @@ class TestLoadValidation:
             ({"protocol": "pandoro"}, ["'pandoro'", "pandora"]),
             ({"version": 9}, ["version 9"]),
             ({"sead": 3}, ["schedule", "'sead'"]),
+            (
+                {"faults": [{"kind": "crash_point"}, {"kind": "crash_point", "point": "decison"}]},
+                ["fault 1", "unknown crash point 'decison'", "decision,"],
+            ),
         ],
     )
     def test_the_error_names_the_problem(self, changes, names):

@@ -81,6 +81,10 @@ class TestChaosCommand:
             ({"faults": [{"kind": "crash_compute", "att": 0.001}]}, ["fault 0", "'att'"]),
             ({"faults": [{"kind": "crash_computer"}]}, ["fault 0", "'crash_computer'"]),
             ({"protocol": "pandoro"}, ["unknown protocol 'pandoro'"]),
+            (
+                {"faults": [{"kind": "crash_point", "point": "decison"}]},
+                ["fault 0", "unknown crash point 'decison'"],
+            ),
         ],
     )
     def test_chaos_replay_of_a_bad_artifact_exits_2_in_one_line(

@@ -69,10 +69,42 @@ class TestCrashPoints:
         assert cluster.compute_nodes[0].alive
 
     def test_point_mismatch_does_not_fire(self):
+        # A declared point this run never reaches: nothing interrupts
+        # an attempt, so no attempt is resolved by recover_interrupted.
         cluster = make_cluster()
-        cluster.injector.crash_on_point(0, "no-such-point", nth=1)
+        cluster.injector.crash_on_point(0, "recover_undo_written", nth=1)
         cluster.run(until=0.010)
         assert cluster.compute_nodes[0].alive
+
+    def test_an_undeclared_point_is_rejected(self):
+        """A misspelled point would never match: refuse it up front."""
+        cluster = make_cluster()
+        with pytest.raises(ValueError, match="'decison'"):
+            cluster.injector.crash_on_point(0, "decison", nth=1)
+        assert cluster.injector.plans_by_node == {}
+
+    def test_the_declared_points_are_the_engines_crash_points(self):
+        """Every ``_cp("…")`` boundary in the engines is a declared
+        point, and every declared point is one (a deleted boundary
+        would leave litmus and chaos plans that can never fire)."""
+        import ast
+        import pathlib
+
+        import repro.protocol
+        from repro.faults.injector import ALL_CRASH_POINTS
+
+        engines = pathlib.Path(repro.protocol.__file__).parent
+        literals = {
+            node.args[0].value
+            for path in sorted(engines.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_cp"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        }
+        assert literals == set(ALL_CRASH_POINTS)
 
     def test_clear_plans(self):
         cluster = make_cluster()

@@ -19,7 +19,7 @@ sys.path.insert(0, {str(SRC)!r})
 import repro.cli, repro.chaos, repro.load, repro.litmus, repro.bench
 import repro.obs.report
 import repro.analysis.cli, repro.analysis.mutants
-import repro.analysis.protolint, repro.analysis.simlint
+import repro.analysis.simlint
 from repro.chaos import ChaosRunner, Schedule
 
 runner = ChaosRunner(Schedule(seed=1, family="none", duration=1e-3))

@@ -461,16 +461,30 @@ def _counting(name):
 
 
 def _unlocks_of(coordinator):
-    """Record every ``write_lock`` *coordinator*'s compute node posts."""
-    posted = []
+    """Record every ``write_lock`` *coordinator*'s compute node posts,
+    with how many of its object, vote and log writes were still in
+    flight at that moment."""
+    posted, writes = [], []
     verbs = coordinator.verbs
+
+    def recording(verb):
+        def post(*args, **kwargs):
+            event = verb(*args, **kwargs)
+            writes.append(event)
+            return event
+
+        return post
+
+    for name in ("write_object", "vote_write", "write_log"):
+        setattr(verbs, name, recording(getattr(verbs, name)))
     write_lock = verbs.write_lock
 
-    def recording(node, table_id, slot, word, **kwargs):
-        posted.append((table_id, slot, word))
+    def unlock(node, table_id, slot, word, **kwargs):
+        in_flight = sum(1 for event in writes if not event.triggered)
+        posted.append((table_id, slot, word, in_flight))
         return write_lock(node, table_id, slot, word, **kwargs)
 
-    verbs.write_lock = recording
+    verbs.write_lock = unlock
     return posted
 
 
@@ -577,7 +591,7 @@ class TestAttemptEndings:
         _booked_once(coordinator, reason)
         mine = {key: n for (coord_id, key), n in released.items() if coord_id == coordinator.coord_id}
         assert mine == {key: 1 for key in intents}
-        assert unlocks == [(0, rig.catalog.slot_for(0, HELD), 0)]
+        assert unlocks == [(0, rig.catalog.slot_for(0, HELD), 0, 0)]
         assert rig.slot_state(HELD).lock == 0
         assert rig.cluster.sanitizer.violations == []
         if protocol == "tradlog":
@@ -621,7 +635,7 @@ class TestAttemptEndings:
         assert process.value.reason == AbortReason.MEMORY_RECONFIG
         _booked_once(coordinator, AbortReason.MEMORY_RECONFIG)
         assert dict(released) == {(coordinator.coord_id, HELD): 1}
-        assert unlocks == [(0, slot, 0)]
+        assert unlocks == [(0, slot, 0, 0)]  # one unlock, no write in flight
         assert images() == before
         assert rig.cluster.sanitizer.violations == []
 

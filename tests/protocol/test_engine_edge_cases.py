@@ -1,7 +1,13 @@
 """Edge cases of the engine: interrupts, error paths, optimizations."""
 
+import pytest
 
 from repro.protocol.types import AbortReason
+from repro.rdma.errors import RemoteNodeDownError
+
+# One row per lock/log/commit triple of the zoo (baseline is ford's
+# triple with the Table 1 bugs fixed).
+TRIPLES = ("pandora", "ford", "tradlog", "lotus", "vote1pc")
 
 
 class TestValidationOptimization:
@@ -98,8 +104,30 @@ class TestInterruptHandling:
         assert AbortReason.APP_ERROR not in reasons
 
 
+class TestAbortSurvivesALostLogCopy:
+    @pytest.mark.parametrize("protocol", TRIPLES)
+    def test_a_failed_log_ack_does_not_skip_the_unlocks(self, rig_factory, protocol):
+        """A log copy on a server that died in flight fails with
+        RdmaError; an abort that lets it escape skips its unlocks,
+        leaving the lock held under a live coordinator id, which PILL
+        can never steal."""
+        rig = rig_factory(protocol=protocol)
+        coordinator = rig.coordinators[0]
+
+        def body(tx):
+            yield from tx.read_for_update("kv", 3)
+            tx.log_acks.append(rig.sim.event().fail(RemoteNodeDownError(1)))
+            tx.abort()
+
+        outcome = rig.run_txn(coordinator, body)
+        assert not outcome.committed
+        assert outcome.reason == AbortReason.USER
+        assert rig.slot_state(3).lock == 0
+
+
 class TestAppErrorReleasesLocks:
-    """Regression for the PROTO001 leak protolint found in run_attempt.
+    """Regression for the lock leak an application error caused in
+    run_attempt (found by a since-retired static analyser).
 
     An unmodeled exception from application logic used to escape the
     engine with the write-set's eagerly-acquired locks still set under
