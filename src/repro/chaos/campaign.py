@@ -25,7 +25,7 @@ from repro.chaos.oracle import OracleViolation, check_cluster
 from repro.chaos.schedule import COMPUTE_NODES, MEMORY_NODES, Schedule
 from repro.cluster.builder import Cluster
 from repro.cluster.config import ClusterConfig
-from repro.litmus.fuzzer import _FuzzWorkload
+from repro.workloads.keyvalue import FuzzWorkload
 
 __all__ = [
     "ChaosResult",
@@ -97,7 +97,7 @@ class ChaosRunner:
             restart_failed_after=2e-3,
             sanitize=sanitize,
         )
-        self.cluster = Cluster(config, _FuzzWorkload(schedule.keys))
+        self.cluster = Cluster(config, FuzzWorkload(schedule.keys))
         self.history: List = self.cluster.record_history()
         self._baseline_loss = config.network.loss_probability
         self._baseline_jitter = config.network.jitter

@@ -9,7 +9,6 @@ FORD bugs of Table 1 and shows Pandora passing all tests.
 """
 
 from repro.litmus.checker import SerializabilityChecker, check_history
-from repro.litmus.fuzzer import FuzzReport, HistoryFuzzer
 from repro.litmus.runner import LitmusReport, LitmusRunner
 from repro.litmus.specs import (
     LITMUS_SUITE,
@@ -24,8 +23,6 @@ from repro.litmus.specs import (
 )
 
 __all__ = [
-    "FuzzReport",
-    "HistoryFuzzer",
     "LITMUS_SUITE",
     "LitmusReport",
     "LitmusRunner",

@@ -1,6 +1,6 @@
 """repro.load — the open-loop, population-scale traffic engine.
 
-Closed-loop drivers (litmus, fuzzer, microbench) couple request
+Closed-loop drivers (litmus, chaos, microbench) couple request
 issuance to request completion: when the system slows down the driver
 slows down with it, so the saturation knee and the queueing tail are
 invisible. This package drives the protocol engines the way a real

@@ -30,7 +30,7 @@ import random
 from collections import Counter, deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.oracle import check_cluster
+from repro.chaos.oracle import OracleViolation, check_cluster
 from repro.load.arrivals import ArrivalProcess, PoissonArrivals
 from repro.load.population import Request, UserPopulation
 from repro.util.stats import Histogram
@@ -347,14 +347,28 @@ class OpenLoopEngine:
         return result
 
     def _quiesce_and_check(self) -> List[str]:
-        """Wait out in-flight work and recovery, then run the oracle."""
+        """Wait until no request is in flight and the cluster is at rest
+        (``cluster.busy()``, the chaos quiesce's fixpoint), then run the
+        oracle. A cluster still busy after ``QUIESCE_GRACE`` is itself a
+        violation (``CHAOS-QUIESCE``)."""
         cluster = self.cluster
         sim = self.sim
         deadline = sim.now + QUIESCE_GRACE
-        while sim.now < deadline:
-            if not self._busy and not cluster.recovery.recovering():
+        violations = []
+        while True:
+            busy = cluster.busy() or (
+                f"{len(self._busy)} request(s) in flight" if self._busy else ""
+            )
+            if not busy:
+                break
+            if sim.now >= deadline:
+                violations.append(OracleViolation(
+                    "CHAOS-QUIESCE",
+                    f"cluster failed to quiesce within {QUIESCE_GRACE * 1e3:.0f}ms: {busy}",
+                ))
                 break
             cluster.run(until=min(deadline, sim.now + 1e-3))
         # Margin for notification deliveries still in flight.
         cluster.run(until=sim.now + 2e-3)
-        return [str(v) for v in check_cluster(cluster, cluster.record_history())]
+        violations.extend(check_cluster(cluster, cluster.record_history()))
+        return [str(v) for v in violations]

@@ -308,13 +308,19 @@ class TestCleanProtocolRuns:
 class TestDisabledSanitizerIsInert:
     def test_runs_bit_identical_with_and_without_noop(self):
         """A build without ``sanitize=True`` must not change behaviour —
-        the hooks are no-ops, so histories match a plain run exactly."""
-        from repro.litmus.fuzzer import HistoryFuzzer
+        the hooks are no-ops, so a chaos run matches a plain one exactly."""
+        from repro.chaos import ChaosRunner
+        from repro.chaos.schedule import Fault, Schedule
 
-        plain = HistoryFuzzer(protocol="pandora", seed=9, duration=5e-3)
-        sanitized = HistoryFuzzer(
-            protocol="pandora", seed=9, duration=5e-3, sanitize=True
+        schedule = Schedule(
+            seed=9,
+            family="cascade",
+            duration=5e-3,
+            faults=[Fault(kind="crash_compute", at=2e-3, node=0)],
         )
-        plain.run()
-        sanitized.run()
+        plain = ChaosRunner(schedule)
+        sanitized = ChaosRunner(schedule, sanitize=True)
+        plain_result, sanitized_result = plain.run(), sanitized.run()
+        assert sanitized.cluster.sanitizer is not None
         assert plain.history == sanitized.history
+        assert plain_result.fingerprint == sanitized_result.fingerprint

@@ -40,14 +40,29 @@ class TestCampaign:
         result = run_schedule(generate_schedule(1))
         assert result.recovery_kills >= 1
 
+    @pytest.mark.parametrize("protocol", ["pandora", "baseline", "tradlog"])
+    def test_fault_free_schedule_clean(self, protocol):
+        """Without faults, random traffic commits and the whole oracle
+        (the serializability check included) stays quiet."""
+        result = run_schedule(
+            Schedule(seed=13, family="none", protocol=protocol, duration=10e-3)
+        )
+        assert result.ok, [v.detail for v in result.violations]
+        assert result.committed > 100
+
     def test_same_seed_same_fingerprint(self):
-        """Bit-identical replay: same schedule, same final state."""
+        """Bit-identical replay: same schedule, same history, same final
+        state; another seed draws other traffic."""
         schedule = generate_schedule(2)
-        first = run_schedule(schedule)
-        second = run_schedule(schedule)
-        assert first.fingerprint == second.fingerprint
-        assert first.committed == second.committed
-        assert first.crashes == second.crashes
+        first, second = ChaosRunner(schedule), ChaosRunner(schedule)
+        first_result, second_result = first.run(), second.run()
+        assert first_result.fingerprint == second_result.fingerprint
+        assert first_result.committed == second_result.committed
+        assert first_result.crashes == second_result.crashes
+        assert first.history == second.history
+        other = ChaosRunner(replace(schedule, seed=schedule.seed + 5))
+        other.run()
+        assert other.history != first.history
 
     def test_commits_happen_under_chaos(self):
         """The workload makes real progress despite the fault load."""

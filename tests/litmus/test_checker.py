@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.builder import Cluster
+from repro.cluster.config import ClusterConfig
 from repro.litmus.checker import SerializabilityChecker, check_history
+from repro.protocol.types import BugFlags
+from repro.workloads.keyvalue import FuzzWorkload
 
 
 def entry(txn_id, reads=None, rmw=None, writes=None, time=0.0):
@@ -229,3 +233,30 @@ class TestCheckerOnLiveHistory:
         # only a fraction commits — enough for a meaningful check.
         assert len(history) >= 5
         assert check_history(history)
+
+    @staticmethod
+    def _fuzz_history(bugs):
+        """12 ms of random traffic on 8 hot keys, 3 x 3 coordinators."""
+        cluster = Cluster(
+            ClusterConfig(
+                protocol="pandora",
+                bugs=bugs,
+                compute_nodes=3,
+                coordinators_per_node=3,
+                seed=6,
+            ),
+            FuzzWorkload(8),
+        )
+        history = cluster.record_history()
+        cluster.start()
+        cluster.run(until=12e-3)
+        return history
+
+    def test_covert_locks_history_has_a_cycle(self):
+        """Cross-validation: the history checker independently catches
+        the covert-locks bug that litmus-2 exposes, and the same run
+        without the bug has no cycle."""
+        buggy = SerializabilityChecker(self._fuzz_history(BugFlags(covert_locks=True)))
+        assert not buggy.is_serializable()
+        assert buggy.find_cycle()
+        assert check_history(self._fuzz_history(None))

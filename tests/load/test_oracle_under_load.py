@@ -29,6 +29,14 @@ class _ClusterProbe(WorkloadInvariant):
         self.cluster = cluster
 
 
+class _RestProbe(WorkloadInvariant):
+    """A monitor that records why the cluster is busy when it is judged."""
+
+    def check_final(self, cluster, strict=True):
+        self.busy = cluster.busy()
+        return []
+
+
 def _crash_point(protocol, *extra_monitors):
     return run_load_point(
         protocol,
@@ -64,6 +72,25 @@ class TestOracleUnderLoad:
         restarted = cluster.compute_nodes[0].coordinators
         assert sum(coordinator.stats.commits for coordinator in restarted) > 0
         assert len(cluster.record_history()) == cluster.aggregate_stats().commits
+
+    def test_oracle_waits_for_a_late_crash_to_be_recovered(self):
+        """A crash 0.2 ms before the horizon is detected only after the
+        drain: the oracle must wait until the cluster is at rest, not
+        judge while the dead node's ids are unfailed and its locks held."""
+        probe = _RestProbe()
+        result = run_load_point(
+            "pandora",
+            lambda: SmallBank(accounts=2_000, hot_accounts=500, conserving_only=True),
+            400_000.0,
+            duration=10e-3,
+            users=64,
+            check_oracle=True,
+            crash_compute=[(0, 11.8e-3)],
+            seed=42,
+            monitor_factory=lambda workload: [ConservationMonitor(workload), probe],
+        )
+        assert probe.busy == ""
+        assert result.violations == []
 
     def test_conservation_monitor_holds_without_faults(self):
         result = run_load_point(
