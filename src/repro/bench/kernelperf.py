@@ -15,10 +15,9 @@ dispatch-loop signal on large key spaces). The *best* of ``repeats``
 wall times is reported: wall-clock minima are the standard way to
 suppress scheduler/GC noise on shared runners, and kernel-speed
 regressions move the minimum just as surely as the mean. Step counts
-are purely virtual and must be identical run-to-run — a changed
-``steps`` against the committed baseline means simulated *behaviour*
-changed, which is a different bug than slowness and is reported
-separately.
+are purely virtual and must be identical run-to-run; the committed
+baseline's ``steps`` column is pinned exactly by the golden
+(``tests/integration/golden``); the events/sec gate reads wall time only.
 
 Wall-clock reads live outside the simulation (SIM001-exempt): nothing
 here feeds a measurement back into simulated behaviour.

@@ -5,9 +5,9 @@ so the regenerated rows/series survive pytest's output capture; the
 same text is printed for ``-s`` runs. EXPERIMENTS.md indexes the
 reports against the paper's tables and figures.
 
-``BENCH_*.json`` snapshots are *rows x metrics*: :data:`SNAPSHOT_KINDS`
-says, per ``schema`` string, how a payload flattens into labelled rows
-and how each metric is gated; :func:`gate` and :func:`delta` are the
+Snapshots are *rows x metrics*: :data:`SNAPSHOT_KINDS` says, per
+``schema`` string, how a payload flattens into labelled rows and which
+metric is a wall-time floor; :func:`gate` and :func:`delta` are the
 only readers (see docs/OBSERVABILITY.md § Snapshots).
 """
 
@@ -25,9 +25,11 @@ __all__ = [
     "write_report",
     "results_dir",
     "write_bench_snapshot",
+    "snapshot_text",
     "bench_snapshot_payload",
     "DEFAULT_TOLERANCE",
     "SNAPSHOT_KINDS",
+    "read_snapshot",
     "gate",
     "delta",
 ]
@@ -147,35 +149,39 @@ def bench_snapshot_payload(result, obs=None) -> Dict[str, Any]:
     return payload
 
 
+def snapshot_text(payload: Dict[str, Any]) -> str:
+    """A snapshot's bytes: sorted keys so every interpreter agrees."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_bench_snapshot(name: str, payload: Dict[str, Any]) -> str:
     """Write ``BENCH_<name>.json`` under benchmarks/results/; returns path."""
     path = os.path.join(results_dir(), f"BENCH_{name}.json")
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(snapshot_text(payload))
     print(f"[snapshot written to {path}]")
     return path
 
 
 # -- snapshots: kinds, gate, delta --------------------------------------------
 
-#: Fractional drift the gate allows when neither the caller nor the
-#: baseline's own ``tolerance`` field says otherwise. ±25% absorbs runner
-#: noise on the wall-clock rows; a real regression — an accidental O(n)
-#: scan in the dispatch loop, say — moves a number far more than that.
+#: Fractional drift the kernel floor allows when neither the caller nor
+#: the baseline's own ``tolerance`` field says otherwise. ±25% absorbs
+#: runner noise on the wall-clock rows; a real regression — an
+#: accidental O(n) scan in the dispatch loop, say — moves a number far
+#: more than that.
 DEFAULT_TOLERANCE = 0.25
 
 
 class Metric(NamedTuple):
-    """One column of a snapshot row: where it lives, how it reads, how
-    it is gated — ``floor`` / ``ceiling`` at the tolerance (a ceiling
-    plus an absolute *grace*), ``exact``, or ``None`` for display only."""
+    """One column of a snapshot row: where it lives, how it reads, and
+    whether it is a wall-time ``floor`` the gate holds at the tolerance
+    (every other column is display only)."""
 
     key: str
     label: str
-    gate: Optional[str] = None
+    floor: bool = False
     fmt: str = ",.1f"
-    grace: float = 0.0
 
 
 Row = Tuple[str, str, Dict[str, Any]]  # (group, row label, metric values)
@@ -197,44 +203,36 @@ def _steady_rows(payload: Dict[str, Any]) -> Iterator[Row]:
 
 
 _POINT = (
-    Metric("achieved_tps", "achieved", "floor", ",.0f"),
+    Metric("achieved_tps", "achieved", fmt=",.0f"),
     Metric("co_p50_us", "co p50 (us)"),
-    Metric("co_p99_us", "co p99 (us)", "ceiling"),
-    Metric("abort_rate", "abort rate", None, ".4f"),
-    Metric("commits", "commits", "exact"),
+    Metric("co_p99_us", "co p99 (us)"),
+    Metric("abort_rate", "abort rate", fmt=".4f"),
+    Metric("commits", "commits"),
 )
 
-#: ``schema`` string -> (payload -> rows, the metrics of one row). Counts
-#: that are pure virtual time under a fixed seed (``steps``, ``commits``)
-#: are ``exact``: a drift there means simulated behaviour changed, which
-#: needs a deliberate re-baseline, whatever the tolerance says.
+#: ``schema`` string -> (payload -> rows, the metrics of one row). Only
+#: wall time has a floor. The virtual-time kinds are seeded and exact:
+#: their committed numbers are pinned by the golden
+#: (``tests/integration/golden``), never held within a tolerance.
 SNAPSHOT_KINDS = {
     "kernel-perf/1": (
         _fleet_rows,
         (
-            Metric("events_per_sec", "events/sec", "floor", ",.0f"),
+            Metric("events_per_sec", "events/sec", floor=True, fmt=",.0f"),
             Metric("wall_us_per_event", "us/event"),
-            Metric("steps", "steps", "exact"),
+            Metric("steps", "steps"),
         ),
     ),
     "load/1": (_curve_rows, _POINT),
-    # Abort rate gates here, with two points of absolute grace so that
-    # near-zero baselines do not fail on noise-sized wiggles.
-    "contention/1": (
-        _curve_rows,
-        tuple(
-            m._replace(gate="ceiling", grace=0.02) if m.key == "abort_rate" else m
-            for m in _POINT
-        ),
-    ),
+    "contention/1": (_curve_rows, _POINT),
     "steady/1": (
         _steady_rows,
         (
-            Metric("throughput_tps", "throughput (tps)", "floor", ",.0f"),
+            Metric("throughput_tps", "throughput (tps)", fmt=",.0f"),
             Metric("p50_latency_us", "p50 (us)"),
-            Metric("p99_latency_us", "p99 (us)", "ceiling"),
-            Metric("abort_rate", "abort rate", None, ".4f"),
-            Metric("commits", "commits", "exact"),
+            Metric("p99_latency_us", "p99 (us)"),
+            Metric("abort_rate", "abort rate", fmt=".4f"),
+            Metric("commits", "commits"),
             Metric("aborts", "aborts"),
         ),
     ),
@@ -252,24 +250,46 @@ def _kind(*payloads: Dict[str, Any]):
     return (schema.split("/")[0], *SNAPSHOT_KINDS[schema])
 
 
+def read_snapshot(path, schema: str, regenerate: str) -> Dict[str, Any]:
+    """A committed snapshot or pin of kind *schema*. A missing file, or
+    one of another schema, is an error naming *regenerate*, the command
+    that writes it — never a cue to write a fresh one."""
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except FileNotFoundError:
+        raise ValueError(f"{path} is missing; write it with `{regenerate}`") from None
+    if payload.get("schema") != schema:
+        raise ValueError(
+            f"{path} has schema {payload.get('schema')!r}, this checkout "
+            f"reads {schema!r}; regenerate it with `{regenerate}`"
+        )
+    return payload
+
+
 def gate(
     current: Dict[str, Any],
     baseline: Dict[str, Any],
     tolerance: Optional[float] = None,
 ) -> List[str]:
-    """Regression check of any snapshot kind; returns failure messages
-    (empty = pass).
+    """Wall-time regression check; returns failure messages (empty =
+    pass).
 
-    Every baseline row must exist in *current*; per row a ``floor``
-    metric must not fall below ``baseline * (1 - tolerance)``, a
-    ``ceiling`` metric must not rise above ``baseline * (1 + tolerance)
-    + grace``, an ``exact`` metric must match. Better-than-baseline runs
-    never fail (re-baseline by committing the new snapshot). *tolerance*
-    defaults to the baseline's own ``tolerance`` field.
+    Every baseline row must exist in *current*, and a ``floor`` metric
+    must not fall below ``baseline * (1 - tolerance)``; faster runs
+    never fail (re-baseline by committing the new snapshot).
+    *tolerance* defaults to the baseline's own ``tolerance`` field. A
+    kind without a floor is refused: its numbers are virtual and exact.
     """
+    name, flatten, metrics = _kind(baseline)
+    floors = [metric for metric in metrics if metric.floor]
+    if not floors:
+        raise ValueError(
+            f"{name} snapshots hold virtual-time numbers only, which are "
+            "pinned exactly (tests/integration/golden), not gated"
+        )
     if tolerance is None:
         tolerance = float(baseline.get("tolerance", DEFAULT_TOLERANCE))
-    _name, flatten, metrics = _kind(baseline)
     have = {row: entry for _group, row, entry in flatten(current)}
     groups = {group for group, _row, _entry in flatten(current)}
     failures: List[str] = []
@@ -280,32 +300,20 @@ def gate(
             if missing not in failures:
                 failures.append(missing)
             continue
-        for metric in metrics:
+        for metric in floors:
             was, now = base.get(metric.key), entry.get(metric.key)
-            if metric.gate is None or was is None:
+            if was is None:
                 continue
             if now is None:
                 failures.append(f"{row}: {metric.label} missing from current run")
-            elif metric.gate == "exact":
-                if now != was:
-                    failures.append(
-                        f"{row}: {metric.label} changed {was} -> {now} (seeded "
-                        "behaviour drift; regenerate the baseline deliberately)"
-                    )
-            else:
-                floor = metric.gate == "floor"
-                bound = (
-                    was * (1.0 - tolerance)
-                    if floor
-                    else was * (1.0 + tolerance) + metric.grace
+                continue
+            bound = was * (1.0 - tolerance)
+            if now < bound:
+                failures.append(
+                    f"{row}: {metric.label} {now:{metric.fmt}} < floor "
+                    f"{bound:{metric.fmt}} (baseline {was:{metric.fmt}}, "
+                    f"tolerance {tolerance:.0%})"
                 )
-                if now < bound if floor else now > bound:
-                    failures.append(
-                        f"{row}: {metric.label} {now:{metric.fmt}} "
-                        f"{'<' if floor else '>'} {metric.gate} "
-                        f"{bound:{metric.fmt}} (baseline {was:{metric.fmt}}, "
-                        f"tolerance {tolerance:.0%})"
-                    )
     return failures
 
 
@@ -326,8 +334,8 @@ def delta(
     label_after: str = "B",
 ) -> str:
     """Delta table between two snapshots of any kind: one line per
-    (row, metric) either side records, the change relative to *before*,
-    and ``DRIFT`` where an ``exact`` metric moved."""
+    (row, metric) either side records and the change relative to
+    *before*. A display tool: it gates nothing."""
     name, flatten, metrics = _kind(before, after)
     old = {row: entry for _group, row, entry in flatten(before)}
     new = {row: entry for _group, row, entry in flatten(after)}
@@ -338,15 +346,12 @@ def delta(
             now = new.get(row, {}).get(metric.key)
             if was is None and now is None:
                 continue
-            cell = _delta_cell(was, now)
-            if metric.gate == "exact" and None not in (was, now) and was != now:
-                cell += " DRIFT"
             lines.append(
                 (
                     f"{row} {metric.label}",
                     "-" if was is None else was,
                     "-" if now is None else now,
-                    cell,
+                    _delta_cell(was, now),
                 )
             )
     return render_rows(

@@ -12,8 +12,8 @@ Usage (also via ``python -m repro``)::
     python -m repro load --workload smallbank --html curves.html
     python -m repro load --offered 300000 --protocols ford --oracle --progress
     python -m repro contention --protocols lotus vote1pc --thetas 1.5
-    python -m repro contention --baseline benchmarks/results/BENCH_CONTENTION.json
-    python -m repro obs-report --compare BENCH_LOAD.json fresh.json
+    python -m repro contention --snapshot CONTENTION --html contention.html
+    python -m repro obs-report --compare BENCH_A.json BENCH_B.json
 
 Every command prints the same tables/series the benchmark harness
 writes, so the paper's experiments are reproducible without pytest.
@@ -68,17 +68,6 @@ def _add_snapshot_flags(parser, html: bool = True) -> None:
         "--snapshot", metavar="NAME", default=None,
         help="write benchmarks/results/BENCH_<NAME>.json with the results",
     )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="gate the run against a committed BENCH_*.json of the same "
-             "kind and exit 1 on regression (floors, ceilings, exact counts "
-             "— see docs/OBSERVABILITY.md)",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=None,
-        help="fractional drift allowed vs the baseline "
-             "(default: the baseline's own tolerance field, 0.25)",
-    )
     if html:
         parser.add_argument(
             "--html", metavar="PATH", default=None,
@@ -108,10 +97,10 @@ def _write_text(path: str, text: str, what: str) -> None:
         raise SystemExit(f"cannot write {what} to {path!r}: {error}")
 
 
-def _finish_snapshot(args, payload, html_title: str = "Open-loop load curves") -> int:
+def _finish_snapshot(args, payload, html_title: str = "Open-loop load curves") -> None:
     """The tail `perf --bench`, `load` and `contention` share: write the
-    snapshot, the optional HTML, then gate against ``--baseline``."""
-    from repro.bench.report import gate, write_bench_snapshot
+    snapshot and the optional HTML."""
+    from repro.bench.report import write_bench_snapshot
 
     if args.snapshot:
         write_bench_snapshot(args.snapshot, payload)
@@ -120,6 +109,13 @@ def _finish_snapshot(args, payload, html_title: str = "Open-loop load curves") -
 
         _write_text(args.html, render_load_html(payload, html_title), "HTML report")
         print(f"html report -> {args.html}")
+
+
+def _gate_kernel(args, payload) -> int:
+    """`perf --bench --baseline`: the one gate, a wall-time floor
+    (virtual-time numbers are pinned exactly, never gated)."""
+    from repro.bench.report import gate
+
     if not args.baseline:
         return 0
     kind = payload["schema"].split("/")[0]
@@ -305,6 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --bench: wall-time repeats per fleet (best is kept)",
     )
     _add_snapshot_flags(perf, html=False)  # with --bench
+    perf.add_argument(
+        "--baseline", metavar="PATH", default=None,
+        help="with --bench: gate events/sec against a committed "
+             "BENCH_KERNEL.json and exit 1 below its floor "
+             "(see docs/OBSERVABILITY.md)",
+    )
+    perf.add_argument(
+        "--tolerance", type=float, default=None,
+        help="fractional slowdown allowed vs the baseline "
+             "(default: the baseline's own tolerance field, 0.25)",
+    )
 
     report = sub.add_parser(
         "obs-report",
@@ -324,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--compare", nargs=2, metavar=("A.json", "B.json"), default=None,
-        help="print a delta table between two BENCH_*.json snapshots of "
-             "the same kind (kernel-perf, load, contention or steady) "
-             "instead of a flight-recorder report",
+        help="print a delta table between two snapshots of the same "
+             "kind (kernel-perf, load, contention or steady) instead of a "
+             "flight-recorder report",
     )
 
     from repro.load.arrivals import ARRIVAL_KINDS
@@ -612,9 +619,9 @@ def _cmd_perf(args) -> int:
     if args.bench:
         results = kernelperf.run_suite(repeats=args.repeats)
         print(kernelperf.format_suite(results))
-        return _finish_snapshot(
-            args, kernelperf.suite_payload(results, tolerance=args.tolerance)
-        )
+        payload = kernelperf.suite_payload(results, tolerance=args.tolerance)
+        _finish_snapshot(args, payload)
+        return _gate_kernel(args, payload)
 
     # Profiled steady-state run: wall-time attribution per subsystem /
     # site / txn phase. A lightweight Obs (no tracer, no flight) rides
@@ -729,8 +736,8 @@ def _cmd_load(args) -> int:
     )
     if violations:
         print(f"load oracle: {violations} violation(s) — see tables above")
-    code = _finish_snapshot(args, sweep_payload(curves, tolerance=args.tolerance))
-    return 1 if violations else code
+    _finish_snapshot(args, sweep_payload(curves))
+    return 1 if violations else 0
 
 
 def _cmd_contention(args) -> int:
@@ -750,11 +757,10 @@ def _cmd_contention(args) -> int:
         progress=print if args.progress else None,
     )
     print(format_contention(curves))
-    return _finish_snapshot(
-        args,
-        contention_payload(curves, tolerance=args.tolerance),
-        html_title="Hot-key contention sweep",
+    _finish_snapshot(
+        args, contention_payload(curves), html_title="Hot-key contention sweep"
     )
+    return 0
 
 
 def _cmd_obs_report(args) -> int:

@@ -20,11 +20,11 @@ population would:
   chaos oracle's workload-level invariants (money conservation,
   order-id consistency) evaluated under traffic.
 * :mod:`repro.load.sweep` — walks offered load across a grid and emits
-  latency-vs-offered-load curves per protocol, with ``BENCH_LOAD.json``
-  snapshots (gated by :func:`repro.bench.report.gate`).
+  latency-vs-offered-load curves per protocol, with ``load/1``
+  snapshots.
 * :mod:`repro.load.contention` — the hot-key contention sweep: the
   paper's 1 000-key RMW microbenchmark at three Zipf skews across the
-  full protocol zoo, with ``BENCH_CONTENTION.json`` snapshots.
+  full protocol zoo, with ``contention/1`` snapshots.
 """
 
 from repro.load.arrivals import (

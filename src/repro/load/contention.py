@@ -9,11 +9,9 @@ few keys.  This sweep drives the paper's hot-object microbenchmark
 at three Zipf skews per protocol and reports abort-rate and CO-corrected
 p99 against offered load.
 
-``contention_payload`` serialises the sweep into the committed
-``BENCH_CONTENTION.json`` snapshot (schema ``contention/1``), which
-:func:`repro.bench.report.gate` gates a fresh run against: the load
-snapshot's floor, ceiling and exact-commits checks plus a ceiling on
-the abort rate.
+``contention_payload`` serialises the sweep into a ``contention/1``
+snapshot; the committed sweep (``tests/integration/golden/
+contention.json``) is pinned exactly by the golden, like the load one.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.bench.report import DEFAULT_TOLERANCE
 from repro.load.engine import LoadResult
 from repro.load.sweep import LoadCurve, format_curves, run_load_point
 from repro.protocol.zoo import TRIPLES
@@ -133,10 +130,8 @@ def run_contention_sweep(
     return curves
 
 
-def contention_payload(
-    curves: Sequence[ContentionCurve], tolerance: Optional[float] = None
-) -> Dict[str, Any]:
-    """The ``BENCH_CONTENTION.json`` payload.
+def contention_payload(curves: Sequence[ContentionCurve]) -> Dict[str, Any]:
+    """The ``contention/1`` payload.
 
     Curves are keyed by ``"<protocol> s=<theta>"`` with the same point
     dicts as the load snapshot, so ``render_load_html`` works on it
@@ -144,7 +139,6 @@ def contention_payload(
     """
     return {
         "schema": CONTENTION_SCHEMA,
-        "tolerance": DEFAULT_TOLERANCE if tolerance is None else tolerance,
         "workload": curves[0].workload if curves else "",
         "arrivals": curves[0].arrivals if curves else "",
         "hot_keys": HOT_KEYS,

@@ -1,4 +1,4 @@
-"""Load sweeps: latency-vs-offered-load curves with CI gating.
+"""Load sweeps: latency-vs-offered-load curves.
 
 A sweep first estimates the cluster's closed-loop capacity (a short
 pandora steady-state run), builds an offered-load grid as multiples of
@@ -8,11 +8,10 @@ curves are directly comparable and the saturation knee (the first point
 where achieved throughput falls visibly short of offered) shows up as a
 divergence between the x=y line and each protocol's achieved curve.
 
-``sweep_payload`` serialises a sweep into the committed
-``BENCH_LOAD.json`` snapshot (schema ``load/1``), which
-:func:`repro.bench.report.gate` gates a fresh run against: achieved
-throughput has a tolerance floor, CO-corrected p99 a tolerance ceiling,
-and the commit count must reproduce *exactly*.
+``sweep_payload`` serialises a sweep into a ``load/1`` snapshot. Every
+number in it is seeded virtual time, so the committed two-point sweep
+(``tests/integration/golden/load.json``) is pinned exactly by the
+golden, not gated within a tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.bench.harness import default_config, run_steady_state
-from repro.bench.report import DEFAULT_TOLERANCE
 from repro.cluster.builder import Cluster
 from repro.load.arrivals import ArrivalProcess, PoissonArrivals
 from repro.load.engine import LoadResult, OpenLoopEngine
@@ -214,13 +212,10 @@ def run_sweep(
     return curves
 
 
-def sweep_payload(
-    curves: Sequence[LoadCurve], tolerance: Optional[float] = None
-) -> Dict[str, Any]:
-    """The ``BENCH_LOAD.json`` payload (see docs/OBSERVABILITY.md)."""
+def sweep_payload(curves: Sequence[LoadCurve]) -> Dict[str, Any]:
+    """The ``load/1`` payload (see docs/OBSERVABILITY.md)."""
     return {
         "schema": SNAPSHOT_SCHEMA,
-        "tolerance": DEFAULT_TOLERANCE if tolerance is None else tolerance,
         "workload": curves[0].workload if curves else "",
         "arrivals": curves[0].arrivals if curves else "",
         "curves": {

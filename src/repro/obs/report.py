@@ -644,7 +644,7 @@ def _svg_curve_plot(
 def render_load_html(
     payload: Dict[str, Any], title: str = "Open-loop load curves"
 ) -> str:
-    """Self-contained HTML for a ``BENCH_LOAD.json``-style payload.
+    """Self-contained HTML for a ``load/1``-style payload.
 
     Two SVG plots (achieved-vs-offered with the x=y reference line, and
     CO-corrected p99 vs offered) plus one point table per protocol.

@@ -1,7 +1,5 @@
 """PillSanitizer: raw-verb strict checks plus end-to-end clean runs."""
 
-import hashlib
-
 import pytest
 
 from repro.analysis.sanitizer import (
@@ -179,50 +177,36 @@ class TestTimelineIsRenderedAtViolationTime:
 
 
 class TestViolationTextParity:
-    """Every violation string, timelines included, is the one the
-    render-at-trace-time sanitizer of commit 4c31ca9 produced (digests
-    taken from a clone of that commit, see CHANGES.md PR 20)."""
+    """Every violation string, timelines included, is the one pinned in
+    ``tests/integration/golden/violations.json`` (count and sha256 of
+    the joined text). The pins first came from the render-at-trace-time
+    sanitizer of commit 4c31ca9; the golden command rewrites them."""
 
     @staticmethod
-    def _digest(violations):
-        text = "\n".join(str(violation) for violation in violations)
-        return len(violations), hashlib.sha256(text.encode()).hexdigest()
+    def _pin(name):
+        from tests.integration.golden import VIOLATIONS_SCHEMA, load_pin
+
+        return load_pin("violations.json", VIOLATIONS_SCHEMA)[name]
 
     def test_mutant_harness_violations(self):
-        from repro.analysis.mutants import MUTANTS
+        from tests.integration.golden import mutant_harness_violations, violation_digest
 
-        violations = []
-        for spec in MUTANTS:
-            violations.extend(spec.scenario(spec.protocol).sanitizer.violations)
-        assert self._digest(violations) == (
-            17,
-            "12ea6d9415c59488a88fa09fd282d7af22e5de9ac74d1f9971459e14b87bbfd6",
-        )
+        assert violation_digest(mutant_harness_violations()) == self._pin("mutant_harness")
 
     def test_crashing_ford_litmus_violations(self):
-        from repro.litmus import LitmusRunner
-        from repro.litmus.specs import litmus1_direct_write
-
-        runner = LitmusRunner(
-            litmus1_direct_write(),
-            protocol="ford",
-            rounds=12,
-            seed=7,
-            sanitize=True,
-            crash_probability=0.3,
+        from tests.integration.golden import (
+            crashing_ford_litmus_violations,
+            violation_digest,
         )
-        runner.run()
-        violations = runner.cluster.sanitizer.violations
+
+        violations = crashing_ford_litmus_violations()
         assert {violation.code for violation in violations} == {
             "PILL-DECIDE",
             "PILL-LOG",
             "PILL-UNLOCK",
             "PILL-WRITE",
         }
-        assert self._digest(violations) == (
-            285,
-            "b18616bf8e3665512b1b2d8886b54e9cd9015561361c3bb848998c34be4db9d5",
-        )
+        assert violation_digest(violations) == self._pin("crashing_ford_litmus")
 
 
 class TestCleanProtocolRuns:

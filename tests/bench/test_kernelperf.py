@@ -93,13 +93,13 @@ class TestBaselineGate:
         failures = gate(current, baseline)
         assert failures == ["tiny: missing from current run"]
 
-    def test_step_drift_reported_separately(self):
+    def test_step_drift_is_left_to_the_golden(self):
+        # Steps are virtual: the golden pins BENCH_KERNEL.json's steps
+        # column exactly, so the wall-time gate does not look at it.
         current, baseline = self._payloads(
             current_eps=100, base_eps=100, current_steps=101, base_steps=100
         )
-        failures = gate(current, baseline, tolerance=0.25)
-        assert len(failures) == 1
-        assert "steps changed" in failures[0]
+        assert gate(current, baseline, tolerance=0.25) == []
 
     def test_tolerance_defaults_from_baseline_payload(self):
         current, baseline = self._payloads(current_eps=97, base_eps=100)

@@ -1,7 +1,16 @@
-"""``python -m tests.integration.golden``: re-record outcomes.json."""
+"""``python -m tests.integration.golden``: rewrite every pin, print what moved."""
 
-from tests.integration.golden import GOLDEN_PATH, SCENARIOS, render, run_scenario
+import time
+
+from tests.integration.golden import SECTIONS, regenerate
 
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(render({name: run_scenario(name) for name in SCENARIOS}))
-    print(f"recorded {len(SCENARIOS)} scenarios -> {GOLDEN_PATH}")
+    for section in SECTIONS:
+        started = time.perf_counter()
+        lines = regenerate(section)
+        print(
+            f"{section.name}: {len(lines)} moved field(s) "
+            f"({time.perf_counter() - started:.1f} s)"
+        )
+        for line in lines:
+            print(f"  {line}")

@@ -11,9 +11,11 @@ regenerate the file on purpose and say why.
 import pytest
 
 from tests.integration.golden import (
+    REGENERATE,
     SCENARIOS,
     cluster_fingerprint,
     load_golden,
+    moved,
     run_litmus,
     run_scenario,
 )
@@ -28,29 +30,15 @@ def test_golden_file_covers_exactly_the_scenario_table(golden):
     assert sorted(golden) == sorted(SCENARIOS)
 
 
-def _flat(outcome, prefix=""):
-    """``{"verb_totals": {"0": {"cas_lock": 3}}}`` -> ``verb_totals.0.cas_lock``."""
-    for key, value in outcome.items():
-        if isinstance(value, dict):
-            yield from _flat(value, f"{prefix}{key}.")
-        else:
-            yield f"{prefix}{key}", value
-
-
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_scenario_matches_golden(golden, name):
-    expected, actual = dict(_flat(golden[name])), dict(_flat(run_scenario(name)))
-    moved = [
-        f"  {field}: {expected.get(field)!r} -> {actual.get(field)!r}"
-        for field in sorted(set(expected) | set(actual))
-        if expected.get(field) != actual.get(field)
-    ]
-    assert not moved, (
-        f"scenario {name!r} moved off its golden outcome (old -> new):\n"
-        + "\n".join(moved)
-        + "\nIf the change is meant to alter virtual behaviour, regenerate "
-        "with `PYTHONPATH=src python -m tests.integration.golden` and "
-        "justify the regenerated golden in CHANGES.md; otherwise it is a bug."
+    fields = moved(golden[name], run_scenario(name))
+    assert not fields, (
+        f"scenario {name!r} moved off its golden outcome (old → new):\n  "
+        + "\n  ".join(fields)
+        + f"\nIf the change is meant to alter virtual behaviour, regenerate "
+        f"with `{REGENERATE}` and justify the regenerated golden in "
+        "CHANGES.md; otherwise it is a bug."
     )
 
 
