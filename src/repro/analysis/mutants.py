@@ -403,9 +403,8 @@ STATIC_MUTANTS: List[StaticMutantSpec] = [
         ),
         path="src/repro/protocol/base.py",
         edits=((
-            '        checkpoint = self._cp("abort_unlocked")\n'
-            "        if checkpoint is not None:\n"
-            "            yield checkpoint\n",
+            "        if self._crash_plans:\n"
+            '            yield from self._cp("abort_unlocked")\n',
             "",
         ),),
         judge=(

@@ -139,8 +139,16 @@ class _StoppedClock:
     now = 0.0
 
 
+def _pinned(args: Tuple) -> Tuple:
+    """A write_log's timeline arguments. The memory node assigns
+    record_id / charged_bytes on append and an invalidation flips
+    valid: pin all three as they are when the verb is traced."""
+    record = args[0]
+    return (record, record.valid, record.record_id, record.charged_bytes)
+
+
 def _render(entry: Tuple) -> str:
-    """One timeline line from the raw tuple :meth:`PillSanitizer._trace` kept."""
+    """One timeline line from a raw tuple the sanitizer's hooks kept."""
     now, layer, compute, node, kind, args = entry
     if kind == "write_log":
         # The record is the one argument that changes after it is
@@ -218,16 +226,6 @@ class PillSanitizer:
 
     # -- helpers -------------------------------------------------------------
 
-    def _trace(
-        self, now: float, layer: str, compute: int, node: int, kind: str, args: Tuple
-    ) -> None:
-        if kind == "write_log":
-            # The memory node assigns record_id / charged_bytes on
-            # append and an invalidation flips valid: pin all three.
-            record = args[0]
-            args = (record, record.valid, record.record_id, record.charged_bytes)
-        self._timeline.append((now, layer, compute, node, kind, args))
-
     def _violate(
         self,
         code: str,
@@ -298,7 +296,10 @@ class PillSanitizer:
     # -- compute-side hook (queue-pair post order) ---------------------------
 
     def on_post(self, compute_id: int, node_id: int, kind: str, args: Tuple, now: float) -> None:
-        self._trace(now, "post", compute_id, node_id, kind, args)
+        self._timeline.append(
+            (now, "post", compute_id, node_id, kind,
+             _pinned(args) if kind == "write_log" else args)
+        )
         rule = self._POST_RULES.get(kind)
         if rule is not None:
             rule(self, compute_id, node_id, args, now)
@@ -422,7 +423,10 @@ class PillSanitizer:
     # -- memory-side hooks (atomic execution point) --------------------------
 
     def before_verb(self, node, src: int, kind: str, args: Tuple) -> None:
-        self._trace(self._clock.now, "exec", src, node.node_id, kind, args)
+        self._timeline.append(
+            (self._clock.now, "exec", src, node.node_id, kind,
+             _pinned(args) if kind == "write_log" else args)
+        )
         rule = self._BEFORE_RULES.get(kind)
         if rule is not None:
             rule(self, node, src, args)

@@ -267,7 +267,6 @@ class MemoryNode:
         self.value_sizes: Dict[int, int] = {}
         self.log_regions: Dict[int, LogRegion] = {}
         self._revoked: Set[int] = set()
-        self.verb_counts: Dict[str, int] = {}
         # LOTUS lock-server state: ticket queues per (table, slot) and
         # the Cor4-pushed failed-ids bitset (wired by the cluster
         # builder) consulted to skip dead waiters on queue advance.
@@ -276,7 +275,7 @@ class MemoryNode:
         # vote1pc per-slot shadows (undo image + write-set manifest),
         # cleared by the same writes that free the lock word.
         self._vote_shadows: Dict[Tuple[int, int], Tuple] = {}
-        self._dispatch = {
+        handlers = {
             "read_object": self._op_read_object,
             "read_header": self._op_read_header,
             "read_headers": self._op_read_headers,
@@ -296,6 +295,11 @@ class MemoryNode:
             "ctrl_revoke": self._op_ctrl_revoke,
             "ctrl_unrevoke": self._op_ctrl_unrevoke,
             "ctrl_register_log_region": self._op_ctrl_register_log_region,
+        }
+        # kind -> [handler, verbs applied]: the one dict hit of an
+        # apply finds both the handler and its counter.
+        self._verbs: Dict[str, List[Any]] = {
+            kind: [handler, 0] for kind, handler in handlers.items()
         }
 
     # -- provisioning (control path, done at cluster build / setup) -------
@@ -346,19 +350,25 @@ class MemoryNode:
 
     # -- verb execution ------------------------------------------------------
 
+    @property
+    def verb_counts(self) -> Dict[str, int]:
+        """Verbs applied so far, per kind (kinds never applied absent)."""
+        return {kind: entry[1] for kind, entry in self._verbs.items() if entry[1]}
+
     def apply(self, src_compute_id: int, kind: str, args: Tuple) -> Tuple[Any, int]:
         """Execute one verb atomically; returns (result, response bytes)."""
-        handler = self._dispatch.get(kind)
-        if handler is None:
-            raise ValueError(f"unknown verb kind {kind!r}")
-        self.verb_counts[kind] = self.verb_counts.get(kind, 0) + 1
+        try:
+            entry = self._verbs[kind]
+        except KeyError:
+            raise ValueError(f"unknown verb kind {kind!r}") from None
+        entry[1] += 1
         sanitizer = self.sanitizer
         if sanitizer is NOOP_SANITIZER:
             # Fast path: skip even the empty hook calls. The sanitizer
             # is wired before any traffic, so the check is stable.
-            return handler(src_compute_id, args)
+            return entry[0](src_compute_id, args)
         sanitizer.before_verb(self, src_compute_id, kind, args)
-        result = handler(src_compute_id, args)
+        result = entry[0](src_compute_id, args)
         sanitizer.after_verb(self, src_compute_id, kind, args, result[0])
         return result
 

@@ -20,12 +20,18 @@ measurement, not simulation input.
 
 **Attribution model.** The profiler keeps an explicit frame stack:
 
-* the profiled kernel ``step()`` pushes one root frame per queue entry
-  (classified as ``event:Timeout``, ``process:coordinator-*``,
-  ``cb:QueuePair.post.<locals>.execute``, ...);
-* instrumented boundaries (``Process._resume``, ``QueuePair.post``,
-  ``Network.delay``, AllOf/AnyOf fan-in, FD heartbeat ingestion, the
-  obs/sanitizer shim block) push nested frames.
+* the profiled kernel step (``Simulator._profiled_step``) pushes one
+  root frame per queue entry (classified as ``event:Timeout``,
+  ``process:coordinator-*``, ``cb:WorkRequest._arrive``, ...);
+* instrumented boundaries push nested frames, each from a profiled twin
+  chosen once at construction that wraps the plain body: a process
+  resume (``_ProfiledProcess._on_target``, ``resume:<process>``),
+  AllOf/AnyOf fan-in (``_Condition._profiled_on_child``,
+  ``fanin:<class>``), verb post and completion
+  (``QueuePair._observed_post`` / ``_observed_respond``, ``rdma.post``
+  with the obs/sanitizer ``shim`` block inside it, ``rdma.complete``),
+  the network model (``Network._profiled_delay``, ``network``), and
+  failure-detector heartbeat ingestion (``fd``).
 
 Each frame pop folds *self* time (elapsed minus child time) into a
 per-site table and into a collapsed-stack table whose lines
@@ -140,7 +146,8 @@ class KernelProfiler:
         self.steps = 0
         self.run_wall_ns = 0
         self._phase: Optional[str] = None
-        # frame: [site, start_ns, child_ns, phase-or-None]
+        # frame: [(label, subsystem), start_ns, child_ns, phase-or-None,
+        # the collapsed-stack path ending in this frame's label]
         self._stack: List[list] = []
         self._run_started: Optional[int] = None
         # label caches (classification is hot under profiling)
@@ -190,20 +197,25 @@ class KernelProfiler:
                 subsystem = _CATEGORY_SUBSYSTEM.get(category, "other")
             cached = self._label_cache[key] = (label, subsystem)
         phase = self._phase if category == "rdma.post" else None
-        self._stack.append(
-            [cached, perf_counter_ns(), 0, phase]  # simlint: disable=SIM001
-        )
+        # A frame's collapsed-stack path is built once, as it opens,
+        # from its parent's: pop folds it in without walking the stack.
+        stack = self._stack
+        path = stack[-1][4] + (cached[0],) if stack else (cached[0],)
+        stack.append([cached, perf_counter_ns(), 0, phase, path])  # simlint: disable=SIM001
 
     def push_site(self, label: str, subsystem: str) -> None:
         """Open a frame with a precomputed label (root frames)."""
-        self._stack.append(
-            [(label, subsystem), perf_counter_ns(), 0, None]  # simlint: disable=SIM001
+        stack = self._stack
+        path = stack[-1][4] + (label,) if stack else (label,)
+        stack.append(
+            [(label, subsystem), perf_counter_ns(), 0, None, path]  # simlint: disable=SIM001
         )
 
     def pop(self) -> None:
         """Close the innermost frame and fold its time into the tables."""
         now = perf_counter_ns()  # simlint: disable=SIM001
-        (label, subsystem), start, child_ns, phase = self._stack.pop()
+        stack = self._stack
+        (label, subsystem), start, child_ns, phase, path = stack.pop()
         elapsed = now - start
         self_ns = elapsed - child_ns
         site = self.sites.get(label)
@@ -212,11 +224,8 @@ class KernelProfiler:
         site.count += 1
         site.self_ns += self_ns
         site.total_ns += elapsed
-        if self._stack:
-            self._stack[-1][2] += elapsed
-            path = tuple(frame[0][0] for frame in self._stack) + (label,)
-        else:
-            path = (label,)
+        if stack:
+            stack[-1][2] += elapsed
         self.stack_ns[path] = self.stack_ns.get(path, 0) + self_ns
         if phase is not None:
             self.phase_ns[phase] = self.phase_ns.get(phase, 0) + elapsed
@@ -233,10 +242,10 @@ class KernelProfiler:
     def begin_step(self, entry: Any) -> None:
         """Open the root frame for one kernel dispatch step."""
         self.steps += 1
-        label, subsystem = self.classify(entry)
-        self._stack.append(
-            [(label, subsystem), perf_counter_ns(), 0, None]  # simlint: disable=SIM001
-        )
+        site = self.classify(entry)
+        stack = self._stack
+        path = stack[-1][4] + (site[0],) if stack else (site[0],)
+        stack.append([site, perf_counter_ns(), 0, None, path])  # simlint: disable=SIM001
 
     # end_step is pop(); the root frame folds like any other.
     end_step = pop

@@ -101,7 +101,8 @@ class Txn:
         if cached is not None:
             return cached.value if cached.present else None
         primary = engine.placement.primary(table_id, slot)
-        self.trace.focus("execute")
+        if engine.traced:
+            self.trace.focus("execute")
         image = yield engine.verbs.read_object(primary, table_id, slot)
         entry = engine._record_read(self, table_id, key, slot, primary, image)
         return entry.value if entry.present else None
@@ -274,6 +275,13 @@ class ProtocolEngine:
         self.placement = coordinator.catalog.placement
         self.coord_id = coordinator.coord_id
         self.obs = coordinator.obs
+        # With observability off every TxnTrace call is a no-op, so
+        # the steady path tests this instead of making the call.
+        self.traced = coordinator.obs.enabled
+        # The injector's armed plans, a dict it only ever mutates in
+        # place (empty when the cluster has no injector).
+        faults = coordinator.faults
+        self._crash_plans = faults.plans_by_node if faults is not None else {}
         self.bugs = bugs
         self.lock = protocol.lock(self)
         self.log = protocol.log(self)
@@ -288,14 +296,17 @@ class ProtocolEngine:
 
     # -- fault hooks -----------------------------------------------------------
 
-    def _cp(self, name: str) -> Optional[Event]:
-        """Crash point: the injector may kill this compute node here."""
-        faults = self.coordinator.faults
-        # Nearly every run arms no crash plan: answer that here instead
-        # of two calls down, at each of ~10 crash points per attempt.
-        if faults is None or not faults.plans_by_node:
-            return None
-        return faults.crash_point(name, self.coordinator)
+    def _cp(self, name: str) -> Generator[Event, Any, None]:
+        """Crash point: the injector may kill this compute node here.
+
+        Each of the ~10 crash points per attempt is spelled
+        ``if self._crash_plans: yield from self._cp(name)``: nearly
+        every run arms no crash plan, and then a crash point costs one
+        truth test and no call.
+        """
+        checkpoint = self.coordinator.faults.crash_point(name, self.coordinator)
+        if checkpoint is not None:
+            yield checkpoint
 
     # -- top-level attempt -------------------------------------------------------
 
@@ -320,10 +331,11 @@ class ProtocolEngine:
                 tx.result = yield from generated
             else:
                 tx.result = generated
-            checkpoint = self._cp("execution_done")
-            if checkpoint is not None:
-                yield checkpoint
-            trace.phase("execute", self.sim.now)
+            if self._crash_plans:
+                yield from self._cp("execution_done")
+            traced = self.traced
+            if traced:
+                trace.phase("execute", self.sim.now)
 
             if self.bugs.relaxed_locks:
                 # BUG (Table 1, "Relaxed Locks"): validation reads are
@@ -331,34 +343,35 @@ class ProtocolEngine:
                 # held, so validation can race ahead of locking.
                 validation_groups = self._post_validation_reads(tx)
                 yield from self._lock_barrier(tx)
-                trace.phase("lock", self.sim.now)
+                if traced:
+                    trace.phase("lock", self.sim.now)
                 self.log.post_barrier(tx)
             else:
                 yield from self._lock_barrier(tx)
-                trace.phase("lock", self.sim.now)
-                checkpoint = self._cp("locks_held")
-                if checkpoint is not None:
-                    yield checkpoint
+                if traced:
+                    trace.phase("lock", self.sim.now)
+                if self._crash_plans:
+                    yield from self._cp("locks_held")
                 self.log.post_barrier(tx)
                 validation_groups = self._post_validation_reads(tx)
-            checkpoint = self._cp("log_posted")
-            if checkpoint is not None:
-                yield checkpoint
+            if self._crash_plans:
+                yield from self._cp("log_posted")
 
             yield from self._check_validation(tx, validation_groups)
             if self.commit.late_upgrade:
                 self._check_upgrades(tx)
-            trace.phase("validate", self.sim.now)
+            if traced:
+                trace.phase("validate", self.sim.now)
 
             # Decision point: the write-set must be durably logged
             # before any in-place update (§3.1.5 "(2) ... ensures the
             # write-set is logged").
             if tx.log_acks:
                 yield self.sim.all_of(tx.log_acks)
-            trace.phase("log", self.sim.now)
-            checkpoint = self._cp("decision")
-            if checkpoint is not None:
-                yield checkpoint
+            if traced:
+                trace.phase("log", self.sim.now)
+            if self._crash_plans:
+                yield from self._cp("decision")
 
             yield from self._commit(tx, trace)
             trace.end("commit", self.sim.now, writes=len(tx.write_set))
@@ -422,7 +435,8 @@ class ProtocolEngine:
         self, tx: Txn, table_id: int, to_fetch
     ) -> Generator[Event, Any, List]:
         """Post many reads together; one round trip per memory node."""
-        tx.trace.focus("execute")
+        if self.traced:
+            tx.trace.focus("execute")
         posted = []
         for index, key, slot in to_fetch:
             primary = self.placement.primary(table_id, slot)
@@ -495,7 +509,8 @@ class ProtocolEngine:
         for entry in to_validate:
             node = self.placement.primary(entry.table_id, entry.slot)
             groups.setdefault(node, []).append(entry)
-        tx.trace.focus("validate")
+        if self.traced:
+            tx.trace.focus("validate")
         posted = []
         for node, entries in groups.items():
             addresses = [(entry.table_id, entry.slot) for entry in entries]
@@ -545,8 +560,12 @@ class ProtocolEngine:
     def _commit(self, tx: Txn, trace=NULL_TXN_TRACE) -> Generator[Event, Any, None]:
         apply_events: List[Event] = []
         touched: Dict[int, Tuple[int, int]] = {}
-        for intent in tx.write_set.values():
+        traced = self.traced
+        if traced and tx.write_set:
+            # Once for the whole loop: it only yields at a crash point,
+            # which never resumes.
             trace.focus("commit")
+        for intent in tx.write_set.values():
             if not intent.locked:
                 continue
             has_change = intent.new_value is not None or intent.kind == OP_DELETE
@@ -561,9 +580,8 @@ class ProtocolEngine:
                     )
                     touched[node] = (intent.table_id, intent.slot)
                 intent.applied = True
-            checkpoint = self._cp("commit_posted")
-            if checkpoint is not None:
-                yield checkpoint
+            if self._crash_plans:
+                yield from self._cp("commit_posted")
         if apply_events:
             yield self.sim.all_of(apply_events)
         if self.nvm_flush and touched:
@@ -579,26 +597,28 @@ class ProtocolEngine:
         # Every replica is updated: the attempt is decided (commit), so
         # no interrupt may reach it from here on (see current_tx).
         self.current_tx = None
-        checkpoint = self._cp("applied")
-        if checkpoint is not None:
-            yield checkpoint
-        trace.phase("commit", self.sim.now)
+        if self._crash_plans:
+            yield from self._cp("applied")
+        if traced:
+            trace.phase("commit", self.sim.now)
 
         # Client acknowledgment happens here — after all replicas are
         # updated, before unlocking (§2.3 step 1 vs 2).
         self.coordinator.on_commit_ack(tx)
 
-        trace.focus("unlock")
+        if traced:
+            trace.focus("unlock")
         self._unlock_write_set(tx)
-        checkpoint = self._cp("unlocked")
-        if checkpoint is not None:
-            yield checkpoint
+        if self._crash_plans:
+            yield from self._cp("unlocked")
 
         # Lazily invalidate the undo log copies (off the critical path).
-        trace.focus("unlock")
+        if traced:
+            trace.focus("unlock")
         for node, record_id in tx.logged_records:
             self.verbs.invalidate_log(node, self.coord_id, record_id, signaled=False)
-        trace.phase("unlock", self.sim.now)
+        if traced:
+            trace.phase("unlock", self.sim.now)
 
     def _abort(self, tx: Txn, reason: str) -> Generator[Event, Any, None]:
         # Locks may still be in flight (e.g. the abort came from a read
@@ -640,9 +660,8 @@ class ProtocolEngine:
 
         tx.trace.focus("abort")
         self._unlock_write_set(tx, complicit=self.bugs.complicit_abort)
-        checkpoint = self._cp("abort_unlocked")
-        if checkpoint is not None:
-            yield checkpoint
+        if self._crash_plans:
+            yield from self._cp("abort_unlocked")
         self.coordinator.on_abort(tx, reason)
 
     def _unlock_write_set(self, tx: Txn, complicit: bool = False) -> None:
@@ -659,9 +678,10 @@ class ProtocolEngine:
                 if node is None:
                     node = self.placement.primary(intent.table_id, intent.slot)
                 self.verbs.write_lock(node, intent.table_id, intent.slot, 0)
-                tx.trace.lock_event(
-                    "released", intent.table_id, intent.slot, self.sim.now
-                )
+                if self.traced:
+                    tx.trace.lock_event(
+                        "released", intent.table_id, intent.slot, self.sim.now
+                    )
             # Held or not: an intent whose lock CAS lost may still have
             # left something behind (tradlog's lock-intent record).
             self.log.release_intent(intent)
@@ -686,9 +706,8 @@ class ProtocolEngine:
         # attempt — the union of two failure windows the paper treats
         # separately (§3.2.2 x §3.2.5). These crash points let the
         # chaos campaign land a kill at each step of the resolution.
-        checkpoint = self._cp("recover_interrupted")
-        if checkpoint is not None:
-            yield checkpoint
+        if self._crash_plans:
+            yield from self._cp("recover_interrupted")
         pending = [proc for proc in tx.lock_procs if not proc.triggered]
         if pending:
             try:
@@ -707,9 +726,8 @@ class ProtocolEngine:
                 yield ack
             except RdmaError:
                 pass
-        checkpoint = self._cp("recover_drained")
-        if checkpoint is not None:
-            yield checkpoint
+        if self._crash_plans:
+            yield from self._cp("recover_drained")
 
         # Roll back: restore the undo image on any replica we updated.
         # Same ordering discipline as _commit: wait for the restore
@@ -737,9 +755,8 @@ class ProtocolEngine:
                 yield ack
             except RdmaError:
                 pass
-        checkpoint = self._cp("recover_undo_written")
-        if checkpoint is not None:
-            yield checkpoint
+        if self._crash_plans:
+            yield from self._cp("recover_undo_written")
         tx.trace.focus("recover")
         self._best_effort_release(tx)
         self.coordinator.on_abort(tx, AbortReason.MEMORY_RECONFIG)

@@ -253,12 +253,12 @@ class LockStrategy:
             intent.old_version = version
             intent.old_value = value
             intent.old_present = present
-            tx.trace.lock_event(
-                "acquired", intent.table_id, intent.slot, engine.sim.now
-            )
-            checkpoint = engine._cp("locked")
-            if checkpoint is not None:
-                yield checkpoint
+            if engine.traced:
+                tx.trace.lock_event(
+                    "acquired", intent.table_id, intent.slot, engine.sim.now
+                )
+            if engine._crash_plans:
+                yield from engine._cp("locked")
 
             if (
                 intent.expected_version is not None
@@ -306,12 +306,12 @@ class CasLockStrategy(LockStrategy):
     def _take(self, tx, intent: WriteIntent, primary: int, desired: int):
         engine = self.engine
         table_id, slot = intent.table_id, intent.slot
-        tx.trace.focus("lock")
+        if engine.traced:
+            tx.trace.focus("lock")
         cas_event = engine.verbs.cas_lock(primary, table_id, slot, 0, desired)
         read_event = engine.verbs.read_object(primary, table_id, slot)
-        checkpoint = engine._cp("lock_posted")
-        if checkpoint is not None:
-            yield checkpoint
+        if engine._crash_plans:
+            yield from engine._cp("lock_posted")
         old_word = yield cas_event
         image = (yield read_event)[1:]  # the lock word came with the CAS
         if old_word == 0:
@@ -390,9 +390,8 @@ class TicketLockStrategy(LockStrategy):
         tx.trace.focus("lock")
         faa_event = engine.verbs.faa_ticket(primary, table_id, slot, engine.coord_id)
         read_event = engine.verbs.read_object(primary, table_id, slot)
-        checkpoint = engine._cp("lock_posted")
-        if checkpoint is not None:
-            yield checkpoint
+        if engine._crash_plans:
+            yield from engine._cp("lock_posted")
         ticket, word = yield faa_event
         image = (yield read_event)[1:]
         if ticket < 0:
@@ -484,15 +483,18 @@ class LogStrategy:
 
     def _write(self, tx, nodes, entries: Tuple[UndoEntry, ...]) -> None:
         """Post one undo record of *entries* to each of *nodes*; the
-        decision point waits for the acks (``tx.log_acks``)."""
+        decision point waits for the acks (``tx.log_acks``). Each node
+        gets its own record (a log region stamps it); all are one size."""
         engine = self.engine
-        tx.trace.focus("log")
-        value_sizes = engine.catalog.value_sizes
+        if engine.traced:
+            tx.trace.focus("log")
+        size = None
         for node in nodes:
             record = LogRecord(
                 coord_id=engine.coord_id, txn_id=tx.txn_id, entries=entries
             )
-            size = record.size_bytes(value_sizes)
+            if size is None:
+                size = record.size_bytes(engine.catalog.value_sizes)
             ack = engine.verbs.write_log(node, record, size)
             tx.log_acks.append(ack)
             engine._remember_log_copy(tx, node, ack)
@@ -566,7 +568,8 @@ class CoalescedLogStrategy(LogStrategy):
         ]
 
     def post_barrier(self, tx) -> None:
-        self._post(tx, (i for i in tx.write_set.values() if i.locked))
+        if tx.write_set:
+            self._post(tx, (i for i in tx.write_set.values() if i.locked))
 
     def _post(self, tx, intents) -> None:
         """One record covering *intents*, to each fixed log server."""

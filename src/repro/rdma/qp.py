@@ -28,12 +28,14 @@ per delivery.
 
 from __future__ import annotations
 
+from heapq import heappush
 from types import MethodType
 from typing import Any, Callable, Optional, Tuple
 
 from repro.rdma.errors import LinkRevokedError, RemoteNodeDownError
 from repro.rdma.network import Network
 from repro.sim import Event, Simulator
+from repro.sim.kernel import _NO_CALLBACKS, _PENDING, _PROCESSED
 
 __all__ = ["QueuePair", "WorkRequest", "VERB_HEADER_BYTES"]
 
@@ -53,12 +55,25 @@ class WorkRequest(Event):
 
     ``posted_at`` is set only on a QP with an ``Obs`` (which reads it
     for the verb latency), ``flight_token`` only with a flight recorder.
+
+    An unsignaled work request is born processed: no one waits for it,
+    so its event has fired by the time ``post`` returns it.
     """
 
     __slots__ = ("qp", "kind", "args", "signaled", "_next", "posted_at", "flight_token")
 
     def __init__(self, qp: "QueuePair", kind: str, args: Tuple, signaled: bool) -> None:
-        Event.__init__(self, qp.sim)
+        # The Event fields are set here rather than through
+        # Event.__init__ (one frame fewer per verb).
+        self.sim = qp.sim
+        self._value = None
+        self._exception = None
+        if signaled:
+            self._state = _PENDING
+            self.callbacks = []
+        else:
+            self._state = _PROCESSED
+            self.callbacks = _NO_CALLBACKS
         self.qp = qp
         self.kind = kind
         self.args = args
@@ -90,6 +105,9 @@ class WorkRequest(Event):
         qp = self.qp
         memory_node = qp.memory_node
         compute_id = qp.compute_id
+        # MemoryNode.is_revoked's set, read in place: a revoke mutates
+        # it, never replaces it.
+        revoked = memory_node._revoked
         respond = qp._respond
         verb: Optional[WorkRequest] = self
         while verb is not None:
@@ -98,7 +116,7 @@ class WorkRequest(Event):
             result, size = None, 0
             if not memory_node.alive:
                 error = RemoteNodeDownError(memory_node.node_id)
-            elif memory_node.is_revoked(compute_id):
+            elif compute_id in revoked:
                 error = LinkRevokedError(compute_id, memory_node.node_id)
             else:
                 error = None
@@ -112,13 +130,21 @@ class WorkRequest(Event):
             verb = following
 
     def _deliver(self) -> None:
-        """Response leg: complete this chain, in order, at its due time."""
+        """Response leg: complete this chain, in order, at its due time.
+
+        Each member's callback loop is written out here, as in
+        ``Event.__call__``: no frame per completion besides the
+        callbacks themselves.
+        """
         if self._next is not None:
             self._count_chain()
         verb: Optional[WorkRequest] = self
         while verb is not None:
             following = verb._next
-            verb._run_callbacks()
+            verb._state = _PROCESSED
+            callbacks, verb.callbacks = verb.callbacks, _NO_CALLBACKS
+            for callback in callbacks:
+                callback(verb)
             verb = following
 
 
@@ -134,9 +160,12 @@ class _Channel:
     that timestamp, so the newcomer conservatively opens a fresh chain.
     Ring appends cannot land at a future timestamp and need no guard.
 
-    ``arrival > now`` is tested first: a chain can only be appended to
-    while it is still in the timer heap, never once it has fired (its
-    instant is then ``<= now``, which no later arrival can equal).
+    Every arrival is strictly in the future — the one-way latency is
+    positive (``NetworkConfig.validate``) — so ``send`` pushes its
+    timer itself, with no due-now branch. For the same reason a chain
+    can only be appended to while it is still in the timer heap, never
+    once it has fired (its instant is then ``<= now``, which no later
+    arrival can equal).
     """
 
     __slots__ = ("sim", "network", "_entry", "_last_arrival", "_tail", "_when", "_seq")
@@ -155,18 +184,19 @@ class _Channel:
     def send(self, verb: WorkRequest, size: int) -> float:
         """Schedule *verb*'s leg on this channel; returns its arrival time."""
         sim = self.sim
-        now = sim.now
-        arrival = now + self.network.delay(size + VERB_HEADER_BYTES)
+        arrival = sim.now + self.network.delay(size + VERB_HEADER_BYTES)
         if arrival < self._last_arrival:
             arrival = self._last_arrival
         else:
             self._last_arrival = arrival
-        if arrival > now and arrival == self._when and sim._seq == self._seq:
+        if arrival == self._when and sim._seq == self._seq:
             self._tail._next = verb
         else:
-            sim.call_at(arrival, MethodType(self._entry, verb))
+            # Simulator.call_at's timer push, written out.
+            seq = sim._seq = sim._seq + 1
+            heappush(sim._timers, (arrival, seq, MethodType(self._entry, verb)))
             self._when = arrival
-            self._seq = sim._seq
+            self._seq = seq
         self._tail = verb
         return arrival
 
@@ -254,8 +284,6 @@ class QueuePair:
             self._observed_post(verb, request_size)
         else:
             self._requests.send(verb, request_size)
-        if not signaled:
-            verb._run_callbacks()
         return verb
 
     def _observed_post(self, verb: WorkRequest, request_size: int) -> None:

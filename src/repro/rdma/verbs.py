@@ -53,6 +53,22 @@ VERB_CATEGORIES = {
 }
 
 
+class _QueuePairs(dict):
+    """Memory node id -> :class:`QueuePair`. A lookup is one C-level
+    dict hit; only a miss runs Python, to name what is missing."""
+
+    __slots__ = ("compute_id",)
+
+    def __init__(self, compute_id: int, pairs: Dict[int, QueuePair]) -> None:
+        super().__init__(pairs)
+        self.compute_id = compute_id
+
+    def __missing__(self, memory_node_id: int) -> QueuePair:
+        raise KeyError(
+            f"compute {self.compute_id} has no QP to memory node {memory_node_id}"
+        )
+
+
 class Verbs:
     """Per-compute-node handle over its queue pairs."""
 
@@ -69,34 +85,26 @@ class Verbs:
         self.compute_id = compute_id
         self.network = network
         self.obs = obs if obs is not None else NOOP_OBS
-        self.qps: Dict[int, QueuePair] = {
+        self.qps: Dict[int, QueuePair] = _QueuePairs(compute_id, {
             node_id: QueuePair(
                 sim, network, compute_id, node, obs=self.obs, sanitizer=sanitizer
             )
             for node_id, node in memory_nodes.items()
-        }
-
-    def _qp(self, memory_node_id: int) -> QueuePair:
-        try:
-            return self.qps[memory_node_id]
-        except KeyError:
-            raise KeyError(
-                f"compute {self.compute_id} has no QP to memory node {memory_node_id}"
-            ) from None
+        })
 
     # -- data-path verbs -----------------------------------------------------
 
     def read_object(self, node: int, table: int, slot: int) -> Event:
         """READ the full object (lock, version, present, value)."""
-        return self._qp(node).post("read_object", (table, slot), 16)
+        return self.qps[node].post("read_object", (table, slot), 16)
 
     def read_header(self, node: int, table: int, slot: int) -> Event:
         """READ only the 16B header (lock word + version)."""
-        return self._qp(node).post("read_header", (table, slot), 16)
+        return self.qps[node].post("read_header", (table, slot), 16)
 
     def read_headers(self, node: int, addresses: Sequence[Tuple[int, int]]) -> Event:
         """Doorbell-batched header read of several objects on one node."""
-        return self._qp(node).post(
+        return self.qps[node].post(
             "read_headers", (tuple(addresses),), 16 * len(addresses)
         )
 
@@ -104,11 +112,11 @@ class Verbs:
         self, node: int, table: int, slot: int, expected: int, desired: int
     ) -> Event:
         """Atomic compare-and-swap on the object's lock word."""
-        return self._qp(node).post("cas_lock", (table, slot, expected, desired), 24)
+        return self.qps[node].post("cas_lock", (table, slot, expected, desired), 24)
 
     def write_lock(self, node: int, table: int, slot: int, word: int) -> Event:
         """WRITE the lock word directly (used for unlock)."""
-        return self._qp(node).post("write_lock", (table, slot, word), 16)
+        return self.qps[node].post("write_lock", (table, slot, word), 16)
 
     def write_object(
         self,
@@ -122,7 +130,7 @@ class Verbs:
         signaled: bool = True,
     ) -> Event:
         """WRITE value + version in place (commit-phase update)."""
-        return self._qp(node).post(
+        return self.qps[node].post(
             "write_object",
             (table, slot, version, value, present),
             OBJECT_HEADER_BYTES + value_size,
@@ -136,11 +144,11 @@ class Verbs:
         post-FAA lock word; ``ticket < 0`` means the slot carries a
         foreign (non-ticket) lock word and the enqueue was refused.
         """
-        return self._qp(node).post("faa_ticket", (table, slot, coord_id), 16)
+        return self.qps[node].post("faa_ticket", (table, slot, coord_id), 16)
 
     def cancel_ticket(self, node: int, table: int, slot: int, ticket: int) -> Event:
         """Withdraw a ticket (bounded-wait abort; LOTUS)."""
-        return self._qp(node).post("cancel_ticket", (table, slot, ticket), 16)
+        return self.qps[node].post("cancel_ticket", (table, slot, ticket), 16)
 
     def vote_write(
         self,
@@ -160,7 +168,7 @@ class Verbs:
         old_present, manifest)`` — roughly double the object payload on
         the wire, which is the price of skipping the f+1 log write.
         """
-        return self._qp(node).post(
+        return self.qps[node].post(
             "vote_write",
             (table, slot, version, value, present, shadow),
             OBJECT_HEADER_BYTES + 2 * value_size + 16 * len(shadow[5]) + 32,
@@ -169,7 +177,7 @@ class Verbs:
 
     def read_vote(self, node: int, table: int, slot: int) -> Event:
         """READ one slot's vote shadow (None when clear); vote1pc recovery."""
-        return self._qp(node).post("read_vote", (table, slot), 16)
+        return self.qps[node].post("read_vote", (table, slot), 16)
 
     # -- log verbs --------------------------------------------------------------
 
@@ -177,29 +185,29 @@ class Verbs:
         self, node: int, record: LogRecord, size_bytes: int, signaled: bool = True
     ) -> Event:
         """Append one (possibly coalesced) undo-log record."""
-        return self._qp(node).post("write_log", (record,), size_bytes, signaled=signaled)
+        return self.qps[node].post("write_log", (record,), size_bytes, signaled=signaled)
 
     def invalidate_log(
         self, node: int, coord_id: int, record_id: int, signaled: bool = True
     ) -> Event:
         """Flip a single log record's valid bit (abort-path truncation)."""
-        return self._qp(node).post(
+        return self.qps[node].post(
             "invalidate_log", (coord_id, record_id), 16, signaled=signaled
         )
 
     def read_log_region(self, node: int, coord_id: int) -> Event:
         """READ a coordinator's entire log region in one large verb."""
-        return self._qp(node).post("read_log_region", (coord_id,), 16)
+        return self.qps[node].post("read_log_region", (coord_id,), 16)
 
     def truncate_log_region(self, node: int, coord_id: int) -> Event:
         """Invalidate the region header (recovery-side truncation)."""
-        return self._qp(node).post("truncate_log_region", (coord_id,), 16)
+        return self.qps[node].post("truncate_log_region", (coord_id,), 16)
 
     # -- scan (Baseline recovery only) -------------------------------------------
 
     def scan_chunk(self, node: int, table: int, start: int, count: int) -> Event:
         """READ *count* raw slots; returns (locked slot list, next index)."""
-        return self._qp(node).post("scan_chunk", (table, start, count), 24)
+        return self.qps[node].post("scan_chunk", (table, start, count), 24)
 
     # -- control plane -------------------------------------------------------------
 
@@ -210,7 +218,7 @@ class Verbs:
         memory-side cores are slow, which is precisely why they are
         kept off the data path.
         """
-        completion = self._qp(node).post(kind, args, 32)
+        completion = self.qps[node].post(kind, args, 32)
         delayed = Event(self.sim)
 
         def relay(event: Event) -> None:

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from operator import attrgetter
+from typing import Any, Callable, Generator, Iterable, List, Optional, Union
 
 __all__ = [
     "Event",
@@ -93,10 +94,14 @@ class Event:
 
         Events and raw callables share one dispatch shape — the kernel
         just calls whatever it dequeues, so ``step`` needs no
-        ``isinstance`` branch.
+        ``isinstance`` branch. The callback loop is written out here
+        (and in ``WorkRequest._deliver``): one frame per dispatch.
         """
         if self._state == _TRIGGERED:
-            self._run_callbacks()
+            self._state = _PROCESSED
+            callbacks, self.callbacks = self.callbacks, _NO_CALLBACKS
+            for callback in callbacks:
+                callback(self)
 
     @property
     def triggered(self) -> bool:
@@ -140,12 +145,6 @@ class Event:
         self.sim._post(self)
         return self
 
-    def _run_callbacks(self) -> None:
-        self._state = _PROCESSED
-        callbacks, self.callbacks = self.callbacks, _NO_CALLBACKS
-        for callback in callbacks:
-            callback(self)
-
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Invoke *callback(event)* once the event fires."""
         if self._state == _PROCESSED:
@@ -164,11 +163,30 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        # Born triggered; the fields are set here rather than through
+        # Event.__init__ (one frame fewer per timeout).
+        self.sim = sim
         self._state = _TRIGGERED
         self._value = value
+        self._exception = None
+        self.callbacks = []
+        self.delay = delay
         sim._schedule_at(sim.now + delay, self)
+
+
+class _Resumption:
+    """What resumes a process when no event does: its first step
+    (:data:`_START`) or an interrupt. Carries the two fields
+    ``Process._on_target`` reads from an event."""
+
+    __slots__ = ("_value", "_exception")
+
+    def __init__(self, exception: Optional[BaseException] = None) -> None:
+        self._value = None
+        self._exception = exception
+
+
+_START = _Resumption()
 
 
 class Process(Event):
@@ -176,6 +194,9 @@ class Process(Event):
 
     The process's :class:`Event` side fires with the generator's return
     value, or fails with the exception that escaped the generator.
+    ``Simulator.process`` builds the profiled twin,
+    :class:`_ProfiledProcess`, when the simulator has an enabled
+    profiler.
     """
 
     __slots__ = ("generator", "_target", "_alive", "name")
@@ -186,15 +207,20 @@ class Process(Event):
         generator: Generator[Event, Any, Any],
         name: str = "",
     ) -> None:
-        super().__init__(sim)
+        self.sim = sim
+        self._state = _PENDING
+        self._value = None
+        self._exception = None
+        self.callbacks = []
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
+        self._target: Optional[Union[Event, _Resumption]] = None
         self._alive = True
         sim.call_soon(self._begin)
 
     def _begin(self) -> None:
-        self._resume(None, None)
+        self._target = _START
+        self._on_target(_START)
 
     @property
     def is_alive(self) -> bool:
@@ -214,7 +240,7 @@ class Process(Event):
             target.callbacks = [
                 cb for cb in target.callbacks if getattr(cb, "__self__", None) is not self
             ]
-        self.sim.call_soon(lambda: self._resume(None, Interrupt(cause)))
+        self.sim.call_soon(lambda: self._resume_with(_Resumption(Interrupt(cause))))
 
     def kill(self) -> None:
         """Terminate the process immediately without running any more of it.
@@ -251,12 +277,19 @@ class Process(Event):
 
     # -- generator driving ------------------------------------------------
 
-    def _on_target(self, event: Event) -> None:
+    def _resume_with(self, resumption: _Resumption) -> None:
+        """Resume with no event behind it (an interrupt)."""
+        self._target = resumption
+        self._on_target(resumption)
+
+    def _on_target(self, event: Union[Event, _Resumption]) -> None:
+        """Resume the generator with *event*'s outcome and subscribe to
+        the next event it yields: the whole resume in one frame."""
         if not self._alive or event is not self._target:
             # Stale wake-up. interrupt()/kill() clear ``_target`` and
             # strip this callback from the target's *pending* callback
             # list — but that removal cannot reach a callback already
-            # snapshotted by an in-flight ``_run_callbacks`` (the event
+            # snapshotted by an in-flight callback loop (the event
             # detaches its list before invoking), nor one parked in
             # the kernel queue by ``add_callback``'s late-subscription
             # path. If such an orphaned wake-up then fires after the
@@ -264,77 +297,111 @@ class Process(Event):
             # here would double-drive the generator with a stale value.
             return
         self._target = None
-        if event._exception is not None:
-            self._resume(None, event._exception)
-        else:
-            self._resume(event._value, None)
-
-    def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if not self._alive:
-            return
-        profiler = self.sim.profiler
-        if profiler.enabled:
-            profiler.push("resume", self.name)
-            try:
-                self._resume_inner(value, exc)
-            finally:
-                profiler.pop()
-        else:
-            self._resume_inner(value, exc)
-
-    def _resume_inner(self, value: Any, exc: Optional[BaseException]) -> None:
+        exception = event._exception
         try:
-            if exc is not None:
-                target = self.generator.throw(exc)
+            if exception is not None:
+                target = self.generator.throw(exception)
             else:
-                target = self.generator.send(value)
+                target = self.generator.send(event._value)
         except StopIteration as stop:
             self._alive = False
-            if not self.triggered:
+            if self._state == _PENDING:
                 self._state = _TRIGGERED
                 self._value = stop.value
-                self.sim._post(self)
+                self.sim._ring.append(self)
             return
         except BaseException as error:  # noqa: BLE001 - propagate via event
             self._alive = False
-            if not self.triggered:
+            if self._state == _PENDING:
                 self._state = _TRIGGERED
                 self._exception = error
-                self.sim._post(self)
+                self.sim._ring.append(self)
             else:
                 raise
             return
         if not isinstance(target, Event):
             self._alive = False
             self.generator.close()
-            if not self.triggered:
+            if self._state == _PENDING:
                 self._state = _TRIGGERED
                 self._exception = TypeError(
                     f"process {self.name!r} yielded {target!r}, expected an Event"
                 )
-                self.sim._post(self)
+                self.sim._ring.append(self)
             return
         self._target = target
-        target.add_callback(self._on_target)
+        if target._state == _PROCESSED:
+            target.add_callback(self._on_target)
+        else:
+            target.callbacks.append(self._on_target)
+
+
+class _ProfiledProcess(Process):
+    """:class:`Process` twin: every resume runs the one
+    ``Process._on_target`` body inside a ``resume`` profiler frame.
+
+    A subclass rather than a bound method kept on the instance, which
+    would make every process a reference cycle for the collector.
+    """
+
+    __slots__ = ()
+
+    def _on_target(self, event: Union[Event, _Resumption]) -> None:
+        if not self._alive or event is not self._target:
+            return
+        profiler = self.sim.profiler
+        profiler.push("resume", self.name)
+        try:
+            Process._on_target(self, event)
+        finally:
+            profiler.pop()
+
+
+#: A finished AllOf's value: its children's values, read in C.
+_VALUES_OF = attrgetter("_value")
 
 
 class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+    """Base for AllOf / AnyOf composite events.
+
+    The child hook is chosen once, here: ``_on_child``, or its profiled
+    twin (a ``fanin`` frame around the same body) when the simulator
+    has an enabled profiler.
+    """
 
     __slots__ = ("events", "_pending_count")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        self._pending_count = len(self.events)
-        if not self.events:
-            self.succeed([])
+        self.sim = sim
+        self._state = _PENDING
+        self._value = None
+        self._exception = None
+        self.callbacks = []
+        self.events = events = list(events)
+        self._pending_count = len(events)
+        if not events:
+            self._state = _TRIGGERED
+            self._value = []
+            sim._ring.append(self)
             return
-        for event in self.events:
-            event.add_callback(self._on_child)
+        hook = self._profiled_on_child if sim.profiler.enabled else self._on_child
+        for event in events:
+            if event._state == _PROCESSED:
+                event.add_callback(hook)
+            else:
+                event.callbacks.append(hook)
 
     def _on_child(self, event: Event) -> None:
         raise NotImplementedError
+
+    def _profiled_on_child(self, event: Event) -> None:
+        """``_on_child`` inside a ``fanin`` profiler frame."""
+        profiler = self.sim.profiler
+        profiler.push("fanin", type(self).__name__)
+        try:
+            self._on_child(event)
+        finally:
+            profiler.pop()
 
 
 class AllOf(_Condition):
@@ -346,17 +413,6 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
-        profiler = self.sim.profiler
-        if profiler.enabled:
-            profiler.push("fanin", "AllOf")
-            try:
-                self._on_child_inner(event)
-            finally:
-                profiler.pop()
-        else:
-            self._on_child_inner(event)
-
-    def _on_child_inner(self, event: Event) -> None:
         if self._state != _PENDING:
             return
         if event._exception is not None:
@@ -364,7 +420,9 @@ class AllOf(_Condition):
             return
         self._pending_count -= 1
         if self._pending_count == 0:
-            self.succeed([child._value for child in self.events])
+            self._state = _TRIGGERED
+            self._value = list(map(_VALUES_OF, self.events))
+            self.sim._ring.append(self)
 
 
 class AnyOf(_Condition):
@@ -382,23 +440,14 @@ class AnyOf(_Condition):
             self._index_of.setdefault(id(event), index)
 
     def _on_child(self, event: Event) -> None:
-        profiler = self.sim.profiler
-        if profiler.enabled:
-            profiler.push("fanin", "AnyOf")
-            try:
-                self._on_child_inner(event)
-            finally:
-                profiler.pop()
-        else:
-            self._on_child_inner(event)
-
-    def _on_child_inner(self, event: Event) -> None:
         if self._state != _PENDING:
             return
         if event._exception is not None:
             self.fail(event._exception)
             return
-        self.succeed((self._index_of[id(event)], event._value))
+        self._state = _TRIGGERED
+        self._value = (self._index_of[id(event)], event._value)
+        self.sim._ring.append(self)
 
 
 class Simulator:
@@ -432,10 +481,12 @@ class Simulator:
 
             profiler = NULL_PROFILER
         self.profiler = profiler
+        self._process_class = Process
         if profiler.enabled:
             # Instance-attribute shadowing: this binding wins over the
             # class method for this instance only.
             self.step = self._profiled_step
+            self._process_class = _ProfiledProcess
 
     # -- scheduling --------------------------------------------------------
 
@@ -477,7 +528,7 @@ class Simulator:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Spawn a generator as a process."""
-        return Process(self, generator, name=name)
+        return self._process_class(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing when all children fire."""

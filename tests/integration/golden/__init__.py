@@ -1,7 +1,9 @@
 """Every pinned seeded run, and the one command that rewrites the pins.
 
-A pin is a committed file of exact, virtual-time numbers that a seeded
-run reproduces bit for bit. :data:`SECTIONS` is the table of them: per
+A pin is a committed file of exact numbers that a seeded run
+reproduces bit for bit: virtual-time results, and one count of the
+Python frames a commit costs (the ``frames`` section, whose moves a
+speed change quotes). :data:`SECTIONS` is the table of them: per
 section, the files it writes and the function that reruns its seeded
 work and renders those files. One command rewrites every pin and
 prints ``path: field: old → new`` for each field that moved::
@@ -24,8 +26,10 @@ fingerprint and per-node verb totals — replayed scenario by scenario
 by ``tests/integration/test_golden_outcomes.py``.
 """
 
+import gc
 import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -92,6 +96,13 @@ CONTENTION_DURATION = 5e-3
 CONTENTION_USERS = 64
 
 VIOLATIONS_SCHEMA = "violations/1"
+
+#: Frame budget: ``src/repro`` Python frames entered per commit over a
+#: seeded steady pandora window, for the ledger's two closed-loop
+#: workloads at their sizes. A count of calls, so it does not depend
+#: on the box; CPython 3.12+ inlines comprehensions and counts fewer.
+FRAMES_SCHEMA = "frames/1"
+FRAMES_WINDOW = (0.5e-3, 2.5e-3)
 
 
 def cluster_fingerprint(cluster):
@@ -322,6 +333,58 @@ def _record_violations(_root):
     return {GOLDEN + "violations.json": snapshot_text(payload)}
 
 
+def count_frames(workload):
+    """``src/repro`` frames entered (calls and generator resumes) over
+    :data:`FRAMES_WINDOW` of a seeded steady run, and the commits in it.
+
+    The collector stays off in the window: a collection there would
+    close the suspended generators of clusters that earlier runs left
+    as garbage, and count their frames too."""
+    import repro
+    from repro.bench.harness import default_config
+    from repro.cluster.builder import Cluster
+
+    cluster = Cluster(default_config(), workload)
+    cluster.start()
+    start, end = FRAMES_WINDOW
+    cluster.run(until=start)
+    commits = cluster.aggregate_stats().commits
+    package = str(Path(repro.__file__).parent) + "/"
+    frames = 0
+
+    def count(frame, event, _arg):
+        nonlocal frames
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            frames += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        cluster.run(until=end)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return frames, cluster.aggregate_stats().commits - commits
+
+
+def _record_frames(_root):
+    from repro.workloads import SmallBank, Tatp
+
+    payload = {"schema": FRAMES_SCHEMA}
+    for name, workload in (
+        ("smallbank", SmallBank(accounts=5_000)),
+        ("tatp", Tatp(subscribers=2_000)),
+    ):
+        frames, commits = count_frames(workload)
+        payload[name] = {
+            "commits": commits,
+            "frames": frames,
+            "frames_per_commit": round(frames / commits, 1),
+        }
+    return {GOLDEN + "frames.json": snapshot_text(payload)}
+
+
 def _record_mutants(_root):
     from repro.analysis.mutants import render_results, run_mutation_harness, run_static_mutants
 
@@ -354,6 +417,7 @@ SECTIONS = (
     ),
     Section("kernel", (RESULTS + "BENCH_KERNEL.json",), _record_kernel),
     Section("violations", (GOLDEN + "violations.json",), _record_violations),
+    Section("frames", (GOLDEN + "frames.json",), _record_frames),
     Section("mutants", (MUTANTS_TXT,), _record_mutants),
 )
 

@@ -41,13 +41,29 @@ class TestTables:
 
 class TestVerbDispatch:
     def test_unknown_verb_raises(self, node):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown verb kind 'nonsense'"):
             node.apply(1, "nonsense", ())
+        assert node.verb_counts == {}
 
     def test_verb_counting(self, node):
         node.apply(1, "read_header", (0, 1))
         node.apply(1, "read_header", (0, 1))
         assert node.verb_counts["read_header"] == 2
+
+    def test_verb_counts_sum_to_the_verbs_applied(self, node):
+        applied = [
+            ("read_header", (0, 1)),
+            ("cas_lock", (0, 1, 0, 42)),
+            ("read_object", (0, 2)),
+            ("cas_lock", (0, 1, 42, 0)),
+            ("write_log", (LogRecord(coord_id=1, txn_id=1, entries=(_entry(),)),)),
+        ]
+        for kind, args in applied:
+            node.apply(1, kind, args)
+        assert node.verb_counts == {
+            "read_header": 1, "cas_lock": 2, "read_object": 1, "write_log": 1
+        }
+        assert sum(node.verb_counts.values()) == len(applied)
 
     def test_cas_lock_semantics(self, node):
         old, _size = node.apply(1, "cas_lock", (0, 1, 0, 42))

@@ -9,8 +9,9 @@ records must decompose the latencies the harness reports.
 import pytest
 
 from repro import Cluster, ClusterConfig
-from repro.bench.harness import run_failover, run_steady_state
-from repro.obs import TXN_PHASES, Obs
+from repro.bench.harness import default_config, run_failover, run_steady_state
+from repro.obs import TXN_PHASES, KernelProfiler, Obs
+from repro.protocol.zoo import TRIPLES
 from repro.workloads import SmallBank
 
 
@@ -37,6 +38,45 @@ class TestParity:
             _smallbank, "pandora", obs=Obs(trace=False), **STEADY
         )
         assert measured == base
+
+
+#: Every observer setup a run can take: each swaps in instrumented
+#: twins of the kernel, QP or memory paths (the profiler, Obs and the
+#: sanitizer respectively), which must leave the virtual run as it is.
+OBSERVER_SETUPS = {
+    "none": ({}, False),
+    "profiler": ({"profiler": KernelProfiler}, False),
+    "obs+flight": ({"obs": lambda: Obs(trace=True, flight=True)}, False),
+    "sanitize": ({}, True),
+}
+
+
+def _virtual_results(protocol, observers, sanitize):
+    config = default_config(
+        protocol=protocol, coordinators_per_node=4, seed=11, sanitize=sanitize
+    )
+    cluster = Cluster(
+        config, _smallbank(), **{name: make() for name, make in observers.items()}
+    )
+    cluster.start()
+    cluster.run(until=1.5e-3)
+    stats = cluster.aggregate_stats()
+    verbs = {node_id: node.verb_counts for node_id, node in cluster.memory_nodes.items()}
+    return cluster.sim.processed_events, stats.commits, stats.aborts, verbs
+
+
+class TestZooParity:
+    @pytest.mark.parametrize("protocol", TRIPLES)
+    def test_observers_leave_virtual_results_identical(self, protocol):
+        """Events, commits, aborts and per-node verb totals of a short
+        seeded run are the same under every observer setup."""
+        results = {
+            setup: _virtual_results(protocol, observers, sanitize)
+            for setup, (observers, sanitize) in OBSERVER_SETUPS.items()
+        }
+        assert results["none"][1] > 0 and results["none"][2] > 0
+        for setup, result in results.items():
+            assert result == results["none"], setup
 
 
 class TestObsContent:

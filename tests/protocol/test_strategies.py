@@ -124,6 +124,8 @@ class _StubEngine:
     strategy under test answers ``is_stray`` and mints its own word."""
 
     coord_id = 3
+    traced = True  # the stub trace records lock events
+    _crash_plans = {}  # no crash point armed
 
     def __init__(self, failed_ids=()):
         from types import SimpleNamespace
@@ -142,9 +144,6 @@ class _StubEngine:
             post_speculative=lambda tx, intent: False,
             post_locked=lambda tx, intent, speculative: self.posted.append(intent),
         )
-
-    def _cp(self, name):
-        return None
 
 
 def _drive(flow, responses):

@@ -217,8 +217,11 @@ class TestVerbs:
 
     def test_missing_qp_raises(self, rig):
         _sim, _network, _memory, verbs = rig
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="compute 7 has no QP to memory node 99"):
             verbs.read_header(99, 0, 0)
+        # Every verb looks its QP up the same way.
+        with pytest.raises(KeyError, match="compute 7 has no QP to memory node 5"):
+            verbs.write_log(5, None, 64)
 
 
 class TestFailureSemantics:
@@ -312,6 +315,26 @@ class TestChainedWorkRequests:
         sim.run()
         assert outcomes == [(slot, LinkRevokedError) for slot in range(3)]
         assert memory.verb_counts == {}
+
+    def test_a_revoke_inside_a_chain_fences_the_members_behind_it(self, rig):
+        sim, _network, memory, verbs = rig
+        qp = verbs.qps[0]
+        revoke = qp.post("ctrl_revoke", (7,), 16)
+        reads = [qp.post("read_header", (0, slot), 16) for slot in range(2)]
+        assert sim.queue_depth == 1
+        sim.run()
+        assert revoke.ok
+        assert [type(read._exception) for read in reads] == [LinkRevokedError] * 2
+        assert memory.verb_counts == {"ctrl_revoke": 1}
+
+    def test_verb_counts_sum_to_the_verbs_applied(self, rig):
+        sim, _network, memory, verbs = rig
+        self._burst(verbs, count=4)
+        verbs.cas_lock(0, 0, 3, 0, 1)
+        verbs.write_object(0, 0, 3, version=2, value=5, signaled=False)
+        sim.run()
+        assert memory.verb_counts == {"read_header": 4, "cas_lock": 1, "write_object": 1}
+        assert sum(memory.verb_counts.values()) == 6
 
     def test_unsignaled_verbs_to_a_dead_node_are_dropped(self, rig):
         sim, _network, memory, verbs = rig

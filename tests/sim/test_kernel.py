@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.profile import KernelProfiler
 from repro.sim import (
     Interrupt,
     ProcessKilled,
@@ -11,6 +12,8 @@ from repro.sim import (
 
 @pytest.fixture
 def sim():
+    """The plain simulator; every class below that uses this fixture
+    runs again on the profiled one (see "The profiled twin")."""
     return Simulator()
 
 
@@ -261,6 +264,74 @@ class TestProcesses:
         with pytest.raises(RuntimeError, match="deadlock"):
             sim.run_until_complete(process)
 
+    def test_kill_from_inside_the_generator(self, sim):
+        """A process that kills itself (a node crashing its own worker)
+        runs to its next yield and never resumes past it."""
+        progress = []
+        own = []
+
+        def proc():
+            progress.append("start")
+            own[0].kill()
+            progress.append("after kill")
+            yield sim.timeout(1.0)
+            progress.append("resumed")
+
+        own.append(sim.process(proc()))
+        sim.run()
+        assert progress == ["start", "after kill"]
+        assert not own[0].is_alive
+        with pytest.raises(ProcessKilled):
+            own[0].value
+
+    def test_yielding_a_processed_event_resumes_next_step(self, sim):
+        event = sim.event()
+        event.succeed("early")
+        sim.run()
+        got = []
+
+        def proc():
+            got.append((yield event))
+
+        sim.process(proc())
+        sim.run()
+        assert got == ["early"]
+
+    def test_interrupt_before_the_first_step(self, sim):
+        """The first step still runs first; the interrupt lands at the
+        generator's first yield."""
+        trace = []
+
+        def proc():
+            trace.append("started")
+            try:
+                yield sim.timeout(5.0)
+            except Interrupt as interrupt:
+                trace.append(("interrupt", interrupt.cause, sim.now))
+
+        process = sim.process(proc())
+        process.interrupt("early")
+        sim.run()
+        assert trace == ["started", ("interrupt", "early", 0.0)]
+
+    def test_two_interrupts_land_one_yield_after_the_other(self, sim):
+        trace = []
+
+        def proc():
+            for _ in range(3):
+                try:
+                    yield sim.timeout(5.0)
+                    trace.append(("woke", sim.now))
+                except Interrupt as interrupt:
+                    trace.append(interrupt.cause)
+
+        process = sim.process(proc())
+        sim.run(until=1.0)
+        process.interrupt("first")
+        process.interrupt("second")
+        sim.run()
+        assert trace == ["first", "second", ("woke", 6.0)]
+
 
 class TestConditions:
     def test_all_of_waits_for_all(self, sim):
@@ -340,6 +411,35 @@ class TestConditions:
         condition = sim.any_of(events)
         assert condition._index_of == {id(event): i for i, event in enumerate(events)}
 
+    def test_any_of_propagates_failure(self, sim):
+        event = sim.event()
+        caught = []
+
+        def proc():
+            try:
+                yield sim.any_of([sim.timeout(5.0), event])
+            except KeyError as error:
+                caught.append((error.args[0], sim.now))
+
+        sim.process(proc())
+        sim.call_at(1.0, lambda: event.fail(KeyError("bad")))
+        sim.run()
+        assert caught == [("bad", 1.0)]
+
+    def test_conditions_over_processed_children(self, sim):
+        done = sim.event()
+        done.succeed("ready")
+        sim.run()
+        got = []
+
+        def proc():
+            got.append((yield sim.all_of([done, sim.timeout(1.0, "later")])))
+            got.append((yield sim.any_of([done])))
+
+        sim.process(proc())
+        sim.run()
+        assert got == [["ready", "later"], (0, "ready")]
+
     def test_all_of_propagates_failure(self, sim):
         event = sim.event()
         caught = []
@@ -415,8 +515,8 @@ class TestCallScheduling:
 
     def test_snapshotted_wakeup_after_interrupt_is_stale(self, sim):
         """An event triggering in the same tick as an interrupt must not
-        double-drive the generator. ``_run_callbacks`` snapshots the
-        callback list, so ``interrupt()``'s callback strip cannot reach
+        double-drive the generator. The event's callback loop snapshots
+        the callback list, so ``interrupt()``'s callback strip cannot reach
         a wake-up already in flight — ``_on_target`` has to recognise
         it as stale instead.
         """
@@ -635,3 +735,59 @@ class TestNowRingScheduler:
             (3.0, 1), (3.75, 3), (4.0, 2), (5.0, 3),
         ]
         assert sim.processed_events == 24
+
+
+# -- the profiled twin -----------------------------------------------------------
+#
+# With an enabled profiler the simulator runs profiled twins of its step,
+# of every process resume and of every AllOf/AnyOf fan-in. Each twin wraps
+# the plain body in a profiler frame; every semantics test above runs
+# again on one to hold it to the same contract.
+
+
+class _Profiled:
+    @pytest.fixture
+    def sim(self):
+        return Simulator(profiler=KernelProfiler())
+
+
+class TestTimeAdvancementProfiled(_Profiled, TestTimeAdvancement):
+    pass
+
+
+class TestEventsProfiled(_Profiled, TestEvents):
+    pass
+
+
+class TestProcessesProfiled(_Profiled, TestProcesses):
+    pass
+
+
+class TestConditionsProfiled(_Profiled, TestConditions):
+    pass
+
+
+class TestCallSchedulingProfiled(_Profiled, TestCallScheduling):
+    pass
+
+
+class TestNowRingSchedulerProfiled(_Profiled, TestNowRingScheduler):
+    pass
+
+
+def test_the_profiled_twins_open_one_frame_per_resume_and_fanin():
+    profiler = KernelProfiler()
+    sim = Simulator(profiler=profiler)
+
+    def proc():
+        for _ in range(3):
+            yield sim.timeout(1.0)
+        yield sim.all_of([sim.timeout(1.0), sim.timeout(2.0)])
+
+    sim.process(proc(), name="worker-7")
+    sim.run()
+    # The first step, three timeouts and the AllOf: five resumes.
+    assert profiler.sites["resume:worker-*"].count == 5
+    assert profiler.sites["fanin:AllOf"].count == 2
+    assert profiler.steps == sim.processed_events
+    assert profiler._stack == []
